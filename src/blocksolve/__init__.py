@@ -18,6 +18,7 @@ from .blockprec import (
     ElectrochemPreconditioner,
     assemble_block_operator,
     build_electrochem_preconditioner,
+    ras_preconditioner,
 )
 from .krylov import SolverConfig, SolveStats, fgmres, gmres
 from .mmio import load_matrix_market, store_matrix_market
@@ -27,7 +28,6 @@ from .schwarz import (
     extend_overlap,
     partition_nodes,
     ras_apply,
-    ras_preconditioner,
     ras_setup,
 )
 from .smoothers import (

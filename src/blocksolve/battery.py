@@ -195,14 +195,7 @@ def assemble_diffusion_operator(grid, coefficient, lumped_mass_scale=0.0,
     ).tocsr()
 
     if dirichlet_rows is not None and len(dirichlet_rows):
-        mask = np.zeros(grid.n, dtype=bool)
-        mask[dirichlet_rows] = True
-        keep = ~mask[A.tocoo().row]
-        coo = A.tocoo()
-        rows = np.concatenate([coo.row[keep], np.asarray(dirichlet_rows)])
-        cols = np.concatenate([coo.col[keep], np.asarray(dirichlet_rows)])
-        vals = np.concatenate([coo.data[keep], np.ones(len(dirichlet_rows))])
-        A = sp.coo_matrix((vals, (rows, cols)), shape=A.shape).tocsr()
+        return _set_dirichlet_rows(A, dirichlet_rows)
     return as_csr(A)
 
 
@@ -346,7 +339,6 @@ class CaseConfig:
     liquid_voltage_mass_fraction: float = 1e-3
     pressure_mass_fraction: float = 1e-3
     material_overrides: dict = field(default_factory=dict)
-    seed: int = 0
     case_id: str = "case"
 
     def materials(self):

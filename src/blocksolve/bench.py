@@ -18,19 +18,19 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .amg import AmgParams, as_preconditioner, build_hierarchy
 from .battery import CaseConfig, build_case
 from .blockprec import (
     ElectrochemOptions,
+    FIELDS,
     NONVOLTAGE_FIELDS,
     VOLTAGE_FIELDS,
     NonvoltageBgs,
     VoltageBgs,
-    assemble_block_operator,
+    amg_preconditioner,
     build_electrochem_preconditioner,
+    ras_preconditioner,
 )
-from .krylov import SolverConfig, fgmres, gmres
-from .schwarz import extend_overlap, partition_nodes, ras_apply, ras_setup
+from .krylov import SolverConfig, gmres
 
 
 @dataclass
@@ -187,78 +187,55 @@ class SuiteConfig:
             return cls.from_dict(json.load(fh))
 
 
-def _amg_params(suite, degree=2):
-    return AmgParams(drop_tolerance=suite.theta,
-                     max_coarse_size=suite.max_coarse_size,
-                     smoother_degree=degree, seed=suite.seed)
+BLOCK_SOLVE = SolverConfig(restart=30, tol=1e-8, maxiter=500)
+GROUP_SOLVE = SolverConfig(restart=30, tol=1e-6, maxiter=300, flexible=True)
+
+# per system: the fields it solves for, in monolithic order, and its Krylov
+# solve (gmres runs the flexible variant when the config asks for it)
+SYSTEMS = {
+    "liquid_species": (("x",), BLOCK_SOLVE),
+    "liquid_pressure": (("p",), BLOCK_SOLVE),
+    "liquid_voltage": (("phi_l",), BLOCK_SOLVE),
+    "solid_voltage": (("phi_s",), BLOCK_SOLVE),
+    "coupled_voltage": (VOLTAGE_FIELDS, GROUP_SOLVE),
+    "nonvoltage": (NONVOLTAGE_FIELDS, GROUP_SOLVE),
+    "end_to_end": (FIELDS, SolverConfig(restart=5, tol=1e-6, maxiter=25, flexible=True)),
+    "monolithic_ras": (FIELDS, BLOCK_SOLVE),
+}
 
 
 def run_experiment(case, system, suite, p=1):
     """One (case, system, P) cell: returns (setup_fn, solve_fn) timings via a
     single execution; the caller repeats and aggregates."""
-    sysB = case.system
-    kr8 = SolverConfig(restart=30, tol=1e-8, maxiter=500)
-    kr6 = SolverConfig(restart=30, tol=1e-6, maxiter=300, flexible=True)
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}")
+    fields, cfg = SYSTEMS[system]
+    sysB, coords = case.system, case.grid.centers
+    # the suite's P column stays authoritative over the precon overrides
+    options = ElectrochemOptions(**{
+        "drop_tolerance": suite.theta, "max_coarse_size": suite.max_coarse_size,
+        "seed": suite.seed, **suite.precon, "ras_subdomains": p})
+    b = np.concatenate([sysB.rhs[f] for f in fields])
 
     t0 = time.perf_counter()
-    if system == "liquid_species":
-        A = sysB.blocks[("x", "x")]
-        b = sysB.rhs["x"]
-        part = partition_nodes(case.grid.centers, p)
-        M = ras_setup(A, extend_overlap(A, part, 0), part)
-        precon = lambda r: ras_apply(M, r)
-        solver, cfg = gmres, kr8
-    elif system in ("liquid_pressure", "liquid_voltage", "solid_voltage"):
-        key = {"liquid_pressure": "p", "liquid_voltage": "phi_l",
-               "solid_voltage": "phi_s"}[system]
-        A = sysB.blocks[(key, key)]
-        b = sysB.rhs[key]
-        H = build_hierarchy(A, _amg_params(suite))
-        precon = as_preconditioner(H)
-        solver, cfg = gmres, kr8
+    A = sysB.monolithic() if fields == FIELDS else sysB.submatrix(fields)
+    if system == "end_to_end":
+        precon = build_electrochem_preconditioner(sysB, coords, options)
     elif system == "coupled_voltage":
-        A = sysB.submatrix(VOLTAGE_FIELDS)
-        b = np.concatenate([sysB.rhs[f] for f in VOLTAGE_FIELDS])
-        params = _amg_params(suite, degree=4)
-        M_s = as_preconditioner(build_hierarchy(sysB.blocks[("phi_s", "phi_s")], params))
-        M_l = as_preconditioner(build_hierarchy(sysB.blocks[("phi_l", "phi_l")], params))
-        precon = VoltageBgs(sysB, M_s, M_l)
-        solver, cfg = fgmres, kr6
+        precon = VoltageBgs.build(sysB, options)
     elif system == "nonvoltage":
-        A = sysB.submatrix(NONVOLTAGE_FIELDS)
-        b = np.concatenate([sysB.rhs[f] for f in NONVOLTAGE_FIELDS])
-        M_pp = as_preconditioner(build_hierarchy(sysB.blocks[("p", "p")], _amg_params(suite)))
-        A_xx = sysB.blocks[("x", "x")]
-        part = partition_nodes(case.grid.centers, p)
-        ras = ras_setup(A_xx, extend_overlap(A_xx, part, 0), part)
-        precon = NonvoltageBgs(sysB, lambda r: ras_apply(ras, r), M_pp)
-        solver, cfg = fgmres, kr6
-    elif system == "end_to_end":
-        A = assemble_block_operator(sysB)
-        b = sysB.rhs_vector()
-        opt_kwargs = {"drop_tolerance": suite.theta,
-                      "max_coarse_size": suite.max_coarse_size,
-                      "seed": suite.seed}
-        opt_kwargs.update(suite.precon)
-        opt_kwargs["ras_subdomains"] = p  # the suite's P column stays authoritative
-        precon = build_electrochem_preconditioner(
-            sysB, case.grid.centers, ElectrochemOptions(**opt_kwargs))
-        solver = fgmres
-        cfg = SolverConfig(restart=5, tol=1e-6, maxiter=25, flexible=True)
-    elif system == "monolithic_ras":
-        A = sysB.monolithic()
-        b = sysB.rhs_vector()
-        coords = np.vstack([case.grid.centers] * len(sysB.fields))
-        part = partition_nodes(coords, p)
-        M = ras_setup(A, extend_overlap(A, part, 0), part)
-        precon = lambda r: ras_apply(M, r)
-        solver, cfg = gmres, kr8
+        precon = NonvoltageBgs.build(sysB, coords, options)
+    elif "x" in fields:  # the species block alone, or the monolithic system
+        precon = ras_preconditioner(
+            A, np.vstack([coords] * len(fields)), p, options.ras_overlap)
     else:
-        raise ValueError(f"unknown system {system!r}")
+        # the single-block rows smooth with degree 2 whatever the group
+        # degrees; degree 4 on the solid voltage block gives another table
+        precon = amg_preconditioner(sysB, fields[0], options, degree=2)
     setup_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    _, stats = solver(A, b, preconditioner=precon, config=cfg)
+    _, stats = gmres(A, b, preconditioner=precon, config=cfg)
     solve_seconds = time.perf_counter() - t0
     return setup_seconds, solve_seconds, stats
 
@@ -271,9 +248,9 @@ def run_suite(suite, progress=None):
         cfg = CaseConfig(**{**suite.case.to_dict(), "refinement": refinement})
         case = build_case(cfg)
         for system in suite.systems:
-            p_values = suite.subdomains if system in (
-                "liquid_species", "nonvoltage", "end_to_end", "monolithic_ras",
-            ) else [1]
+            # P only matters to systems that partition the species block
+            fields = SYSTEMS[system][0] if system in SYSTEMS else ()
+            p_values = suite.subdomains if "x" in fields else [1]
             for p in p_values:
                 setups, solves = [], []
                 stats = None

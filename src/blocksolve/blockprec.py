@@ -131,33 +131,30 @@ def assemble_block_operator(system):
     return BlockOperator(system)
 
 
-def voltage_bgs_apply(coupling, precon_phi_s, precon_phi_l, r_phi_s, r_phi_l):
-    """Upper-triangular 2x2 sweep over the voltage pair: liquid first, then
-    the solid residual corrected through the coupling block."""
-    z_l = precon_phi_l(r_phi_l)
-    if coupling is not None:
-        z_s = precon_phi_s(r_phi_s - coupling @ z_l)
-    else:
-        z_s = precon_phi_s(r_phi_s)
-    return z_s, z_l
+def amg_preconditioner(system, fieldname, options, degree):
+    """One smoothed-aggregation V-cycle per application on the diagonal
+    block of ``fieldname``, with that field's drop tolerance and a
+    Chebyshev smoother of the given degree."""
+    params = AmgParams(drop_tolerance=options.theta(fieldname),
+                       max_coarse_size=options.max_coarse_size,
+                       smoother_degree=degree, seed=options.seed)
+    return as_preconditioner(
+        build_hierarchy(system.blocks[(fieldname, fieldname)], params))
 
 
-def nonvoltage_bgs_apply(A_s, coupling_xp, precon_x, precon_p, r_s, r_x, r_p):
-    """Upper-triangular sweep over the non-voltage trio: pressure, then
-    species corrected through the species-pressure coupling, and an exact
-    diagonal inversion for the solid species."""
-    z_p = precon_p(r_p)
-    if coupling_xp is not None:
-        z_x = precon_x(r_x - coupling_xp @ z_p)
-    else:
-        z_x = precon_x(r_x)
-    z_s = jacobi_apply(A_s, r_s)
-    return z_s, z_x, z_p
+def ras_preconditioner(A, coordinates, count, overlap=0):
+    """Restricted additive Schwarz with ILU(0) subdomain solves: partition
+    ``coordinates`` into ``count`` subdomains, extend them by ``overlap``,
+    factor, and wrap as an apply callable."""
+    part = partition_nodes(coordinates, count)
+    ras = ras_setup(A, extend_overlap(A, part, overlap), part)
+    return lambda r: ras_apply(ras, r)
 
 
 class VoltageBgs:
     """Block Gauss-Seidel sweep for the coupled voltage pair, laid out over
-    the (phi_s, phi_l) concatenated vector."""
+    the (phi_s, phi_l) concatenated vector: liquid first, then the solid
+    residual corrected through the coupling block."""
 
     def __init__(self, system, precon_phi_s, precon_phi_l):
         self.n_s = system.dims["phi_s"]
@@ -165,16 +162,27 @@ class VoltageBgs:
         self.precon_phi_s = precon_phi_s
         self.precon_phi_l = precon_phi_l
 
+    @classmethod
+    def build(cls, system, options):
+        """The sweep with an AMG V-cycle on each voltage block."""
+        degree = options.voltage_smoother_degree
+        return cls(system,
+                   amg_preconditioner(system, "phi_s", options, degree),
+                   amg_preconditioner(system, "phi_l", options, degree))
+
     def __call__(self, r):
-        z_s, z_l = voltage_bgs_apply(
-            self.coupling, self.precon_phi_s, self.precon_phi_l,
-            r[:self.n_s], r[self.n_s:],
-        )
+        r_s, r_l = r[:self.n_s], r[self.n_s:]
+        z_l = self.precon_phi_l(r_l)
+        if self.coupling is not None:
+            r_s = r_s - self.coupling @ z_l
+        z_s = self.precon_phi_s(r_s)
         return np.concatenate([z_s, z_l])
 
 
 class NonvoltageBgs:
-    """Block Gauss-Seidel over the (s, x, p) concatenated vector."""
+    """Block Gauss-Seidel sweep over the (s, x, p) concatenated vector:
+    pressure, then species corrected through the species-pressure coupling,
+    and an exact diagonal inversion for the solid species."""
 
     def __init__(self, system, precon_x, precon_p):
         self.n_s = system.dims["s"]
@@ -184,14 +192,26 @@ class NonvoltageBgs:
         self.precon_x = precon_x
         self.precon_p = precon_p
 
+    @classmethod
+    def build(cls, system, coordinates, options):
+        """The sweep with an AMG V-cycle on pressure and restricted additive
+        Schwarz over the virtual subdomains of ``coordinates`` on species."""
+        precon_p = amg_preconditioner(
+            system, "p", options, options.pressure_smoother_degree)
+        precon_x = ras_preconditioner(
+            system.blocks[("x", "x")], coordinates,
+            options.ras_subdomains, options.ras_overlap)
+        return cls(system, precon_x, precon_p)
+
     def __call__(self, r):
         r_s = r[:self.n_s]
         r_x = r[self.n_s:self.n_s + self.n_x]
         r_p = r[self.n_s + self.n_x:]
-        z_s, z_x, z_p = nonvoltage_bgs_apply(
-            self.A_s, self.coupling_xp, self.precon_x, self.precon_p,
-            r_s, r_x, r_p,
-        )
+        z_p = self.precon_p(r_p)
+        if self.coupling_xp is not None:
+            r_x = r_x - self.coupling_xp @ z_p
+        z_x = self.precon_x(r_x)
+        z_s = jacobi_apply(self.A_s, r_s)
         return np.concatenate([z_s, z_x, z_p])
 
 
@@ -232,68 +252,36 @@ class ElectrochemPreconditioner:
 
     def __init__(self, system, coordinates, options=None):
         opts = options or ElectrochemOptions()
-        self.system = system
-        self.options = opts
         self.n_v = sum(system.dims[f] for f in VOLTAGE_FIELDS)
-        self.A_vv = system.submatrix(VOLTAGE_FIELDS)
-        self.A_nn = system.submatrix(NONVOLTAGE_FIELDS)
+        A_vv = system.submatrix(VOLTAGE_FIELDS)
+        A_nn = system.submatrix(NONVOLTAGE_FIELDS)
         self.A_vn = system.submatrix(VOLTAGE_FIELDS, NONVOLTAGE_FIELDS)
         self.inner_events = []
 
         if opts.inner_mode == "direct":
-            self._solve_vv = _direct_solver(self.A_vv)
-            self._solve_nn = _direct_solver(self.A_nn)
+            self._solve_vv = _direct_solver(A_vv)
+            self._solve_nn = _direct_solver(A_nn)
             return
         if opts.inner_mode != "iterative":
             raise ValueError(f"unknown inner mode {opts.inner_mode!r}")
 
-        def amg_params(fieldname, degree):
-            return AmgParams(
-                drop_tolerance=opts.theta(fieldname),
-                max_coarse_size=opts.max_coarse_size,
-                smoother_degree=degree,
-                seed=opts.seed,
-            )
-
-        M_phi_s = as_preconditioner(build_hierarchy(
-            system.blocks[("phi_s", "phi_s")],
-            amg_params("phi_s", opts.voltage_smoother_degree)))
-        M_phi_l = as_preconditioner(build_hierarchy(
-            system.blocks[("phi_l", "phi_l")],
-            amg_params("phi_l", opts.voltage_smoother_degree)))
-        M_pp = as_preconditioner(build_hierarchy(
-            system.blocks[("p", "p")],
-            amg_params("p", opts.pressure_smoother_degree)))
-
-        A_xx = system.blocks[("x", "x")]
-        part = partition_nodes(coordinates, opts.ras_subdomains)
-        sets = extend_overlap(A_xx, part, opts.ras_overlap)
-        ras = ras_setup(A_xx, sets, part)
-        M_xx = lambda r: ras_apply(ras, r)
-
-        self._voltage_bgs = VoltageBgs(system, M_phi_s, M_phi_l)
-        self._nonvoltage_bgs = NonvoltageBgs(system, M_xx, M_pp)
+        voltage_bgs = VoltageBgs.build(system, opts)
+        self._nonvoltage_bgs = NonvoltageBgs.build(system, coordinates, opts)
         cfg = SolverConfig(
             restart=opts.inner_restart, tol=opts.inner_tol,
             maxiter=opts.inner_maxiter, flexible=True,
         )
+        self._solve_vv = self._inner_solver("voltage", A_vv, voltage_bgs, cfg)
+        self._solve_nn = self._inner_solver("nonvoltage", A_nn, self._nonvoltage_bgs, cfg)
 
-        def solve_vv(r):
-            z, stats = fgmres(self.A_vv, r, preconditioner=self._voltage_bgs, config=cfg)
+    def _inner_solver(self, label, A, bgs, cfg):
+        def solve(r):
+            z, stats = fgmres(A, r, preconditioner=bgs, config=cfg)
             if not stats.converged:
                 self.inner_events.append(
-                    ("voltage", stats.iterations, stats.final_relative_residual))
+                    (label, stats.iterations, stats.final_relative_residual))
             return z
-
-        def solve_nn(r):
-            z, stats = fgmres(self.A_nn, r, preconditioner=self._nonvoltage_bgs, config=cfg)
-            if not stats.converged:
-                self.inner_events.append(
-                    ("nonvoltage", stats.iterations, stats.final_relative_residual))
-            return z
-
-        self._solve_vv = solve_vv
-        self._solve_nn = solve_nn
+        return solve
 
     def __call__(self, r):
         r_v, r_n = r[:self.n_v], r[self.n_v:]

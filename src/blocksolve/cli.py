@@ -45,7 +45,6 @@ def _load_suite_config(path, seed=None, reps=None):
             raise ConfigError(f"cannot read suite config {path}: {err}") from err
     if seed is not None:
         suite.seed = seed
-        suite.case.seed = seed
     if reps is not None:
         suite.repetitions = reps
     return suite

@@ -37,10 +37,8 @@ class SolveStats:
     restarts: int = 0
     final_relative_residual: float = 0.0
     converged: bool = False
-    setup_seconds: float = 0.0
     solve_seconds: float = 0.0
     precond_applications: int = 0
-    inner_events: list = field(default_factory=list)
     residual_history: list = field(default_factory=list)
 
     def to_dict(self):
@@ -49,10 +47,8 @@ class SolveStats:
             "restarts": self.restarts,
             "final_relative_residual": self.final_relative_residual,
             "converged": self.converged,
-            "setup_seconds": self.setup_seconds,
             "solve_seconds": self.solve_seconds,
             "precond_applications": self.precond_applications,
-            "inner_events": list(self.inner_events),
         }
 
 

@@ -133,10 +133,3 @@ def ras_apply(M, r):
         z[sub.indices[sub.owned_mask]] = zi[sub.owned_mask]
     return z
 
-
-def ras_preconditioner(A, coordinates, count, overlap=0, subdomain_solver="ilu0"):
-    """Convenience: partition, extend, factor, and wrap as an apply callable."""
-    part = partition_nodes(coordinates, count)
-    sets = extend_overlap(A, part, overlap)
-    M = ras_setup(A, sets, part, subdomain_solver=subdomain_solver)
-    return lambda r: ras_apply(M, r)

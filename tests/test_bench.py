@@ -1,7 +1,7 @@
 import pytest
 
 import blocksolve.bench as bench
-from blocksolve.battery import CaseConfig
+from blocksolve.battery import CaseConfig, build_case
 from blocksolve.bench import (
     ExperimentRecord,
     SuiteConfig,
@@ -11,6 +11,7 @@ from blocksolve.bench import (
     records_to_csv,
     records_to_json,
     records_to_markdown,
+    run_experiment,
     run_suite,
     strong_model_times,
     weak_model_times,
@@ -159,6 +160,28 @@ def test_suite_records_failure_and_continues(monkeypatch):
     by_system = {r.system: r for r in records}
     assert not by_system["monolithic_ras"].converged
     assert by_system["solid_voltage"].converged
+
+
+# iteration counts of the table under the default suite at P = 4;
+# monolithic RAS stalls for its full 500 iterations from r = 1 on
+TABLE_ITERATIONS = {
+    0: {"liquid_species": 12, "liquid_pressure": 15, "liquid_voltage": 4,
+        "solid_voltage": 19, "coupled_voltage": 8, "nonvoltage": 15,
+        "end_to_end": 2, "monolithic_ras": 19},
+    1: {"liquid_species": 17, "liquid_pressure": 18, "liquid_voltage": 12,
+        "solid_voltage": 22, "coupled_voltage": 11, "nonvoltage": 17,
+        "end_to_end": 2},
+}
+
+
+@pytest.mark.parametrize("refinement", sorted(TABLE_ITERATIONS))
+def test_run_experiment_pins_table_iterations(refinement):
+    suite = SuiteConfig()
+    case = build_case(CaseConfig(**{**suite.case.to_dict(), "refinement": refinement}))
+    stats = {system: run_experiment(case, system, suite, p=4)[2]
+             for system in TABLE_ITERATIONS[refinement]}
+    assert {s: st.iterations for s, st in stats.items()} == TABLE_ITERATIONS[refinement]
+    assert all(st.converged for st in stats.values())
 
 
 # ---------------------------------------------------------------- reporting

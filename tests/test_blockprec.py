@@ -10,8 +10,6 @@ from blocksolve.blockprec import (
     VoltageBgs,
     assemble_block_operator,
     build_electrochem_preconditioner,
-    nonvoltage_bgs_apply,
-    voltage_bgs_apply,
     NONVOLTAGE_FIELDS,
     VOLTAGE_FIELDS,
 )
@@ -104,12 +102,22 @@ def test_blockwise_sum_agrees_with_monolithic():
 
 # ---------------------------------------------------------------- BGS sweeps
 
+def voltage_pair(A, B, C=None):
+    blocks = {("phi_s", "phi_s"): A, ("phi_l", "phi_l"): B}
+    if C is not None:
+        blocks[("phi_s", "phi_l")] = C
+    return BlockSystem(fields=VOLTAGE_FIELDS,
+                       dims={"phi_s": A.shape[0], "phi_l": B.shape[0]},
+                       blocks=blocks)
+
+
 def test_voltage_bgs_decoupled_exact():
     A, B = spd(5, 10), spd(4, 11)
     Fa, Fb = dense_factor(A), dense_factor(B)
     r_s = np.random.default_rng(12).standard_normal(5)
     r_l = np.random.default_rng(13).standard_normal(4)
-    z_s, z_l = voltage_bgs_apply(None, Fa.solve, Fb.solve, r_s, r_l)
+    z = VoltageBgs(voltage_pair(A, B), Fa.solve, Fb.solve)(np.concatenate([r_s, r_l]))
+    z_s, z_l = z[:5], z[5:]
     np.testing.assert_allclose(A @ z_s, r_s, rtol=1e-10)
     np.testing.assert_allclose(B @ z_l, r_l, rtol=1e-10)
 
@@ -120,7 +128,8 @@ def test_voltage_bgs_exact_on_upper_triangular():
     Fa, Fb = dense_factor(A), dense_factor(B)
     rng = np.random.default_rng(17)
     r_s, r_l = rng.standard_normal(5), rng.standard_normal(5)
-    z_s, z_l = voltage_bgs_apply(C, Fa.solve, Fb.solve, r_s, r_l)
+    z = VoltageBgs(voltage_pair(A, B, C), Fa.solve, Fb.solve)(np.concatenate([r_s, r_l]))
+    z_s, z_l = z[:5], z[5:]
     # residual of the block upper-triangular system is exactly solved
     np.testing.assert_allclose(A @ z_s + C @ z_l, r_s, atol=1e-12)
     np.testing.assert_allclose(B @ z_l, r_l, atol=1e-12)
@@ -132,7 +141,10 @@ def test_nonvoltage_bgs_decoupled_exact():
     Fx, Fp = dense_factor(A_x), dense_factor(A_p)
     rng = np.random.default_rng(22)
     r_s, r_x, r_p = rng.standard_normal(2), rng.standard_normal(3), rng.standard_normal(3)
-    z_s, z_x, z_p = nonvoltage_bgs_apply(A_s, None, Fx.solve, Fp.solve, r_s, r_x, r_p)
+    system = BlockSystem(fields=NONVOLTAGE_FIELDS, dims={"s": 2, "x": 3, "p": 3},
+                         blocks={("s", "s"): A_s, ("x", "x"): A_x, ("p", "p"): A_p})
+    z = NonvoltageBgs(system, Fx.solve, Fp.solve)(np.concatenate([r_s, r_x, r_p]))
+    z_s, z_x, z_p = z[:2], z[2:5], z[5:]
     np.testing.assert_allclose(A_s @ z_s, r_s, rtol=1e-14)
     np.testing.assert_allclose(A_x @ z_x, r_x, rtol=1e-10)
     np.testing.assert_allclose(A_p @ z_p, r_p, rtol=1e-10)
@@ -232,20 +244,14 @@ def test_block_jacobi_over_xp_is_no_better():
 
 def test_coupled_voltage_bgs_bounded_across_refinements():
     # FGMRES(30) + the voltage sweep reaches 1e-6 in few, stable iterations
-    from blocksolve.amg import AmgParams, as_preconditioner, build_hierarchy
     counts = []
     for r in (0, 1, 2):
         case = build_case(CaseConfig(nr=6, refinement=r, n_cells=2))
         system = case.system
         A_vv = system.submatrix(VOLTAGE_FIELDS)
         b = np.concatenate([system.rhs[f] for f in VOLTAGE_FIELDS])
-        params = AmgParams(drop_tolerance=0.04, max_coarse_size=64,
-                           smoother_degree=4)
-        M_s = as_preconditioner(
-            build_hierarchy(system.blocks[("phi_s", "phi_s")], params))
-        M_l = as_preconditioner(
-            build_hierarchy(system.blocks[("phi_l", "phi_l")], params))
-        _, stats = fgmres(A_vv, b, preconditioner=VoltageBgs(system, M_s, M_l),
+        bgs = VoltageBgs.build(system, ElectrochemOptions())
+        _, stats = fgmres(A_vv, b, preconditioner=bgs,
                           config=SolverConfig(restart=30, tol=1e-6, maxiter=200,
                                               flexible=True))
         assert stats.converged
@@ -256,20 +262,12 @@ def test_coupled_voltage_bgs_bounded_across_refinements():
 
 
 def test_nonvoltage_bgs_bounded_across_refinements():
-    from blocksolve.amg import AmgParams, as_preconditioner, build_hierarchy
-    from blocksolve.schwarz import extend_overlap, partition_nodes, ras_apply, ras_setup
     for r in (0, 1, 2):
         case = build_case(CaseConfig(nr=6, refinement=r, n_cells=2))
         system = case.system
         A_nn = system.submatrix(NONVOLTAGE_FIELDS)
         b = np.concatenate([system.rhs[f] for f in NONVOLTAGE_FIELDS])
-        M_pp = as_preconditioner(build_hierarchy(
-            system.blocks[("p", "p")],
-            AmgParams(drop_tolerance=0.04, max_coarse_size=64)))
-        A_xx = system.blocks[("x", "x")]
-        part = partition_nodes(case.grid.centers, 4)
-        ras = ras_setup(A_xx, extend_overlap(A_xx, part, 0), part)
-        bgs = NonvoltageBgs(system, lambda rr: ras_apply(ras, rr), M_pp)
+        bgs = NonvoltageBgs.build(system, case.grid.centers, ElectrochemOptions())
         _, stats = fgmres(A_nn, b, preconditioner=bgs,
                           config=SolverConfig(restart=30, tol=1e-6, maxiter=300,
                                               flexible=True))

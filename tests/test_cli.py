@@ -53,6 +53,13 @@ def test_solve_success_exit_code(tmp_path, capsys):
     assert saved == payload
 
 
+def test_solve_reports_measured_setup_seconds(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["solve", "--config", cfg, "--system", "end_to_end"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["setup_seconds"] > 0
+
+
 def test_solve_unknown_system_is_config_error(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["solve", "--config", cfg, "--system", "bogus"]) == 2

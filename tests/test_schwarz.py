@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from blocksolve.blockprec import ras_preconditioner
 from blocksolve.krylov import SolverConfig, gmres
 from blocksolve.schwarz import (
     extend_overlap,
     partition_nodes,
     ras_apply,
-    ras_preconditioner,
     ras_setup,
 )
 from blocksolve.smoothers import ilu0_apply, ilu0_factor
