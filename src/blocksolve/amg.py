@@ -23,6 +23,11 @@ from .smoothers import ChebyshevSmoother, chebyshev_setup, chebyshev_apply, esti
 from .sparse import DenseFactorization, dense_factor, triple_product
 
 
+MAX_LEVELS = 20
+# numerator of the prolongator smoother's weight omega = damping / lambda_max
+PROLONGATOR_DAMPING = 4.0 / 3.0
+
+
 class CoarseningError(RuntimeError):
     """Hierarchy construction could not reach a factorable coarse level."""
 
@@ -31,19 +36,14 @@ class CoarseningError(RuntimeError):
 class AmgParams:
     drop_tolerance: float = 0.04
     max_coarse_size: int = 64
-    max_levels: int = 20
     smoother_degree: int = 2
-    prolongator_damping: float = 4.0 / 3.0
-    chebyshev_ratio: float = 30.0
-    chebyshev_boost: float = 1.1
-    power_iterations: int = 10
     seed: int = 0
 
     def __post_init__(self):
         if self.drop_tolerance < 0.0:
             raise ValueError("drop tolerance must be >= 0")
-        if self.max_coarse_size < 1 or self.max_levels < 1:
-            raise ValueError("max_coarse_size and max_levels must be >= 1")
+        if self.max_coarse_size < 1:
+            raise ValueError("max_coarse_size must be >= 1")
 
 
 @dataclass
@@ -216,12 +216,10 @@ def smooth_prolongator(A, P_tent, params):
     omega = damping / lambda_max(Dhat^{-1} A_f)."""
     Af = filtered_matrix(A, params.drop_tolerance)
     dinv = 1.0 / Af.diagonal()
-    lam = estimate_lambda_max(
-        Af, dinv, iterations=params.power_iterations, seed=params.seed
-    )
+    lam = estimate_lambda_max(Af, dinv, seed=params.seed)
     if lam <= 0.0:
         raise CoarseningError(f"nonpositive spectral estimate {lam} for the filtered operator")
-    omega = params.prolongator_damping / lam
+    omega = PROLONGATOR_DAMPING / lam
     P = (P_tent - sp.diags(omega * dinv) @ (Af @ P_tent)).tocsr()
     P.sum_duplicates()
     P.sort_indices()
@@ -240,7 +238,7 @@ def build_hierarchy(A, params=None):
     nullspace = np.ones(A.shape[0])
     stagnant_once = False
 
-    while Al.shape[0] > params.max_coarse_size and len(levels) + 1 < params.max_levels:
+    while Al.shape[0] > params.max_coarse_size and len(levels) + 1 < MAX_LEVELS:
         # the drop tolerance targets coefficient jumps in the fine operator;
         # Galerkin coarse operators are already smoothed, so re-dropping there
         # only fragments aggregates
@@ -264,14 +262,7 @@ def build_hierarchy(A, params=None):
             stagnant_once = True
         else:
             stagnant_once = False
-        smoother = chebyshev_setup(
-            Al,
-            degree=params.smoother_degree,
-            ratio=params.chebyshev_ratio,
-            boost=params.chebyshev_boost,
-            power_iterations=params.power_iterations,
-            seed=params.seed,
-        )
+        smoother = chebyshev_setup(Al, degree=params.smoother_degree, seed=params.seed)
         levels.append(Level(operator=Al, prolongator=P, restrictor=R, smoother=smoother))
         Al = Ac
         nullspace = coarse_nullspace

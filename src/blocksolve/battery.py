@@ -255,59 +255,38 @@ def assemble_species_block(grid, velocity, diffusivity, dt, mass_coefficient,
     return A_xx, A_xp, A_px
 
 
-@dataclass
-class ReactionState:
-    exchange_current: float = 10.0
-    valence: float = 1.0
-    overpotential: float = 2.0
-    symmetry_factor: float = 0.5
-    temperature: float = 800.0
-    species_sensitivity: float = 0.05
-    species_feedback: float = 0.01
-
-
-@dataclass
-class CouplingBlocks:
-    slope: np.ndarray     # per-cell linearized reaction conductance
-    phis_phil: sp.csr_matrix
-    phil_phis: sp.csr_matrix
-    phis_x: sp.csr_matrix
-    phil_x: sp.csr_matrix
-    x_phis: sp.csr_matrix
-    x_phil: sp.csr_matrix
-
-
-def assemble_coupling_blocks(grid, state, materials=None):
+def assemble_coupling_blocks(grid, config):
     """Linearized reaction coupling, active on electrode cells only.
 
-    The diagonal blocks receive +g on electrode cells (returned in
-    ``slope``); the off-diagonal voltage blocks carry -g so electron
+    Returns ``(slope, blocks)``. The diagonal blocks receive +g on electrode
+    cells (``slope``); the off-diagonal voltage blocks carry -g so electron
     production in one phase is consumed by the other. Species columns scale
-    the same conductance by the concentration-sensitivity factors.
+    the same conductance by the concentration-sensitivity factors. ``blocks``
+    maps (row_field, col_field) to a CSR block.
     """
-    materials = materials or default_materials()
+    materials = config.materials()
     electrode = np.array(
         [materials[MATERIALS[k]].electrode for k in grid.labels], dtype=bool)
     g_cell = butler_volmer_slope(
-        state.exchange_current, state.valence, state.overpotential,
-        state.temperature, state.symmetry_factor,
+        config.exchange_current, config.valence, config.overpotential,
+        config.temperature, config.symmetry_factor,
     )
     slope = np.where(electrode, g_cell * grid.h**2, 0.0)
+    cells = np.flatnonzero(slope != 0.0)
 
     def electrode_diag(scale):
-        cells = np.flatnonzero(slope != 0.0)
         return sp.csr_matrix(
             (scale * slope[cells], (cells, cells)), shape=(grid.n, grid.n))
 
-    return CouplingBlocks(
-        slope=slope,
-        phis_phil=electrode_diag(-1.0),
-        phil_phis=electrode_diag(-1.0),
-        phis_x=electrode_diag(+state.species_sensitivity),
-        phil_x=electrode_diag(-state.species_sensitivity),
-        x_phis=electrode_diag(+state.species_feedback),
-        x_phil=electrode_diag(-state.species_feedback),
-    )
+    sensitivity, feedback = config.species_sensitivity, config.species_feedback
+    return slope, {
+        ("phi_s", "phi_l"): electrode_diag(-1.0),
+        ("phi_l", "phi_s"): electrode_diag(-1.0),
+        ("phi_s", "x"): electrode_diag(+sensitivity),
+        ("phi_l", "x"): electrode_diag(-sensitivity),
+        ("x", "phi_s"): electrode_diag(+feedback),
+        ("x", "phi_l"): electrode_diag(-feedback),
+    }
 
 
 @dataclass
@@ -423,16 +402,7 @@ def build_case(config=None):
         cfg.molar_concentration * per_cell("liquid_diffusivity") * porosity ** 1.5
     )
 
-    state = ReactionState(
-        exchange_current=cfg.exchange_current,
-        valence=cfg.valence,
-        overpotential=cfg.overpotential,
-        symmetry_factor=cfg.symmetry_factor,
-        temperature=cfg.temperature,
-        species_sensitivity=cfg.species_sensitivity,
-        species_feedback=cfg.species_feedback,
-    )
-    coupling = assemble_coupling_blocks(grid, state, table)
+    slope, coupling = assemble_coupling_blocks(grid, cfg)
 
     # solid voltage: grounded along one face of the bottom collector (a single
     # cell row, so no grounded cell is ever isolated from the matrix graph)
@@ -441,7 +411,7 @@ def build_case(config=None):
     bottom_collector = np.flatnonzero(
         (iz == scale) & (grid.labels == MATERIALS.index("collector")))
     A_phis = assemble_diffusion_operator(grid, sigma)
-    A_phis = as_csr(A_phis + sp.diags(coupling.slope))
+    A_phis = as_csr(A_phis + sp.diags(slope))
     A_phis = _set_dirichlet_rows(A_phis, bottom_collector)
 
     # liquid voltage: no explicit boundary conditions; a small stabilizing
@@ -449,7 +419,7 @@ def build_case(config=None):
     A_phil0 = assemble_diffusion_operator(grid, liquid_conductivity)
     tau_mass = cfg.liquid_voltage_mass_fraction * A_phil0.diagonal().min()
     A_phil = as_csr(
-        A_phil0 + sp.diags(np.full(grid.n, tau_mass)) + sp.diags(coupling.slope))
+        A_phil0 + sp.diags(np.full(grid.n, tau_mass)) + sp.diags(slope))
 
     # pressure: Darcy continuity with a compressibility-like mass term
     pressure_coeff = cfg.molar_concentration * mobility
@@ -485,14 +455,7 @@ def build_case(config=None):
         ("p", "x"): A_px,
     }
     # voltage cross-coupling and voltage/species coupling, electrode cells only
-    for pair, block in (
-        (("phi_s", "phi_l"), coupling.phis_phil),
-        (("phi_l", "phi_s"), coupling.phil_phis),
-        (("phi_s", "x"), coupling.phis_x),
-        (("phi_l", "x"), coupling.phil_x),
-        (("x", "phi_s"), coupling.x_phis),
-        (("x", "phi_l"), coupling.x_phil),
-    ):
+    for pair, block in coupling.items():
         if block.nnz:
             blocks[pair] = as_csr(block)
     # a grounded row must be an identity row across the whole monolithic system
@@ -510,7 +473,7 @@ def build_case(config=None):
         "n_cells": grid.n,
         "dofs": system.total_dim,
         "melt_fraction": float(c_m),
-        "reaction_slope": float(coupling.slope.max()),
+        "reaction_slope": float(slope.max()),
         "tau_mass": float(tau_mass),
         "pressure_mass": float(p_mass),
         "sigma_contrast": float(sigma.max() / sigma.min()),

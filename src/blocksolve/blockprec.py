@@ -11,9 +11,11 @@ Krylov method must be flexible.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .amg import AmgParams, as_preconditioner, build_hierarchy
 from .krylov import SolverConfig, fgmres
@@ -110,25 +112,10 @@ class BlockSystem:
         return self._monolithic
 
 
-class BlockOperator:
-    """Apply-only view of the assembled monolithic matrix."""
-
-    def __init__(self, system):
-        self.system = system
-        self.matrix = system.monolithic()
-        self.shape = self.matrix.shape
-
-    def matvec(self, v):
-        return self.matrix @ v
-
-    def __call__(self, v):
-        return self.matrix @ v
-
-
 def assemble_block_operator(system):
-    """Monolithic apply for a BlockSystem; equals the segment-wise sum over
-    present subblocks and matches the concatenated CSR matrix exactly."""
-    return BlockOperator(system)
+    """The monolithic CSR matrix of a BlockSystem; its product equals the
+    segment-wise sum over present subblocks."""
+    return system.monolithic()
 
 
 def amg_preconditioner(system, fieldname, options, degree):
@@ -246,8 +233,8 @@ class ElectrochemPreconditioner:
     One application solves the non-voltage group, substitutes through the
     voltage/non-voltage coupling, then solves the voltage group. Inner
     solves run flexible GMRES to the configured tolerance; inner
-    non-convergence is recorded, not raised, since the outer flexible
-    Krylov method tolerates an inexact preconditioner.
+    non-convergence is not raised, since the outer flexible Krylov method
+    tolerates an inexact preconditioner. Nothing is written after setup.
     """
 
     def __init__(self, system, coordinates, options=None):
@@ -256,32 +243,22 @@ class ElectrochemPreconditioner:
         A_vv = system.submatrix(VOLTAGE_FIELDS)
         A_nn = system.submatrix(NONVOLTAGE_FIELDS)
         self.A_vn = system.submatrix(VOLTAGE_FIELDS, NONVOLTAGE_FIELDS)
-        self.inner_events = []
 
         if opts.inner_mode == "direct":
-            self._solve_vv = _direct_solver(A_vv)
-            self._solve_nn = _direct_solver(A_nn)
+            self._solve_vv = splu(A_vv.tocsc()).solve
+            self._solve_nn = splu(A_nn.tocsc()).solve
             return
         if opts.inner_mode != "iterative":
             raise ValueError(f"unknown inner mode {opts.inner_mode!r}")
 
-        voltage_bgs = VoltageBgs.build(system, opts)
-        self._nonvoltage_bgs = NonvoltageBgs.build(system, coordinates, opts)
         cfg = SolverConfig(
             restart=opts.inner_restart, tol=opts.inner_tol,
             maxiter=opts.inner_maxiter, flexible=True,
         )
-        self._solve_vv = self._inner_solver("voltage", A_vv, voltage_bgs, cfg)
-        self._solve_nn = self._inner_solver("nonvoltage", A_nn, self._nonvoltage_bgs, cfg)
-
-    def _inner_solver(self, label, A, bgs, cfg):
-        def solve(r):
-            z, stats = fgmres(A, r, preconditioner=bgs, config=cfg)
-            if not stats.converged:
-                self.inner_events.append(
-                    (label, stats.iterations, stats.final_relative_residual))
-            return z
-        return solve
+        self._solve_vv = partial(
+            _inner_solve, A_vv, VoltageBgs.build(system, opts), cfg)
+        self._solve_nn = partial(
+            _inner_solve, A_nn, NonvoltageBgs.build(system, coordinates, opts), cfg)
 
     def __call__(self, r):
         r_v, r_n = r[:self.n_v], r[self.n_v:]
@@ -290,11 +267,8 @@ class ElectrochemPreconditioner:
         return np.concatenate([z_v, z_n])
 
 
-def _direct_solver(A):
-    from scipy.sparse.linalg import splu
-
-    lu = splu(A.tocsc())
-    return lambda r: lu.solve(r)
+def _inner_solve(A, bgs, cfg, r):
+    return fgmres(A, r, preconditioner=bgs, config=cfg)[0]
 
 
 def build_electrochem_preconditioner(system, coordinates, options=None):

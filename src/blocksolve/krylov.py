@@ -100,6 +100,9 @@ def _gmres(operator, b, preconditioner, config, flexible):
 
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
+    bad = np.flatnonzero(~np.isfinite(b))
+    if bad.size:
+        raise ValueError(f"gmres: rhs entry {bad[0]} is not finite ({b[bad[0]]})")
     shape = getattr(operator, "shape", None)
     if shape is not None:
         if shape[0] != shape[1]:

@@ -2,9 +2,9 @@
 
 Subdomains stand in for processor-local matrix rows: nodes are assigned by
 recursive coordinate bisection, optionally extended by structural overlap,
-and each subdomain block is factored with ILU(0) (or exactly, for the
-exact-solve variant). On write-back only owned entries contribute, so the
-result is independent of the order subdomain solves execute in.
+and each subdomain block is factored with ILU(0). On write-back only owned
+entries contribute, so the result is independent of the order subdomain
+solves execute in.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .smoothers import Ilu0Factors, ilu0_factor, ilu0_apply
-from .sparse import DenseFactorization, SingularMatrixError, dense_factor
+from .sparse import SingularMatrixError
 
 
 @dataclass
@@ -27,7 +27,7 @@ class Partition:
 class Subdomain:
     indices: np.ndarray
     owned_mask: np.ndarray
-    solver: Ilu0Factors | DenseFactorization
+    solver: Ilu0Factors
 
 
 @dataclass
@@ -84,12 +84,9 @@ def extend_overlap(A, partition, overlap):
     return sets
 
 
-def ras_setup(A, sets, partition, subdomain_solver="ilu0"):
-    """Extract and factor each subdomain block A_i = R_i A R_i^T.
-
-    ``subdomain_solver`` selects ILU(0) (the production scheme) or an exact
-    pivoted factorization per subdomain, useful for analysis runs.
-    """
+def ras_setup(A, sets, partition):
+    """Extract each subdomain block A_i = R_i A R_i^T and factor it with
+    ILU(0)."""
     n = A.shape[0]
     covered = np.zeros(n, dtype=bool)
     for idx in sets:
@@ -102,17 +99,12 @@ def ras_setup(A, sets, partition, subdomain_solver="ilu0"):
     for i, idx in enumerate(sets):
         Ai = A[idx][:, idx].tocsr()
         Ai.sort_indices()
-        if subdomain_solver == "ilu0":
-            try:
-                solver = ilu0_factor(Ai)
-            except SingularMatrixError as err:
-                raise SingularMatrixError(
-                    err.row, f"ILU(0) pivot failure in subdomain {i}"
-                ) from err
-        elif subdomain_solver == "exact":
-            solver = dense_factor(Ai)
-        else:
-            raise ValueError(f"unknown subdomain solver {subdomain_solver!r}")
+        try:
+            solver = ilu0_factor(Ai)
+        except SingularMatrixError as err:
+            raise SingularMatrixError(
+                err.row, f"ILU(0) pivot failure in subdomain {i}"
+            ) from err
         owned_mask = partition.owner[idx] == i
         subdomains.append(Subdomain(indices=idx, owned_mask=owned_mask, solver=solver))
     return RasPreconditioner(n=n, subdomains=subdomains)
@@ -125,11 +117,7 @@ def ras_apply(M, r):
         raise ValueError(f"ras_apply: length {r.shape[0]} != dimension {M.n}")
     z = np.zeros(M.n)
     for sub in M.subdomains:
-        ri = r[sub.indices]
-        if isinstance(sub.solver, Ilu0Factors):
-            zi = ilu0_apply(sub.solver, ri)
-        else:
-            zi = sub.solver.solve(ri)
+        zi = ilu0_apply(sub.solver, r[sub.indices])
         z[sub.indices[sub.owned_mask]] = zi[sub.owned_mask]
     return z
 

@@ -14,6 +14,7 @@ from blocksolve.amg import (
     tentative_prolongator,
     vcycle,
 )
+from blocksolve.battery import CaseConfig, build_case
 from blocksolve.krylov import SolverConfig, gmres
 from blocksolve.smoothers import estimate_lambda_max
 from blocksolve.sparse import as_csr, triple_product
@@ -182,9 +183,8 @@ def test_smooth_prolongator_dense_oracle_theta_zero():
     params = AmgParams(drop_tolerance=0.0)
     P = smooth_prolongator(A, P_tent, params)
     dinv = 1.0 / A.diagonal()
-    lam = estimate_lambda_max(A, dinv, iterations=params.power_iterations,
-                              seed=params.seed)
-    omega = params.prolongator_damping / lam
+    lam = estimate_lambda_max(A, dinv, iterations=10, seed=params.seed)
+    omega = (4.0 / 3.0) / lam
     expected = (np.eye(4) - omega * np.diag(dinv) @ A.toarray()) @ P_tent.toarray()
     np.testing.assert_allclose(P.toarray(), expected, atol=1e-14)
 
@@ -294,3 +294,17 @@ def test_vcycle_preconditioned_gmres_h_independent(nx, max_iters):
     assert stats.converged
     assert stats.iterations <= max_iters
     np.testing.assert_allclose(x, np.ones(A.shape[0]), atol=1e-5)
+
+
+def test_hierarchy_setup_facts_on_case_blocks():
+    # pins the fixed setup internals (level cap, prolongator damping,
+    # Chebyshev and power-iteration defaults) on the r = 1 diagonal blocks
+    blocks = build_case(CaseConfig(refinement=1)).system.blocks
+    expected = {
+        "phi_s": (2, [264, 60], [1213, 478]),
+        "phi_l": (3, [264, 109, 13], [1252, 819, 131]),
+        "p": (2, [264, 53], [1252, 445]),
+    }
+    for field, facts in expected.items():
+        summary = build_hierarchy(blocks[(field, field)], AmgParams()).summary()
+        assert (summary["levels"], summary["dims"], summary["nnz"]) == facts

@@ -6,7 +6,6 @@ from blocksolve.battery import (
     FARADAY,
     GAS_CONSTANT,
     MATERIALS,
-    ReactionState,
     assemble_advection_operator,
     assemble_coupling_blocks,
     assemble_diffusion_operator,
@@ -211,29 +210,27 @@ def test_darcy_velocity_sign():
 
 def test_coupling_slope_value():
     grid = build_grid(nr=4, refinement_level=0, n_cells=1)
-    state = ReactionState(exchange_current=5.0, valence=1.0, overpotential=0.0,
-                          temperature=800.0)
-    blocks = assemble_coupling_blocks(grid, state)
+    config = CaseConfig(exchange_current=5.0, valence=1.0, overpotential=0.0,
+                        temperature=800.0)
+    slope, _ = assemble_coupling_blocks(grid, config)
     anode = grid.cells_of("anode")
     expected = 5.0 * FARADAY / (GAS_CONSTANT * 800.0) * grid.h**2
-    assert blocks.slope[anode[0]] == pytest.approx(expected, rel=1e-12)
+    assert slope[anode[0]] == pytest.approx(expected, rel=1e-12)
 
 
 def test_zero_exchange_current_empty_couplings():
     grid = build_grid(nr=4, refinement_level=0, n_cells=1)
-    state = ReactionState(exchange_current=0.0)
-    blocks = assemble_coupling_blocks(grid, state)
-    assert blocks.phis_phil.nnz == 0
-    assert blocks.x_phil.nnz == 0
+    _, blocks = assemble_coupling_blocks(grid, CaseConfig(exchange_current=0.0))
+    assert blocks[("phi_s", "phi_l")].nnz == 0
+    assert blocks[("x", "phi_l")].nnz == 0
 
 
 def test_separator_cells_carry_no_coupling():
     grid = build_grid(nr=4, refinement_level=0, n_cells=2)
-    state = ReactionState()
-    blocks = assemble_coupling_blocks(grid, state)
+    slope, blocks = assemble_coupling_blocks(grid, CaseConfig())
     separator = grid.cells_of("separator")
-    assert np.all(blocks.slope[separator] == 0.0)
-    coo = blocks.phis_phil.tocoo()
+    assert np.all(slope[separator] == 0.0)
+    coo = blocks[("phi_s", "phi_l")].tocoo()
     assert not np.isin(coo.row, separator).any()
 
 

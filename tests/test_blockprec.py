@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -59,7 +61,7 @@ def test_single_field_operator_is_plain_spmv():
     system = BlockSystem(fields=("x",), dims={"x": 6}, blocks={("x", "x"): A})
     op = assemble_block_operator(system)
     v = np.random.default_rng(1).standard_normal(6)
-    assert np.array_equal(op(v), A @ v)
+    assert np.array_equal(op @ v, A @ v)
 
 
 def test_two_field_block_diagonal_apply():
@@ -69,7 +71,7 @@ def test_two_field_block_diagonal_apply():
     op = assemble_block_operator(system)
     v = np.random.default_rng(4).standard_normal(7)
     expected = np.concatenate([A @ v[:4], B @ v[4:]])
-    np.testing.assert_allclose(op(v), expected, rtol=1e-13)
+    np.testing.assert_allclose(op @ v, expected, rtol=1e-13)
 
 
 def test_full_case_matches_concat_oracle_bitwise():
@@ -77,12 +79,12 @@ def test_full_case_matches_concat_oracle_bitwise():
     system = case.system
     op = assemble_block_operator(system)
     oracle = concat_oracle(system)
-    assert np.array_equal(op.matrix.indptr, oracle.indptr)
-    assert np.array_equal(op.matrix.indices, oracle.indices)
-    assert np.array_equal(op.matrix.data, oracle.data)
+    assert np.array_equal(op.indptr, oracle.indptr)
+    assert np.array_equal(op.indices, oracle.indices)
+    assert np.array_equal(op.data, oracle.data)
     for seed in range(10):
         v = np.random.default_rng(seed).standard_normal(system.total_dim)
-        assert np.array_equal(op(v), oracle @ v)
+        assert np.array_equal(op @ v, oracle @ v)
 
 
 def test_blockwise_sum_agrees_with_monolithic():
@@ -95,7 +97,7 @@ def test_blockwise_sum_agrees_with_monolithic():
     for (rf, cf), block in system.blocks.items():
         out[rf] += block @ parts[cf]
     segmentwise = system.join(out)
-    y = op(v)
+    y = op @ v
     scale = np.abs(y).max()
     np.testing.assert_allclose(y, segmentwise, atol=1e-13 * scale)
 
@@ -154,10 +156,8 @@ def test_nonvoltage_bgs_rhs_on_species_only():
     case = build_case(CaseConfig(nr=4, refinement=0, n_cells=1))
     system = case.system
     n = system.dims["s"]
-    M = build_electrochem_preconditioner(
-        case.system, case.grid.centers,
-        ElectrochemOptions(ras_subdomains=2))
-    bgs = M._nonvoltage_bgs
+    bgs = NonvoltageBgs.build(system, case.grid.centers,
+                              ElectrochemOptions(ras_subdomains=2))
     r = np.zeros(3 * n)
     rng = np.random.default_rng(23)
     r[:n] = rng.standard_normal(n)
@@ -184,6 +184,23 @@ def test_hierarchical_exact_inverse_when_uncoupled():
     assert stats.converged and stats.iterations == 1
     true_res = np.linalg.norm(b - system.monolithic() @ x) / np.linalg.norm(b)
     assert true_res <= 1e-10
+
+
+def test_nonfinite_rhs_fails_before_any_preconditioner_apply():
+    case = build_case(CaseConfig(nr=6, refinement=0, n_cells=2))
+    M = build_electrochem_preconditioner(case.system, case.grid.centers)
+    applications = []
+
+    def counted(r):
+        applications.append(1)
+        return M(r)
+
+    b = case.system.rhs_vector()
+    b[7] = np.nan
+    with pytest.raises(ValueError, match="rhs entry 7 is not finite"):
+        fgmres(assemble_block_operator(case.system), b, preconditioner=counted,
+               config=SolverConfig(restart=5, tol=1e-6, maxiter=25))
+    assert applications == []
 
 
 def test_hierarchical_linear_with_exact_inner():
@@ -227,9 +244,8 @@ def test_block_jacobi_over_xp_is_no_better():
     # iteration counts
     case = build_case(CaseConfig(nr=6, refinement=1, n_cells=2))
     system = case.system
-    M = build_electrochem_preconditioner(
-        system, case.grid.centers, ElectrochemOptions(ras_subdomains=4))
-    bgs = M._nonvoltage_bgs
+    bgs = NonvoltageBgs.build(system, case.grid.centers,
+                              ElectrochemOptions(ras_subdomains=4))
     A_nn = system.submatrix(NONVOLTAGE_FIELDS)
     b_nn = np.concatenate([system.rhs[f] for f in NONVOLTAGE_FIELDS])
     cfg = SolverConfig(restart=30, tol=1e-6, maxiter=300, flexible=True)
@@ -304,11 +320,37 @@ def test_suite_config_passes_precon_overrides():
 
 
 def test_inner_nonconvergence_recorded_not_fatal():
+    # one inner iteration never converges; the outer solve still runs, and
+    # reusing the preconditioner changes neither it nor the solution
     case = build_case(CaseConfig(nr=6, refinement=1, n_cells=2))
     M = build_electrochem_preconditioner(
         case.system, case.grid.centers,
         ElectrochemOptions(inner_maxiter=1))
+    lengths = {k: len(v) for k, v in vars(M).items() if isinstance(v, list)}
     b = case.system.rhs_vector()
-    x, stats = fgmres(assemble_block_operator(case.system), b, preconditioner=M,
-                      config=SolverConfig(restart=5, tol=1e-6, maxiter=20))
-    assert len(M.inner_events) > 0
+    cfg = SolverConfig(restart=5, tol=1e-6, maxiter=20)
+    x1, _ = fgmres(assemble_block_operator(case.system), b, preconditioner=M, config=cfg)
+    x2, _ = fgmres(assemble_block_operator(case.system), b, preconditioner=M, config=cfg)
+    assert x1.tobytes() == x2.tobytes()
+    assert {k: len(v) for k, v in vars(M).items() if isinstance(v, list)} == lengths
+
+
+def test_preconditioner_apply_is_thread_safe():
+    case = build_case(CaseConfig(nr=6, refinement=1, n_cells=2))
+    M = build_electrochem_preconditioner(case.system, case.grid.centers)
+    residuals = [np.random.default_rng(seed).standard_normal(case.total_dim)
+                 for seed in (40, 41)]
+    serial = [M(r) for r in residuals]
+
+    threaded = [None, None]
+
+    def apply(k):
+        threaded[k] = M(residuals[k])
+
+    threads = [threading.Thread(target=apply, args=(k,)) for k in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for z, z_ref in zip(threaded, serial):
+        assert z.tobytes() == z_ref.tobytes()

@@ -83,6 +83,23 @@ def test_zero_rhs():
     assert np.array_equal(x, np.zeros(8))
 
 
+@pytest.mark.parametrize("solve", [gmres, fgmres])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_rhs_rejected_before_any_apply(solve, bad):
+    A = poisson_1d(8)
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return v
+
+    b = np.ones(8)
+    b[[3, 5]] = bad
+    with pytest.raises(ValueError, match="rhs entry 3 is not finite"):
+        solve(lambda v: counted(A @ v), b, preconditioner=counted)
+    assert calls == []
+
+
 def test_nonconvergence_returns_stats_not_exception():
     A = poisson_2d(16)
     b = np.ones(A.shape[0])
