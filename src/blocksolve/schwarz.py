@@ -2,17 +2,20 @@
 
 Subdomains stand in for processor-local matrix rows: nodes are assigned by
 recursive coordinate bisection, optionally extended by structural overlap,
-and each subdomain block is factored with ILU(0). On write-back only owned
-entries contribute, so the result is independent of the order subdomain
-solves execute in.
+and each subdomain block is factored with ILU(0). The blocks are stacked
+into one block-diagonal matrix and factored once, so one wavefront-scheduled
+ILU(0) apply solves every subdomain at the same time. On write-back only
+owned entries contribute, so the result does not depend on how the
+subdomains are ordered.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .smoothers import Ilu0Factors, ilu0_factor, ilu0_apply
-from .sparse import SingularMatrixError
+from .sparse import SingularMatrixError, require_finite
 
 
 @dataclass
@@ -27,13 +30,21 @@ class Partition:
 class Subdomain:
     indices: np.ndarray
     owned_mask: np.ndarray
-    solver: Ilu0Factors
 
 
 @dataclass
 class RasPreconditioner:
+    """Setup record (``subdomains``) and the stacked solve: ``factors`` is
+    the ILU(0) of the block-diagonal stack of the subdomain blocks,
+    ``gather`` maps each stacked row to its node, and the stacked rows
+    ``owned`` write back to the nodes ``targets``."""
+
     n: int
     subdomains: list[Subdomain]
+    factors: Ilu0Factors
+    gather: np.ndarray
+    owned: np.ndarray
+    targets: np.ndarray
 
 
 def partition_nodes(coordinates, count):
@@ -85,8 +96,10 @@ def extend_overlap(A, partition, overlap):
 
 
 def ras_setup(A, sets, partition):
-    """Extract each subdomain block A_i = R_i A R_i^T and factor it with
-    ILU(0)."""
+    """Extract each subdomain block A_i = R_i A R_i^T and factor their
+    block-diagonal stack with ILU(0), each block keeping its own pivot
+    floor."""
+    require_finite(A, "ras_setup")
     n = A.shape[0]
     covered = np.zeros(n, dtype=bool)
     for idx in sets:
@@ -95,19 +108,22 @@ def ras_setup(A, sets, partition):
         missing = int(np.flatnonzero(~covered)[0])
         raise ValueError(f"subdomain index sets do not cover node {missing}")
 
-    subdomains = []
-    for i, idx in enumerate(sets):
-        Ai = A[idx][:, idx].tocsr()
-        Ai.sort_indices()
-        try:
-            solver = ilu0_factor(Ai)
-        except SingularMatrixError as err:
-            raise SingularMatrixError(
-                err.row, f"ILU(0) pivot failure in subdomain {i}"
-            ) from err
-        owned_mask = partition.owner[idx] == i
-        subdomains.append(Subdomain(indices=idx, owned_mask=owned_mask, solver=solver))
-    return RasPreconditioner(n=n, subdomains=subdomains)
+    subdomains = [Subdomain(indices=idx, owned_mask=partition.owner[idx] == i)
+                  for i, idx in enumerate(sets)]
+    stacked = sp.block_diag([A[idx][:, idx] for idx in sets], format="csr")
+    stacked.sort_indices()
+    offsets = np.concatenate(([0], np.cumsum([len(idx) for idx in sets])))
+    try:
+        factors = ilu0_factor(stacked, block_offsets=offsets)
+    except SingularMatrixError as err:
+        i = int(np.searchsorted(offsets, err.row, side="right")) - 1
+        raise SingularMatrixError(
+            err.row - offsets[i], f"ILU(0) pivot failure in subdomain {i}"
+        ) from err
+    gather = np.concatenate(sets)
+    owned = np.flatnonzero(np.concatenate([sub.owned_mask for sub in subdomains]))
+    return RasPreconditioner(n=n, subdomains=subdomains, factors=factors,
+                             gather=gather, owned=owned, targets=gather[owned])
 
 
 def ras_apply(M, r):
@@ -116,8 +132,5 @@ def ras_apply(M, r):
     if r.shape[0] != M.n:
         raise ValueError(f"ras_apply: length {r.shape[0]} != dimension {M.n}")
     z = np.zeros(M.n)
-    for sub in M.subdomains:
-        zi = ilu0_apply(sub.solver, r[sub.indices])
-        z[sub.indices[sub.owned_mask]] = zi[sub.owned_mask]
+    z[M.targets] = ilu0_apply(M.factors, r[M.gather])[M.owned]
     return z
-

@@ -40,6 +40,16 @@ def as_csr(A):
     return M
 
 
+def require_finite(A, name="matrix"):
+    """Raise ValueError naming the (row, col) of the first NaN or infinite
+    stored entry of the CSR matrix ``A``."""
+    bad = np.flatnonzero(~np.isfinite(A.data))
+    if bad.size:
+        p = bad[0]
+        row = int(np.searchsorted(A.indptr, p, side="right")) - 1
+        raise ValueError(f"{name}: non-finite entry {A.data[p]} at ({row}, {A.indices[p]})")
+
+
 def require_canonical(A, name="matrix"):
     """Validate the CSR canonical-form invariants, raising ValueError on breakage."""
     if not sp.issparse(A) or A.format != "csr":

@@ -5,13 +5,14 @@ import scipy.sparse as sp
 from blocksolve.blockprec import ras_preconditioner
 from blocksolve.krylov import SolverConfig, gmres
 from blocksolve.schwarz import (
+    Partition,
     extend_overlap,
     partition_nodes,
     ras_apply,
     ras_setup,
 )
 from blocksolve.smoothers import ilu0_apply, ilu0_factor
-from blocksolve.sparse import as_csr
+from blocksolve.sparse import SingularMatrixError, as_csr
 
 
 def poisson_2d(nx):
@@ -184,15 +185,55 @@ def test_ras_exact_subdomain_solve_single_domain_is_inverse():
     assert stats.converged and stats.iterations == 1
 
 
+@pytest.mark.parametrize("overlap", [0, 1])
+def test_ras_stacked_apply_matches_per_subdomain_solves(overlap):
+    A = poisson_2d(8)
+    part = partition_nodes(grid_coords(8), 4)
+    sets = extend_overlap(A, part, overlap)
+    M = ras_setup(A, sets, part)
+    r = np.random.default_rng(4).standard_normal(A.shape[0])
+    expected = np.zeros(A.shape[0])
+    for i, idx in enumerate(sets):
+        owned = part.owner[idx] == i
+        expected[idx[owned]] = ilu0_apply(ilu0_factor(A[idx][:, idx]), r[idx])[owned]
+    assert ras_apply(M, r).tobytes() == expected.tobytes()
+
+
 def test_ras_apply_order_independent():
+    # the same subdomains, listed in reverse and numbered backwards
     A = poisson_2d(8)
     part = partition_nodes(grid_coords(8), 4)
     sets = extend_overlap(A, part, 1)
-    M = ras_setup(A, sets, part)
+    relabeled = Partition(owner=part.count - 1 - part.owner, count=part.count)
     r = np.random.default_rng(3).standard_normal(A.shape[0])
-    z = ras_apply(M, r)
-    M.subdomains.reverse()
-    np.testing.assert_array_equal(ras_apply(M, r), z)
+    np.testing.assert_array_equal(ras_apply(ras_setup(A, sets[::-1], relabeled), r),
+                                  ras_apply(ras_setup(A, sets, part), r))
+
+
+def aligned_two_block_setup(blocks):
+    """RAS over block_diag(blocks), one subdomain per block."""
+    A = as_csr(sp.block_diag(blocks))
+    sizes = [b.shape[0] for b in blocks]
+    part = Partition(owner=np.repeat(np.arange(len(blocks)), sizes), count=len(blocks))
+    return A, ras_setup(A, extend_overlap(A, part, 0), part)
+
+
+def test_ras_pivot_floor_is_per_subdomain():
+    # the stacked factor must not take one floor from the larger diagonal:
+    # 1e-14 * 2e20 would reject every pivot of the unit-scale block
+    blocks = [1e20 * chain(5), chain(4)]
+    with pytest.raises(SingularMatrixError):
+        ilu0_factor(as_csr(sp.block_diag(blocks)))
+    A, M = aligned_two_block_setup(blocks)
+    r = np.random.default_rng(5).standard_normal(9)
+    np.testing.assert_allclose(ras_apply(M, r), np.linalg.solve(A.toarray(), r),
+                               rtol=1e-12)
+
+
+def test_ras_pivot_failure_names_subdomain_and_local_row():
+    with pytest.raises(SingularMatrixError, match="subdomain 1") as err:
+        aligned_two_block_setup([chain(3), as_csr(np.ones((2, 2)))])
+    assert err.value.row == 1
 
 
 def test_ras_gmres_iterations_grow_without_coarse_grid():
@@ -210,6 +251,14 @@ def test_ras_gmres_iterations_grow_without_coarse_grid():
     assert counts[1] < counts[4] < counts[16]
     # regression fixtures from the first deterministic build
     assert counts == {1: 17, 4: 22, 16: 27}
+
+
+def test_ras_setup_names_nonfinite_entry_in_global_numbering():
+    A = poisson_2d(8)
+    A.data[A.indptr[50] + 2] = np.nan    # entry (50, 50)
+    part = partition_nodes(grid_coords(8), 4)
+    with pytest.raises(ValueError, match=r"non-finite entry nan at \(50, 50\)"):
+        ras_setup(A, extend_overlap(A, part, 0), part)
 
 
 def test_ras_setup_rejects_uncovered_nodes():

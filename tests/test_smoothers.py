@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from blocksolve.battery import CaseConfig, build_case
+from blocksolve.schwarz import extend_overlap, partition_nodes
 from blocksolve.smoothers import (
+    PIVOT_FLOOR,
     chebyshev_apply,
     chebyshev_setup,
     estimate_lambda_max,
@@ -29,6 +34,68 @@ def dense_lu_no_pivot(A):
             L[i, k] = A[i, k] / A[k, k]
             A[i, k:] -= L[i, k] * A[k, k:]
     return L, np.triu(A)
+
+
+def reference_ilu0_factor(A):
+    """Row-by-row ILU(0), the loop the wavefront factor must reproduce bit
+    for bit: returns the combined L\\U data array."""
+    n = A.shape[0]
+    indptr = A.indptr.astype(np.int64)
+    indices = A.indices.astype(np.int64)
+    data = A.data.astype(np.float64).copy()
+    diag_pos = np.array([indptr[i] + np.searchsorted(indices[indptr[i]:indptr[i + 1]], i)
+                         for i in range(n)])
+    pivot_floor = PIVOT_FLOOR * np.max(np.abs(data[diag_pos]))
+    for i in range(n):
+        lo, hi = indptr[i], indptr[i + 1]
+        row_cols = indices[lo:hi]
+        for p in range(lo, diag_pos[i]):
+            k = indices[p]
+            lik = data[p] / data[diag_pos[k]]
+            data[p] = lik
+            klo, khi = diag_pos[k] + 1, indptr[k + 1]
+            if klo == khi:
+                continue
+            upper_cols = indices[klo:khi]
+            targets = lo + np.searchsorted(row_cols, upper_cols)
+            in_range = targets < hi
+            tv = targets[in_range]
+            hit = indices[tv] == upper_cols[in_range]
+            data[tv[hit]] -= lik * data[klo:khi][in_range][hit]
+        if abs(data[diag_pos[i]]) < pivot_floor or data[diag_pos[i]] == 0.0:
+            raise SingularMatrixError(i, "vanishing ILU(0) pivot")
+    return data
+
+
+def reference_ilu0_apply(F, r):
+    """Row-by-row forward and backward substitution on the combined array."""
+    indptr, indices, data, diag_pos = F.indptr, F.indices, F.data, F.diag_pos
+    y = np.empty(F.n)
+    for i in range(F.n):
+        lo, dpos = indptr[i], diag_pos[i]
+        y[i] = r[i] - data[lo:dpos] @ y[indices[lo:dpos]]
+    z = np.empty(F.n)
+    for i in range(F.n - 1, -1, -1):
+        dpos, hi = diag_pos[i], indptr[i + 1]
+        z[i] = (y[i] - data[dpos + 1:hi] @ z[indices[dpos + 1:hi]]) / data[dpos]
+    return z
+
+
+def random_dominant(seed, n=25):
+    rng = np.random.default_rng(seed)
+    A = sp.random(n, n, density=0.15, format="csr", random_state=rng)
+    return as_csr(A + sp.diags(np.abs(A).sum(axis=1).A1 + 1.0))
+
+
+def stacked_species_block(refinement, overlap):
+    """The block-diagonal stack of the RAS subdomain blocks of the species
+    operator (P = 4), as the Schwarz setup factors it, with its offsets."""
+    case = build_case(CaseConfig(nr=6, n_cells=2, refinement=refinement))
+    A = case.system.blocks[("x", "x")]
+    sets = extend_overlap(A, partition_nodes(case.grid.centers, 4), overlap)
+    stacked = sp.block_diag([A[idx][:, idx] for idx in sets], format="csr")
+    stacked.sort_indices()
+    return stacked, np.concatenate(([0], np.cumsum([len(idx) for idx in sets])))
 
 
 def combined_to_LU(F):
@@ -85,27 +152,77 @@ def test_ilu0_zero_fill_exactness(n):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_ilu0_pattern_invariant(seed):
-    rng = np.random.default_rng(seed)
-    n = 25
-    A = sp.random(n, n, density=0.15, format="csr", random_state=rng)
-    A = as_csr(A + sp.diags(np.abs(A).sum(axis=1).A1 + 1.0))
+    A = random_dominant(seed)
     F = ilu0_factor(A)
     assert np.array_equal(F.indptr, A.indptr)
     assert np.array_equal(F.indices, A.indices)
 
 
+ORACLE_CASES = [pytest.param(lambda s=s: (random_dominant(s), None), id=f"random{s}")
+                for s in range(4)] + [
+    pytest.param(lambda: (tridiag(23), None), id="tridiag"),
+    pytest.param(lambda: stacked_species_block(1, 0), id="species-r1"),
+    pytest.param(lambda: stacked_species_block(1, 1), id="species-r1-overlap1"),
+]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_ilu0_matches_row_loop_reference(case):
+    A, offsets = case()
+    F = ilu0_factor(A, block_offsets=offsets)
+    assert F.data.tobytes() == reference_ilu0_factor(A).tobytes()
+    r = np.random.default_rng(7).standard_normal(A.shape[0])
+    expected = reference_ilu0_apply(F, r)
+    z = ilu0_apply(F, r)
+    assert np.linalg.norm(z - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_ilu0_schedules_are_topological_orders(case):
+    A, offsets = case()
+    F = ilu0_factor(A, block_offsets=offsets)
+    for w, reads in ((F.lower, lambda i: range(F.indptr[i], F.diag_pos[i])),
+                     (F.upper, lambda i: range(F.diag_pos[i] + 1, F.indptr[i + 1]))):
+        level = np.zeros(F.n, dtype=int)   # unscheduled rows read nothing
+        for l in range(len(w.row_ptr) - 1):
+            level[w.rows[w.row_ptr[l]:w.row_ptr[l + 1]]] = l + 1
+        assert sorted(w.rows) == [i for i in range(F.n) if len(reads(i))]
+        for l in range(len(w.row_ptr) - 1):
+            for i in w.rows[w.row_ptr[l]:w.row_ptr[l + 1]]:
+                assert all(level[F.indices[p]] < l + 1 for p in reads(i))
+
+
 def test_ilu0_missing_diagonal_rejected():
     A = sp.csr_matrix((np.array([1.0]), np.array([1]), np.array([0, 1, 1])),
                       shape=(2, 2))
-    with pytest.raises(ValueError, match="structural diagonal"):
+    with pytest.raises(ValueError, match="row 0 lacks a structural diagonal"):
+        ilu0_factor(A)
+
+
+def test_ilu0_unsorted_columns_rejected():
+    A = sp.csr_matrix((np.array([1.0, 2.0, 3.0]), np.array([0, 1, 0]),
+                       np.array([0, 1, 3])), shape=(2, 2))
+    with pytest.raises(ValueError, match="row 1 has unsorted or duplicate"):
+        ilu0_factor(A)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ilu0_nonfinite_entry_named_before_elimination(bad):
+    A = tridiag(5)
+    A.data[A.indptr[2] + 2] = bad    # entry (2, 3)
+    A.data[A.indptr[4]] = np.nan     # a later one, (4, 3), is not the one named
+    with pytest.raises(ValueError, match=r"non-finite entry .* at \(2, 3\)"):
         ilu0_factor(A)
 
 
 def test_ilu0_zero_pivot_names_row():
-    # elimination cancels the second pivot exactly
-    A = as_csr(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(SingularMatrixError) as err:
-        ilu0_factor(A)
+    # elimination cancels the second pivot exactly; the rows after it divide
+    # by zero, and no RuntimeWarning may escape
+    A = as_csr(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]]))
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError) as err:
+            ilu0_factor(A)
     assert err.value.row == 1
 
 
