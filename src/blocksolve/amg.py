@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .smoothers import ChebyshevSmoother, chebyshev_setup, chebyshev_apply, estimate_lambda_max
-from .sparse import DenseFactorization, dense_factor, triple_product
+from .sparse import DenseFactorization, dense_factor, require_finite, triple_product
 
 
 MAX_LEVELS = 20
@@ -111,7 +111,7 @@ def strength_graph(A, theta):
     return S
 
 
-def aggregate(S, seed_order=None):
+def aggregate(S):
     """Greedy root-based aggregation over a strength pattern.
 
     Pass 1 visits nodes in order; a node whose strong neighbors are all
@@ -121,11 +121,10 @@ def aggregate(S, seed_order=None):
     """
     n = S.shape[0]
     indptr, indices, data = S.indptr, S.indices, S.data
-    order = np.arange(n) if seed_order is None else np.asarray(seed_order)
     owner = np.full(n, -1, dtype=np.int64)
     count = 0
 
-    for i in order:
+    for i in range(n):
         if owner[i] != -1:
             continue
         nbrs = indices[indptr[i]:indptr[i + 1]]
@@ -137,7 +136,7 @@ def aggregate(S, seed_order=None):
 
     # pass 2 decides against the pass-1 snapshot so joins do not chain
     snapshot = owner.copy()
-    for i in order:
+    for i in range(n):
         if owner[i] != -1:
             continue
         lo, hi = indptr[i], indptr[i + 1]
@@ -154,7 +153,7 @@ def aggregate(S, seed_order=None):
         if best_id != -1:
             owner[i] = best_id
 
-    for i in order:
+    for i in range(n):
         if owner[i] == -1:
             owner[i] = count
             count += 1
@@ -233,6 +232,7 @@ def build_hierarchy(A, params=None):
     params = params or AmgParams()
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"build_hierarchy: matrix is not square {A.shape}")
+    require_finite(A, "build_hierarchy")
     levels = []
     Al = A
     nullspace = np.ones(A.shape[0])

@@ -131,19 +131,14 @@ def build_grid(nr, refinement_level, n_cells, h0=1e-3):
     nr_total = nr * scale
     h = h0 / scale
 
-    labels = np.empty(nz * nr_total, dtype=np.int64)
     iz = np.repeat(np.arange(nz), nr_total)
     ir = np.tile(np.arange(nr_total), nz)
-    layer_of = iz // scale
+    layer_labels = np.array([MATERIALS.index(name) for name in layers], dtype=np.int64)
     radial_fraction = (ir + 0.5) / nr_total
-    for k in range(nz * nr_total):
-        if radial_fraction[k] >= _CAN_FRACTION:
-            name = "can"
-        elif radial_fraction[k] >= _INSULATION_FRACTION:
-            name = "insulation"
-        else:
-            name = layers[layer_of[k]]
-        labels[k] = MATERIALS.index(name)
+    labels = np.where(
+        radial_fraction >= _CAN_FRACTION, MATERIALS.index("can"),
+        np.where(radial_fraction >= _INSULATION_FRACTION, MATERIALS.index("insulation"),
+                 layer_labels[iz // scale]))
     centers = np.column_stack([(ir + 0.5) * h, (iz + 0.5) * h])
     return LayeredGrid(nr=nr_total, nz=nz, h=h, n_cells=n_cells,
                        labels=labels, centers=centers)
@@ -265,8 +260,7 @@ def assemble_coupling_blocks(grid, config):
     maps (row_field, col_field) to a CSR block.
     """
     materials = config.materials()
-    electrode = np.array(
-        [materials[MATERIALS[k]].electrode for k in grid.labels], dtype=bool)
+    electrode = np.array([materials[m].electrode for m in MATERIALS])[grid.labels]
     g_cell = butler_volmer_slope(
         config.exchange_current, config.valence, config.overpotential,
         config.temperature, config.symmetry_factor,
@@ -379,7 +373,7 @@ def build_case(config=None):
     table = cfg.materials()
 
     def per_cell(attr):
-        return np.array([getattr(table[MATERIALS[k]], attr) for k in grid.labels])
+        return np.array([getattr(table[m], attr) for m in MATERIALS])[grid.labels]
 
     sigma = per_cell("sigma")
     porosity = per_cell("porosity")

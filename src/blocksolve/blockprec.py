@@ -2,12 +2,12 @@
 
 The monolithic system is split into a voltage group (solid and liquid
 potentials) and a non-voltage group (solid species, liquid species,
-pressure). The hierarchical preconditioner inverts the block
-upper-triangular part of that 2x2 splitting: an inner flexible-GMRES solve
-per group, each preconditioned by its own block Gauss-Seidel sweep over
-field-level solvers (AMG V-cycles, restricted additive Schwarz, diagonal
-inversion). Because the inner solves are themselves iterative, the outer
-Krylov method must be flexible.
+pressure). The hierarchical preconditioner is one block Gauss-Seidel
+sweep (``BlockGaussSeidel``) over that 2x2 splitting; each group is solved
+by inner flexible GMRES, preconditioned by the same sweep over field-level
+solvers (AMG V-cycles, restricted additive Schwarz, diagonal inversion).
+Because the inner solves are themselves iterative, the outer Krylov method
+must be flexible.
 """
 
 from dataclasses import dataclass, field
@@ -138,46 +138,59 @@ def ras_preconditioner(A, coordinates, count, overlap=0):
     return lambda r: ras_apply(ras, r)
 
 
-class VoltageBgs:
-    """Block Gauss-Seidel sweep for the coupled voltage pair, laid out over
-    the (phi_s, phi_l) concatenated vector: liquid first, then the solid
-    residual corrected through the coupling block."""
+class BlockGaussSeidel:
+    """Block Gauss-Seidel sweep over consecutive groups of fields.
 
-    def __init__(self, system, precon_phi_s, precon_phi_l):
-        self.n_s = system.dims["phi_s"]
-        self.coupling = system.blocks.get(("phi_s", "phi_l"))
-        self.precon_phi_s = precon_phi_s
-        self.precon_phi_l = precon_phi_l
+    ``solvers[k]`` maps the residual of ``groups[k]`` to its correction.
+    One application solves the last group first, then each earlier group
+    with its residual corrected through its couplings to the later groups:
+    the stored subblock between two single fields, else the concatenated
+    ``submatrix``; absent or empty couplings are skipped.
+    """
+
+    def __init__(self, system, groups, solvers):
+        self.solvers = tuple(solvers)
+        sizes = [sum(system.dims[f] for f in g) for g in groups]
+        self.bounds = tuple(np.cumsum([0] + sizes).tolist())
+        # couplings[k][j] couples group k to group k + 1 + j
+        self.couplings = tuple(
+            tuple(_coupling(system, g, later) for later in groups[k + 1:])
+            for k, g in enumerate(groups))
+
+    def __call__(self, r):
+        z = []
+        for k in reversed(range(len(self.solvers))):
+            r_k = r[self.bounds[k]:self.bounds[k + 1]]
+            for C, z_later in zip(self.couplings[k], z):
+                if C is not None:
+                    r_k = r_k - C @ z_later
+            z.insert(0, self.solvers[k](r_k))
+        return np.concatenate(z)
+
+
+def _coupling(system, rows, cols):
+    C = (system.blocks.get((rows[0], cols[0])) if len(rows) == len(cols) == 1
+         else system.submatrix(rows, cols))
+    return C if C is not None and C.nnz else None
+
+
+class VoltageBgs(BlockGaussSeidel):
+    """The sweep over (phi_s, phi_l): liquid first, then the solid residual
+    corrected through the coupling block."""
 
     @classmethod
     def build(cls, system, options):
         """The sweep with an AMG V-cycle on each voltage block."""
         degree = options.voltage_smoother_degree
-        return cls(system,
-                   amg_preconditioner(system, "phi_s", options, degree),
-                   amg_preconditioner(system, "phi_l", options, degree))
-
-    def __call__(self, r):
-        r_s, r_l = r[:self.n_s], r[self.n_s:]
-        z_l = self.precon_phi_l(r_l)
-        if self.coupling is not None:
-            r_s = r_s - self.coupling @ z_l
-        z_s = self.precon_phi_s(r_s)
-        return np.concatenate([z_s, z_l])
+        return cls(system, [(f,) for f in VOLTAGE_FIELDS],
+                   [amg_preconditioner(system, f, options, degree)
+                    for f in VOLTAGE_FIELDS])
 
 
-class NonvoltageBgs:
-    """Block Gauss-Seidel sweep over the (s, x, p) concatenated vector:
-    pressure, then species corrected through the species-pressure coupling,
-    and an exact diagonal inversion for the solid species."""
-
-    def __init__(self, system, precon_x, precon_p):
-        self.n_s = system.dims["s"]
-        self.n_x = system.dims["x"]
-        self.A_s = system.blocks[("s", "s")]
-        self.coupling_xp = system.blocks.get(("x", "p"))
-        self.precon_x = precon_x
-        self.precon_p = precon_p
+class NonvoltageBgs(BlockGaussSeidel):
+    """The sweep over (s, x, p): pressure, then species corrected through
+    the species-pressure coupling, and an exact diagonal inversion for the
+    solid species."""
 
     @classmethod
     def build(cls, system, coordinates, options):
@@ -188,18 +201,9 @@ class NonvoltageBgs:
         precon_x = ras_preconditioner(
             system.blocks[("x", "x")], coordinates,
             options.ras_subdomains, options.ras_overlap)
-        return cls(system, precon_x, precon_p)
-
-    def __call__(self, r):
-        r_s = r[:self.n_s]
-        r_x = r[self.n_s:self.n_s + self.n_x]
-        r_p = r[self.n_s + self.n_x:]
-        z_p = self.precon_p(r_p)
-        if self.coupling_xp is not None:
-            r_x = r_x - self.coupling_xp @ z_p
-        z_x = self.precon_x(r_x)
-        z_s = jacobi_apply(self.A_s, r_s)
-        return np.concatenate([z_s, z_x, z_p])
+        precon_s = partial(jacobi_apply, system.blocks[("s", "s")])
+        return cls(system, [(f,) for f in NONVOLTAGE_FIELDS],
+                   [precon_s, precon_x, precon_p])
 
 
 @dataclass
@@ -227,44 +231,32 @@ class ElectrochemOptions:
         return self.drop_tolerances.get(fieldname, self.drop_tolerance)
 
 
-class ElectrochemPreconditioner:
-    """Hierarchical block Gauss-Seidel over the voltage/non-voltage split.
+class ElectrochemPreconditioner(BlockGaussSeidel):
+    """Block Gauss-Seidel over the voltage/non-voltage split: the
+    non-voltage group, then the voltage group through their coupling.
 
-    One application solves the non-voltage group, substitutes through the
-    voltage/non-voltage coupling, then solves the voltage group. Inner
-    solves run flexible GMRES to the configured tolerance; inner
-    non-convergence is not raised, since the outer flexible Krylov method
-    tolerates an inexact preconditioner. Nothing is written after setup.
+    Each group is solved by flexible GMRES to the inner tolerance,
+    preconditioned by its field-level sweep (or by sparse LU in direct
+    mode). Inner non-convergence is not raised, since the outer flexible
+    Krylov method tolerates an inexact preconditioner. Nothing is written
+    after setup.
     """
 
     def __init__(self, system, coordinates, options=None):
         opts = options or ElectrochemOptions()
-        self.n_v = sum(system.dims[f] for f in VOLTAGE_FIELDS)
         A_vv = system.submatrix(VOLTAGE_FIELDS)
         A_nn = system.submatrix(NONVOLTAGE_FIELDS)
-        self.A_vn = system.submatrix(VOLTAGE_FIELDS, NONVOLTAGE_FIELDS)
-
         if opts.inner_mode == "direct":
-            self._solve_vv = splu(A_vv.tocsc()).solve
-            self._solve_nn = splu(A_nn.tocsc()).solve
-            return
-        if opts.inner_mode != "iterative":
+            solvers = [splu(A_vv.tocsc()).solve, splu(A_nn.tocsc()).solve]
+        elif opts.inner_mode == "iterative":
+            cfg = SolverConfig(restart=opts.inner_restart, tol=opts.inner_tol,
+                               maxiter=opts.inner_maxiter, flexible=True)
+            solvers = [partial(_inner_solve, A_vv, VoltageBgs.build(system, opts), cfg),
+                       partial(_inner_solve, A_nn,
+                               NonvoltageBgs.build(system, coordinates, opts), cfg)]
+        else:
             raise ValueError(f"unknown inner mode {opts.inner_mode!r}")
-
-        cfg = SolverConfig(
-            restart=opts.inner_restart, tol=opts.inner_tol,
-            maxiter=opts.inner_maxiter, flexible=True,
-        )
-        self._solve_vv = partial(
-            _inner_solve, A_vv, VoltageBgs.build(system, opts), cfg)
-        self._solve_nn = partial(
-            _inner_solve, A_nn, NonvoltageBgs.build(system, coordinates, opts), cfg)
-
-    def __call__(self, r):
-        r_v, r_n = r[:self.n_v], r[self.n_v:]
-        z_n = self._solve_nn(r_n)
-        z_v = self._solve_vv(r_v - self.A_vn @ z_n)
-        return np.concatenate([z_v, z_n])
+        super().__init__(system, (VOLTAGE_FIELDS, NONVOLTAGE_FIELDS), solvers)
 
 
 def _inner_solve(A, bgs, cfg, r):

@@ -10,9 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import SingularMatrixError, require_finite
+from .sparse import SingularMatrixError, require_canonical, require_finite
 
 PIVOT_FLOOR = 1e-14
+# the Chebyshev interval of D^{-1} A is [lambda_max / RATIO, BOOST * lambda_max]
+CHEBYSHEV_RATIO = 30.0
+CHEBYSHEV_BOOST = 1.1
 
 
 @dataclass
@@ -128,12 +131,9 @@ def ilu0_factor(A, block_offsets=None):
     data = A.data.astype(np.float64).copy()
     nnz = indices.size
 
+    require_canonical(A, "ilu0_factor")
     row_of = np.repeat(np.arange(n), np.diff(indptr))
     keys = row_of * n + indices
-    unsorted = np.flatnonzero(np.diff(keys) <= 0)
-    if unsorted.size:
-        raise ValueError(f"ilu0_factor: row {row_of[unsorted[0]]} has unsorted "
-                         "or duplicate columns")
     on_diag = np.flatnonzero(indices == row_of)
     diag_pos = np.full(n, -1, dtype=np.int64)
     diag_pos[row_of[on_diag]] = on_diag
@@ -267,12 +267,10 @@ def estimate_lambda_max(A, inverse_diagonal, iterations=10, seed=0):
 @dataclass
 class ChebyshevSmoother:
     """Degree-d Chebyshev iteration on the interval
-    [lambda_max/ratio, boost * lambda_max] of D^{-1} A."""
+    [lambda_max / CHEBYSHEV_RATIO, CHEBYSHEV_BOOST * lambda_max] of D^{-1} A."""
 
     degree: int
     lambda_max_estimate: float
-    lambda_min_fraction: float
-    boost_factor: float
     inverse_diagonal: np.ndarray
 
     def __post_init__(self):
@@ -280,11 +278,9 @@ class ChebyshevSmoother:
             raise ValueError(f"Chebyshev degree must be >= 1, got {self.degree}")
         if self.lambda_max_estimate <= 0.0:
             raise ValueError("lambda_max estimate must be positive")
-        if self.boost_factor < 1.0:
-            raise ValueError("boost factor must be >= 1")
 
 
-def chebyshev_setup(A, degree=2, ratio=30.0, boost=1.1, power_iterations=10, seed=0):
+def chebyshev_setup(A, degree=2, power_iterations=10, seed=0):
     """Estimate the spectral interval of D^{-1} A and build a smoother."""
     diag = A.diagonal()
     zero = np.flatnonzero(diag == 0.0)
@@ -292,13 +288,7 @@ def chebyshev_setup(A, degree=2, ratio=30.0, boost=1.1, power_iterations=10, see
         raise SingularMatrixError(int(zero[0]), "zero diagonal entry in Chebyshev setup")
     dinv = 1.0 / diag
     lam = estimate_lambda_max(A, dinv, iterations=power_iterations, seed=seed)
-    return ChebyshevSmoother(
-        degree=degree,
-        lambda_max_estimate=lam,
-        lambda_min_fraction=ratio,
-        boost_factor=boost,
-        inverse_diagonal=dinv,
-    )
+    return ChebyshevSmoother(degree=degree, lambda_max_estimate=lam, inverse_diagonal=dinv)
 
 
 def chebyshev_apply(S, A, b, x):
@@ -308,8 +298,8 @@ def chebyshev_apply(S, A, b, x):
     x = np.array(x, dtype=np.float64, copy=True)
     if b.shape[0] != A.shape[0] or x.shape[0] != A.shape[0]:
         raise ValueError("chebyshev_apply: dimension mismatch")
-    lam_max = S.boost_factor * S.lambda_max_estimate
-    lam_min = S.lambda_max_estimate / S.lambda_min_fraction
+    lam_max = CHEBYSHEV_BOOST * S.lambda_max_estimate
+    lam_min = S.lambda_max_estimate / CHEBYSHEV_RATIO
     theta = 0.5 * (lam_max + lam_min)
     delta = 0.5 * (lam_max - lam_min)
     sigma = theta / delta

@@ -62,10 +62,10 @@ def require_canonical(A, name="matrix"):
         raise ValueError(f"{name}: row offsets must be non-decreasing")
     if len(indices) and (indices.min() < 0 or indices.max() >= ncols):
         raise ValueError(f"{name}: column index out of range")
-    for i in range(nrows):
-        row = indices[indptr[i]:indptr[i + 1]]
-        if row.size > 1 and np.any(np.diff(row) <= 0):
-            raise ValueError(f"{name}: row {i} has unsorted or duplicate columns")
+    row_of = np.repeat(np.arange(nrows), np.diff(indptr))
+    bad = np.flatnonzero((np.diff(indices) <= 0) & (row_of[1:] == row_of[:-1]))
+    if bad.size:
+        raise ValueError(f"{name}: row {row_of[bad[0]]} has unsorted or duplicate columns")
     return A
 
 

@@ -24,7 +24,8 @@ from blocksolve.blockprec import (
 )
 from blocksolve.krylov import SolverConfig, fgmres, gmres
 from blocksolve.schwarz import extend_overlap, partition_nodes, ras_apply, ras_setup
-from blocksolve.smoothers import chebyshev_apply, chebyshev_setup, ilu0_factor
+from blocksolve.smoothers import (
+    CHEBYSHEV_BOOST, CHEBYSHEV_RATIO, chebyshev_apply, chebyshev_setup, ilu0_factor)
 from blocksolve.sparse import as_csr, dense_factor_solve, triple_product
 
 
@@ -111,8 +112,8 @@ def test_criterion_2_kernel_oracles():
     # Chebyshev damping vs dense spectral oracle
     S = chebyshev_setup(T, degree=2, power_iterations=30)
     lam, V = np.linalg.eigh(0.5 * T.toarray())
-    hi = S.boost_factor * S.lambda_max_estimate
-    lo = S.lambda_max_estimate / S.lambda_min_fraction
+    hi = CHEBYSHEV_BOOST * S.lambda_max_estimate
+    lo = S.lambda_max_estimate / CHEBYSHEV_RATIO
     theta, delta = 0.5 * (hi + lo), 0.5 * (hi - lo)
 
     def cheb(d, x):

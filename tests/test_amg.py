@@ -262,6 +262,18 @@ def test_hierarchy_stagnation_failure_when_large():
         build_hierarchy(A, AmgParams(max_coarse_size=16, drop_tolerance=0.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hierarchy_rejects_nonfinite_entry(bad):
+    # without the check, a NaN in the r = 1 liquid-voltage block builds a
+    # three-level hierarchy with a NaN coarse factor and no error
+    A = build_case(CaseConfig(refinement=1)).system.blocks[("phi_l", "phi_l")].copy()
+    p = A.indptr[40] + 1
+    A.data[p] = bad
+    with pytest.raises(ValueError, match=rf"build_hierarchy: non-finite entry "
+                                         rf".* at \(40, {A.indices[p]}\)"):
+        build_hierarchy(A, AmgParams())
+
+
 # ---------------------------------------------------------------- v-cycle
 
 def test_vcycle_fixed_point():

@@ -1,13 +1,19 @@
+import ast
+import inspect
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from blocksolve import blockprec
 from blocksolve.battery import CaseConfig, build_case
 from blocksolve.blockprec import (
+    BlockGaussSeidel,
     BlockSystem,
     ElectrochemOptions,
+    ElectrochemPreconditioner,
     NonvoltageBgs,
     VoltageBgs,
     assemble_block_operator,
@@ -16,6 +22,7 @@ from blocksolve.blockprec import (
     VOLTAGE_FIELDS,
 )
 from blocksolve.krylov import SolverConfig, fgmres
+from blocksolve.smoothers import jacobi_apply
 from blocksolve.sparse import as_csr, dense_factor
 
 
@@ -113,28 +120,62 @@ def voltage_pair(A, B, C=None):
                        blocks=blocks)
 
 
+def field_sweep(system, solvers):
+    """The sweep with one single-field group per field of ``system``."""
+    return BlockGaussSeidel(system, [(f,) for f in system.fields], solvers)
+
+
 def test_voltage_bgs_decoupled_exact():
     A, B = spd(5, 10), spd(4, 11)
     Fa, Fb = dense_factor(A), dense_factor(B)
     r_s = np.random.default_rng(12).standard_normal(5)
     r_l = np.random.default_rng(13).standard_normal(4)
-    z = VoltageBgs(voltage_pair(A, B), Fa.solve, Fb.solve)(np.concatenate([r_s, r_l]))
+    z = field_sweep(voltage_pair(A, B), [Fa.solve, Fb.solve])(np.concatenate([r_s, r_l]))
     z_s, z_l = z[:5], z[5:]
     np.testing.assert_allclose(A @ z_s, r_s, rtol=1e-10)
     np.testing.assert_allclose(B @ z_l, r_l, rtol=1e-10)
 
 
+def test_only_the_generic_sweep_defines_call():
+    tree = ast.parse(inspect.getsource(blockprec))
+    defines_call = [
+        node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        and any(getattr(f, "name", None) == "__call__" for f in node.body)]
+    assert defines_call == ["BlockGaussSeidel"]
+    for cls in (VoltageBgs, NonvoltageBgs, ElectrochemPreconditioner):
+        assert issubclass(cls, BlockGaussSeidel)
+
+
+def three_group_system():
+    # groups (a, b), (c,), (d,): the (a, b)-(c) coupling is the concatenated
+    # submatrix, the (c)-(d) coupling a stored subblock, and (a, b)-(d) is
+    # absent
+    rng = np.random.default_rng(18)
+    dims = {"a": 3, "b": 2, "c": 4, "d": 3}
+    blocks = {(f, f): spd(n, 19 + k) for k, (f, n) in enumerate(dims.items())}
+    for pair in (("a", "b"), ("b", "a"), ("a", "c"), ("b", "c"), ("c", "d")):
+        blocks[pair] = as_csr(0.3 * rng.standard_normal((dims[pair[0]], dims[pair[1]])))
+    return BlockSystem(fields=tuple(dims), dims=dims, blocks=blocks)
+
+
 def test_voltage_bgs_exact_on_upper_triangular():
     A, B = spd(5, 14), spd(5, 15)
     C = as_csr(0.3 * np.random.default_rng(16).standard_normal((5, 5)))
-    Fa, Fb = dense_factor(A), dense_factor(B)
-    rng = np.random.default_rng(17)
-    r_s, r_l = rng.standard_normal(5), rng.standard_normal(5)
-    z = VoltageBgs(voltage_pair(A, B, C), Fa.solve, Fb.solve)(np.concatenate([r_s, r_l]))
-    z_s, z_l = z[:5], z[5:]
-    # residual of the block upper-triangular system is exactly solved
-    np.testing.assert_allclose(A @ z_s + C @ z_l, r_s, atol=1e-12)
-    np.testing.assert_allclose(B @ z_l, r_l, atol=1e-12)
+    cases = [(voltage_pair(A, B, C), [("phi_s",), ("phi_l",)]),
+             (three_group_system(), [("a", "b"), ("c",), ("d",)])]
+    for system, groups in cases:
+        diagonal = [system.submatrix(g) for g in groups]
+        sweep = BlockGaussSeidel(system, groups, [dense_factor(D).solve for D in diagonal])
+        r = np.random.default_rng(17).standard_normal(system.total_dim)
+        z = sweep(r)
+        # the block upper-triangular part of the operator over the grouping,
+        # assembled densely, maps z back to r
+        M = system.monolithic().toarray()
+        bounds = np.cumsum([0] + [D.shape[0] for D in diagonal])
+        for k in range(len(groups)):
+            for h in range(k):
+                M[bounds[k]:bounds[k + 1], bounds[h]:bounds[h + 1]] = 0.0
+        np.testing.assert_allclose(M @ z, r, atol=1e-12)
 
 
 def test_nonvoltage_bgs_decoupled_exact():
@@ -145,7 +186,8 @@ def test_nonvoltage_bgs_decoupled_exact():
     r_s, r_x, r_p = rng.standard_normal(2), rng.standard_normal(3), rng.standard_normal(3)
     system = BlockSystem(fields=NONVOLTAGE_FIELDS, dims={"s": 2, "x": 3, "p": 3},
                          blocks={("s", "s"): A_s, ("x", "x"): A_x, ("p", "p"): A_p})
-    z = NonvoltageBgs(system, Fx.solve, Fp.solve)(np.concatenate([r_s, r_x, r_p]))
+    sweep = field_sweep(system, [partial(jacobi_apply, A_s), Fx.solve, Fp.solve])
+    z = sweep(np.concatenate([r_s, r_x, r_p]))
     z_s, z_x, z_p = z[:2], z[2:5], z[5:]
     np.testing.assert_allclose(A_s @ z_s, r_s, rtol=1e-14)
     np.testing.assert_allclose(A_x @ z_x, r_x, rtol=1e-10)
@@ -251,8 +293,10 @@ def test_block_jacobi_over_xp_is_no_better():
     cfg = SolverConfig(restart=30, tol=1e-6, maxiter=300, flexible=True)
     _, with_coupling = fgmres(A_nn, b_nn, preconditioner=bgs, config=cfg)
 
-    jacobi = NonvoltageBgs(system, bgs.precon_x, bgs.precon_p)
-    jacobi.coupling_xp = None  # block-Jacobi variant ignores A_xp
+    # block-Jacobi variant: the same solvers without the A_xp coupling
+    uncoupled = BlockSystem(fields=system.fields, dims=system.dims, blocks={
+        pair: block for pair, block in system.blocks.items() if pair != ("x", "p")})
+    jacobi = BlockGaussSeidel(uncoupled, [(f,) for f in NONVOLTAGE_FIELDS], bgs.solvers)
     _, without = fgmres(A_nn, b_nn, preconditioner=jacobi, config=cfg)
     assert with_coupling.converged and without.converged
     assert without.iterations >= with_coupling.iterations

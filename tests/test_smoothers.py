@@ -8,6 +8,8 @@ import scipy.sparse as sp
 from blocksolve.battery import CaseConfig, build_case
 from blocksolve.schwarz import extend_overlap, partition_nodes
 from blocksolve.smoothers import (
+    CHEBYSHEV_BOOST,
+    CHEBYSHEV_RATIO,
     PIVOT_FLOOR,
     chebyshev_apply,
     chebyshev_setup,
@@ -202,7 +204,8 @@ def test_ilu0_missing_diagonal_rejected():
 def test_ilu0_unsorted_columns_rejected():
     A = sp.csr_matrix((np.array([1.0, 2.0, 3.0]), np.array([0, 1, 0]),
                        np.array([0, 1, 3])), shape=(2, 2))
-    with pytest.raises(ValueError, match="row 1 has unsorted or duplicate"):
+    with pytest.raises(ValueError,
+                       match="ilu0_factor: row 1 has unsorted or duplicate columns"):
         ilu0_factor(A)
 
 
@@ -312,8 +315,8 @@ def test_lambda_max_zero_operator_fails_after_reseed():
 
 def shifted_cheb_value(smoother, lam):
     """Oracle: p(lam) = T_d((theta-lam)/delta) / T_d(theta/delta)."""
-    hi = smoother.boost_factor * smoother.lambda_max_estimate
-    lo = smoother.lambda_max_estimate / smoother.lambda_min_fraction
+    hi = CHEBYSHEV_BOOST * smoother.lambda_max_estimate
+    lo = smoother.lambda_max_estimate / CHEBYSHEV_RATIO
     theta, delta = 0.5 * (hi + lo), 0.5 * (hi - lo)
 
     def cheb(d, t):

@@ -203,3 +203,9 @@ def test_require_canonical_rejects_bad_columns():
     A = sp.csr_matrix((np.ones(2), np.array([1, 0]), np.array([0, 2, 2])), shape=(2, 2))
     with pytest.raises(ValueError, match="unsorted"):
         require_canonical(A)
+    # a duplicate column in a later row is named, not the rows around it:
+    # sorted rows before it, an unsorted row after it
+    B = sp.csr_matrix((np.ones(8), np.array([0, 2, 1, 0, 1, 1, 2, 1]),
+                       np.array([0, 2, 3, 6, 8])), shape=(4, 4))
+    with pytest.raises(ValueError, match="row 2 has unsorted or duplicate columns"):
+        require_canonical(B)
