@@ -26,6 +26,9 @@ from .sparse import DenseFactorization, dense_factor, require_finite, triple_pro
 MAX_LEVELS = 20
 # numerator of the prolongator smoother's weight omega = damping / lambda_max
 PROLONGATOR_DAMPING = 4.0 / 3.0
+# rows of the strength graph converted to Python lists at a time in pass 1
+# of aggregate(); the whole matrix at once costs memory and no speed
+_PASS1_CHUNK_ROWS = 1024
 
 
 class CoarseningError(RuntimeError):
@@ -117,46 +120,59 @@ def aggregate(S):
     Pass 1 visits nodes in order; a node whose strong neighbors are all
     unaggregated becomes a root and absorbs them. Pass 2 joins remaining
     nodes to the pass-1 aggregate behind their strongest connection, ties
-    to the lowest aggregate id. Pass 3 turns leftovers into singletons.
+    to the lowest aggregate id. Pass 3 turns leftovers into singletons,
+    numbered in row order.
+
+    Pass 1 is inherently sequential and runs on Python lists, converted a
+    chunk of rows at a time to bound the extra memory. Passes 2 and 3 are
+    exact vectorized forms of the same per-row rules.
     """
     n = S.shape[0]
     indptr, indices, data = S.indptr, S.indices, S.data
-    owner = np.full(n, -1, dtype=np.int64)
+    owner = [-1] * n
     count = 0
 
-    for i in range(n):
-        if owner[i] != -1:
-            continue
-        nbrs = indices[indptr[i]:indptr[i + 1]]
-        nbrs = nbrs[nbrs != i]
-        if np.all(owner[nbrs] == -1):
-            owner[i] = count
-            owner[nbrs] = count
-            count += 1
-
-    # pass 2 decides against the pass-1 snapshot so joins do not chain
-    snapshot = owner.copy()
-    for i in range(n):
-        if owner[i] != -1:
-            continue
-        lo, hi = indptr[i], indptr[i + 1]
-        best_id = -1
-        best_strength = -np.inf
-        for p in range(lo, hi):
-            j = indices[p]
-            if j == i or snapshot[j] == -1:
+    for lo in range(0, n, _PASS1_CHUNK_ROWS):
+        hi = min(lo + _PASS1_CHUNK_ROWS, n)
+        base = int(indptr[lo])
+        ptr = (indptr[lo:hi + 1] - base).tolist()
+        idx = indices[base:indptr[hi]].tolist()
+        for i in range(lo, hi):
+            if owner[i] != -1:
                 continue
-            s = data[p]
-            if s > best_strength or (s == best_strength and snapshot[j] < best_id):
-                best_strength = s
-                best_id = snapshot[j]
-        if best_id != -1:
-            owner[i] = best_id
+            # row i may list i itself, which is unowned here
+            nbrs = idx[ptr[i - lo]:ptr[i - lo + 1]]
+            for j in nbrs:
+                if owner[j] != -1:
+                    break
+            else:
+                owner[i] = count
+                for j in nbrs:
+                    owner[j] = count
+                count += 1
 
-    for i in range(n):
-        if owner[i] == -1:
-            owner[i] = count
-            count += 1
+    # pass 2 reads every pass-1 owner before it writes a join, so joins do
+    # not chain
+    owner = np.array(owner, dtype=np.int64)
+    unowned = owner == -1
+    lengths = np.diff(indptr)
+    # candidates are the entries of the rows pass 1 left unowned
+    pos = np.flatnonzero(np.repeat(unowned, lengths))
+    cand_row = np.repeat(np.flatnonzero(unowned), lengths[unowned])
+    cand_id = owner[indices[pos]]
+    strength = data[pos]
+    # a row's own entry has no pass-1 owner; NaN and -inf strengths never
+    # beat the -inf starting best of the row loop, so only they reach pass 3
+    keep = (cand_id != -1) & (strength > -np.inf)
+    cand_row, cand_id, strength = cand_row[keep], cand_id[keep], strength[keep]
+    # each row's winner sorts first: strongest, then lowest aggregate id
+    order = np.lexsort((cand_id, -strength, cand_row))
+    first = order[np.diff(cand_row[order], prepend=-1) != 0]
+    owner[cand_row[first]] = cand_id[first]
+
+    leftover = np.flatnonzero(owner == -1)
+    owner[leftover] = count + np.arange(leftover.size)
+    count += leftover.size
 
     return AggregateMap(assignments=owner, count=count)
 

@@ -11,6 +11,8 @@ import scipy.sparse as sp
 from .sparse import as_csr
 
 _HEADER = "%%MatrixMarket"
+# rows whose entry lines are formatted and written at a time
+_STORE_CHUNK_ROWS = 4096
 
 
 class MatrixMarketError(ValueError):
@@ -121,7 +123,11 @@ def store_matrix_market(A, path, comment=None):
                 fh.write(f"% {line}\n")
         fh.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
         indptr, indices, data = A.indptr, A.indices, A.data
-        for i in range(A.shape[0]):
-            for k in range(indptr[i], indptr[i + 1]):
-                # repr of a Python float is the shortest exact round-trip form
-                fh.write(f"{i + 1} {indices[k] + 1} {float(data[k])!r}\n")
+        for lo in range(0, A.shape[0], _STORE_CHUNK_ROWS):
+            hi = min(lo + _STORE_CHUNK_ROWS, A.shape[0])
+            span = slice(indptr[lo], indptr[hi])
+            rows = np.repeat(np.arange(lo + 1, hi + 1), np.diff(indptr[lo:hi + 1])).tolist()
+            cols = (indices[span] + 1).tolist()
+            vals = data[span].tolist()
+            # repr of a Python float is the shortest exact round-trip form
+            fh.write("".join([f"{i} {j} {v!r}\n" for i, j, v in zip(rows, cols, vals)]))

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from blocksolve import amg
 from blocksolve.amg import (
+    AggregateMap,
     AmgParams,
     CoarseningError,
     aggregate,
@@ -114,6 +116,136 @@ def test_aggregate_every_node_assigned_once():
     assert np.all(agg.assignments >= 0)
     assert agg.count == agg.assignments.max() + 1
     assert np.all(np.bincount(agg.assignments) >= 1)
+
+
+def reference_aggregate(S):
+    """Row-by-row greedy aggregation, the loop the list-based pass 1 and the
+    vectorized passes 2 and 3 must reproduce bit for bit. Also returns the
+    pass-1 owners, so a test can see which rows pass 2 decides."""
+    n = S.shape[0]
+    indptr, indices, data = S.indptr, S.indices, S.data
+    owner = np.full(n, -1, dtype=np.int64)
+    count = 0
+
+    for i in range(n):
+        if owner[i] != -1:
+            continue
+        nbrs = indices[indptr[i]:indptr[i + 1]]
+        nbrs = nbrs[nbrs != i]
+        if np.all(owner[nbrs] == -1):
+            owner[i] = count
+            owner[nbrs] = count
+            count += 1
+
+    # pass 2 decides against the pass-1 snapshot so joins do not chain
+    snapshot = owner.copy()
+    for i in range(n):
+        if owner[i] != -1:
+            continue
+        lo, hi = indptr[i], indptr[i + 1]
+        best_id = -1
+        best_strength = -np.inf
+        for p in range(lo, hi):
+            j = indices[p]
+            if j == i or snapshot[j] == -1:
+                continue
+            s = data[p]
+            if s > best_strength or (s == best_strength and snapshot[j] < best_id):
+                best_strength = s
+                best_id = snapshot[j]
+        if best_id != -1:
+            owner[i] = best_id
+
+    for i in range(n):
+        if owner[i] == -1:
+            owner[i] = count
+            count += 1
+
+    return AggregateMap(assignments=owner, count=count), snapshot
+
+
+def random_strength_graph(seed):
+    """Symmetric random pattern whose strengths take three values, so pass 2
+    meets ties; odd seeds store no diagonal, which strength_graph always does."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 120))
+    upper = sp.triu(sp.random(n, n, density=3.0 / n, random_state=rng), k=1).tocoo()
+    strength = np.round(upper.data * 2.0 + 0.5) / 2.0   # 0.5, 1.0 or 1.5
+    i, j = upper.row, upper.col
+    diag = np.arange(n) if seed % 2 == 0 else np.arange(0)
+    S = sp.csr_matrix(
+        (np.concatenate([strength, strength, np.zeros(diag.size)]),
+         (np.concatenate([i, j, diag]), np.concatenate([j, i, diag]))),
+        shape=(n, n))
+    S.sort_indices()
+    return S
+
+
+def pass2_ties(S, snapshot):
+    """(rows whose strongest candidates lie in two or more aggregates, rows
+    whose strongest candidates include two in one aggregate)."""
+    across = within = 0
+    for i in np.flatnonzero(snapshot == -1):
+        cols = S.indices[S.indptr[i]:S.indptr[i + 1]]
+        vals = S.data[S.indptr[i]:S.indptr[i + 1]]
+        cand = (cols != i) & (snapshot[cols] != -1)
+        if not cand.any():
+            continue
+        ids = snapshot[cols[cand]][vals[cand] == vals[cand].max()]
+        distinct = len(set(ids.tolist()))
+        across += distinct > 1
+        within += distinct < ids.size
+    return across, within
+
+
+def assert_matches_reference(S):
+    expected, snapshot = reference_aggregate(S)
+    agg = aggregate(S)
+    assert agg.assignments.tobytes() == expected.assignments.tobytes()
+    assert agg.count == expected.count
+    return snapshot
+
+
+def test_aggregate_matches_loop_reference(monkeypatch):
+    graphs = []
+
+    def recording(S, real=amg.aggregate):
+        graphs.append(S)
+        return real(S)
+
+    monkeypatch.setattr(amg, "aggregate", recording)
+    for r in range(4):
+        blocks = build_case(CaseConfig(refinement=r)).system.blocks
+        for field in ("phi_s", "phi_l", "p"):
+            build_hierarchy(blocks[(field, field)], AmgParams())
+    monkeypatch.undo()
+    assert len(graphs) >= 3 * 4
+    for S in graphs:
+        assert_matches_reference(S)
+
+    ties = np.zeros(2, dtype=int)
+    for seed in range(40):
+        S = random_strength_graph(seed)
+        ties += pass2_ties(S, assert_matches_reference(S))
+    assert ties.min() > 0   # both tie-breaks of pass 2 are reached
+
+    # rows 4 and 5 are isolated, one storing its diagonal and one empty
+    isolated = sp.block_diag([strength_graph(poisson_1d(4), 0.0), sp.csr_matrix((1, 1)),
+                              sp.identity(1, format="csr") * 0.0], format="csr")
+    assert np.diff(isolated.indptr)[4:].tolist() == [0, 1]
+    assert_matches_reference(isolated)
+    assert aggregate(isolated).assignments[4:].tolist() == [2, 3]
+    singletons = sp.identity(7, format="csr") * 0.0
+    assert_matches_reference(singletons)
+    assert aggregate(singletons).assignments.tolist() == list(range(7))
+    # rows 2 and 3 reach only row 1's aggregate, through strengths that
+    # never win, and are left to pass 3
+    unjoinable = sp.csr_matrix(np.array([[0.0, 1.0, 0.0, 0.0],
+                                         [1.0, 0.0, np.nan, -np.inf],
+                                         [0.0, np.nan, 0.0, 1.0],
+                                         [0.0, -np.inf, 1.0, 0.0]]))
+    assert_matches_reference(unjoinable)
+    assert aggregate(unjoinable).assignments.tolist() == [0, 0, 1, 2]
 
 
 # ---------------------------------------------------------------- prolongators
@@ -316,6 +448,19 @@ def test_hierarchy_setup_facts_on_case_blocks():
         "phi_s": (2, [264, 60], [1213, 478]),
         "phi_l": (3, [264, 109, 13], [1252, 819, 131]),
         "p": (2, [264, 53], [1252, 445]),
+    }
+    for field, facts in expected.items():
+        summary = build_hierarchy(blocks[(field, field)], AmgParams()).summary()
+        assert (summary["levels"], summary["dims"], summary["nnz"]) == facts
+
+
+def test_hierarchy_setup_facts_at_refinement_3():
+    # the headline scale: pins the aggregates through their coarse sizes
+    blocks = build_case(CaseConfig(refinement=3)).system.blocks
+    expected = {
+        "phi_s": (4, [4224, 760, 79, 7], [20697, 6904, 901, 43]),
+        "phi_l": (4, [4224, 735, 80, 8], [20848, 6505, 842, 56]),
+        "p": (4, [4224, 735, 80, 8], [20848, 6505, 850, 56]),
     }
     for field, facts in expected.items():
         summary = build_hierarchy(blocks[(field, field)], AmgParams()).summary()

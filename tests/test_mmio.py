@@ -6,6 +6,21 @@ from blocksolve.mmio import MatrixMarketError, load_matrix_market, store_matrix_
 from blocksolve.sparse import as_csr
 
 
+def reference_store(A, path, comment=None):
+    """Per-entry writer, the file the chunked writer must reproduce byte for byte."""
+    A = as_csr(A)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("%%MatrixMarket matrix coordinate real general\n")
+        if comment:
+            for line in comment.splitlines():
+                fh.write(f"% {line}\n")
+        fh.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
+        indptr, indices, data = A.indptr, A.indices, A.data
+        for i in range(A.shape[0]):
+            for k in range(indptr[i], indptr[i + 1]):
+                fh.write(f"{i + 1} {indices[k] + 1} {float(data[k])!r}\n")
+
+
 def roundtrip(A, tmp_path):
     path = tmp_path / "m.mtx"
     store_matrix_market(A, path)
@@ -34,6 +49,22 @@ def test_roundtrip_preserves_explicit_zeros(tmp_path):
     B = roundtrip(A, tmp_path)
     assert B.nnz == 2
     assert B.data[0] == 0.0
+
+
+def test_store_matches_per_entry_writer(tmp_path):
+    # extreme and signed-zero values, explicit zeros and an empty row (row 2)
+    values = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.0, -2.5, 0.1, 0.0])
+    A = sp.csr_matrix((values, np.array([0, 2, 1, 0, 2, 1, 2]), np.array([0, 3, 4, 4, 7])),
+                      shape=(4, 3))
+    # and enough rows to span several write chunks
+    B = as_csr(sp.random(9000, 40, density=0.01, format="csr",
+                         random_state=np.random.default_rng(4)))
+    for M, comment in ((A, None), (B, "two\nlines")):
+        store_matrix_market(M, tmp_path / "chunked.mtx", comment=comment)
+        reference_store(M, tmp_path / "reference.mtx", comment=comment)
+        assert (tmp_path / "chunked.mtx").read_bytes() == (tmp_path / "reference.mtx").read_bytes()
+    C = load_matrix_market(tmp_path / "chunked.mtx")
+    assert C.nnz == B.nnz and C.data.tobytes() == B.data.tobytes()
 
 
 def test_symmetric_expansion(tmp_path):
