@@ -61,7 +61,8 @@ class BlockSystem:
         for f, vec in self.rhs.items():
             if vec.shape[0] != self.dims[f]:
                 raise ValueError(f"rhs segment {f!r} has wrong length")
-        self._monolithic = None
+        # (row_fields, col_fields) -> submatrix; blocks are not replaced after construction
+        self._submatrices = {}
 
     @property
     def total_dim(self):
@@ -90,8 +91,15 @@ class BlockSystem:
 
     def submatrix(self, row_fields, col_fields=None):
         """Concatenate a group of subblocks into one CSR matrix; absent
-        subblocks enter as explicit zero blocks."""
-        col_fields = col_fields or row_fields
+        subblocks enter as explicit zero blocks.
+
+        Built once per (row_fields, col_fields) and shared by every caller,
+        so it must not be modified.
+        """
+        key = (tuple(row_fields), tuple(col_fields or row_fields))
+        if key in self._submatrices:
+            return self._submatrices[key]
+        row_fields, col_fields = key
         grid = [
             [
                 self.blocks.get(
@@ -104,12 +112,11 @@ class BlockSystem:
         M = sp.bmat(grid, format="csr")
         M.sum_duplicates()
         M.sort_indices()
+        self._submatrices[key] = M
         return M
 
     def monolithic(self):
-        if self._monolithic is None:
-            self._monolithic = self.submatrix(self.fields, self.fields)
-        return self._monolithic
+        return self.submatrix(self.fields)
 
 
 def assemble_block_operator(system):

@@ -6,6 +6,7 @@ relative residual. The recurrence residual is always validated against the
 true residual before a solve is declared converged.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -157,6 +158,10 @@ def _gmres(operator, b, preconditioner, config, flexible):
                 H[i, j] = V[i] @ w
                 w -= H[i, j] * V[i]
             H[j + 1, j] = np.linalg.norm(w)
+            if not math.isfinite(H[j + 1, j]):
+                raise ValueError(
+                    f"gmres: Arnoldi vector is not finite at iteration {stats.iterations}"
+                    " (NaN or Inf from the operator or the preconditioner)")
             if H[j + 1, j] == 0.0:
                 breakdown = True
             else:

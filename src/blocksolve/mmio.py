@@ -1,9 +1,14 @@
 """Matrix Market coordinate I/O (real field, general or symmetric).
 
 The reader is strict: malformed headers, out-of-range indices, and duplicate
-entries are rejected with the offending 1-based line number. Values are
+entries are rejected with the offending 1-based line number. Entry lines are
+parsed by numpy's C text reader and checked as arrays; when that reader
+declines the input or a check fails, a per-line loop, the definition of a
+valid entry section, parses it again and names the first bad line. Values are
 written with shortest round-trip formatting, so store/load is bit-exact.
 """
+
+import warnings
 
 import numpy as np
 import scipy.sparse as sp
@@ -11,6 +16,8 @@ import scipy.sparse as sp
 from .sparse import as_csr
 
 _HEADER = "%%MatrixMarket"
+# one entry line: 1-based row and column, value
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 # rows whose entry lines are formatted and written at a time
 _STORE_CHUNK_ROWS = 4096
 
@@ -29,47 +36,93 @@ def load_matrix_market(path):
     Symmetric-tagged files are expanded to full storage.
     """
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise MatrixMarketError(1, "empty file")
+        first = fh.readline()
+        if not first:
+            raise MatrixMarketError(1, "empty file")
 
-    header = lines[0].split()
-    if len(header) != 5 or header[0] != _HEADER:
-        raise MatrixMarketError(1, f"malformed header {lines[0].strip()!r}")
-    _, obj, fmt, field, symmetry = (tok.lower() for tok in header)
-    if obj != "matrix" or fmt != "coordinate":
-        raise MatrixMarketError(1, f"unsupported object/format {obj!r}/{fmt!r}")
-    if field != "real":
-        raise MatrixMarketError(1, f"unsupported field {field!r} (real only)")
-    if symmetry not in ("general", "symmetric"):
-        raise MatrixMarketError(1, f"unsupported symmetry {symmetry!r}")
+        header = first.split()
+        if len(header) != 5 or header[0] != _HEADER:
+            raise MatrixMarketError(1, f"malformed header {first.strip()!r}")
+        _, obj, fmt, field, symmetry = (tok.lower() for tok in header)
+        if obj != "matrix" or fmt != "coordinate":
+            raise MatrixMarketError(1, f"unsupported object/format {obj!r}/{fmt!r}")
+        if field != "real":
+            raise MatrixMarketError(1, f"unsupported field {field!r} (real only)")
+        if symmetry not in ("general", "symmetric"):
+            raise MatrixMarketError(1, f"unsupported symmetry {symmetry!r}")
 
-    lineno = 1
-    size_line = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        size_line = stripped
-        break
-    if size_line is None:
-        raise MatrixMarketError(lineno, "missing size line")
-    parts = size_line.split()
-    if len(parts) != 3:
-        raise MatrixMarketError(lineno, f"malformed size line {size_line!r}")
+        lineno = 1
+        size_line = None
+        for raw in iter(fh.readline, ""):
+            lineno += 1
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("%"):
+                continue
+            size_line = stripped
+            break
+        if size_line is None:
+            raise MatrixMarketError(lineno, "missing size line")
+        parts = size_line.split()
+        if len(parts) != 3:
+            raise MatrixMarketError(lineno, f"malformed size line {size_line!r}")
+        try:
+            nrows, ncols, nnz = (int(p) for p in parts)
+        except ValueError:
+            raise MatrixMarketError(lineno, f"non-integer size line {size_line!r}") from None
+        if nrows < 0 or ncols < 0 or nnz < 0:
+            raise MatrixMarketError(lineno, "negative dimension or entry count")
+        symmetric = symmetry == "symmetric"
+        if symmetric and nrows != ncols:
+            raise MatrixMarketError(lineno, "symmetric matrix must be square")
+
+        A = _load_entries(fh, nrows, ncols, nnz, symmetric)
+        if A is None:
+            # the per-line loop is the definition of a valid entry section;
+            # it rereads the file to name the first bad line
+            fh.seek(0)
+            rows, cols, vals = _parse_entry_lines(
+                fh.readlines(), lineno + 1, nrows, ncols, nnz, symmetric)
+            A = _to_csr(rows, cols, vals, (nrows, ncols), symmetric)
+    return A
+
+
+def _load_entries(fh, nrows, ncols, nnz, symmetric):
+    """Parse the entry section with numpy's C reader into canonical CSR.
+
+    Returns None when the reader declines a line (a ``%`` comment, a token
+    such as ``1_0``) or when any entry is invalid, so that the per-line
+    loop decides and names the line.
+    """
     try:
-        nrows, ncols, nnz = (int(p) for p in parts)
+        with warnings.catch_warnings():
+            # an empty entry section warns; the count check rejects it unless nnz is 0
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            entries = np.loadtxt(fh, dtype=_ENTRY, comments=None, ndmin=1)
     except ValueError:
-        raise MatrixMarketError(lineno, f"non-integer size line {size_line!r}") from None
-    if nrows < 0 or ncols < 0 or nnz < 0:
-        raise MatrixMarketError(lineno, "negative dimension or entry count")
+        return None
+    i, j = entries["i"], entries["j"]
+    if (entries.size != nnz
+            or not np.all((1 <= i) & (i <= nrows) & (1 <= j) & (j <= ncols))
+            or (symmetric and np.any(j > i))):
+        return None
+    A = _to_csr(i - 1, j - 1, entries["v"], (nrows, ncols), symmetric)
+    # a duplicate entry is summed into one, so it shows as a lost entry
+    expected = nnz + (np.count_nonzero(i != j) if symmetric else 0)
+    return A if A.nnz == expected else None
 
+
+def _parse_entry_lines(lines, start, nrows, ncols, nnz, symmetric):
+    """Parse, range-check and de-duplicate the entry lines one at a time.
+
+    ``lines`` is the whole file and ``start`` the 1-based number of the line
+    after the size line. Raises MatrixMarketError at the first bad line.
+    """
     rows = np.empty(nnz, dtype=np.int64)
     cols = np.empty(nnz, dtype=np.int64)
     vals = np.empty(nnz, dtype=np.float64)
     seen = set()
     count = 0
-    start = lineno + 1
+    lineno = start - 1
     for lineno, raw in enumerate(lines[start - 1:], start=start):
         stripped = raw.strip()
         if not stripped or stripped.startswith("%"):
@@ -87,7 +140,7 @@ def load_matrix_market(path):
             raise MatrixMarketError(
                 lineno, f"index ({i},{j}) outside {nrows}x{ncols}"
             )
-        if symmetry == "symmetric" and j > i:
+        if symmetric and j > i:
             raise MatrixMarketError(
                 lineno, "symmetric entries must lie on or below the diagonal"
             )
@@ -99,18 +152,17 @@ def load_matrix_market(path):
         count += 1
     if count != nnz:
         raise MatrixMarketError(lineno, f"declared {nnz} entries, found {count}")
+    return rows, cols, vals
 
-    if symmetry == "symmetric":
-        if nrows != ncols:
-            raise MatrixMarketError(1, "symmetric matrix must be square")
-        r0, c0 = rows, cols
-        off = r0 != c0
-        rows = np.concatenate([r0, c0[off]])
-        cols = np.concatenate([c0, r0[off]])
+
+def _to_csr(rows, cols, vals, shape, symmetric):
+    """Canonical CSR of 0-based triplets; a symmetric file's off-diagonal
+    entries are mirrored above the diagonal."""
+    if symmetric:
+        off = rows != cols
+        rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
         vals = np.concatenate([vals, vals[off]])
-
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols))
-    return as_csr(coo)
+    return as_csr(sp.coo_matrix((vals, (rows, cols)), shape=shape))
 
 
 def store_matrix_market(A, path, comment=None):

@@ -94,6 +94,27 @@ def test_full_case_matches_concat_oracle_bitwise():
         assert np.array_equal(op @ v, oracle @ v)
 
 
+def test_submatrix_built_once_per_field_groups():
+    case = build_case(CaseConfig(nr=4, refinement=0, n_cells=1))
+    system = case.system
+    pairs = ((VOLTAGE_FIELDS, None), (NONVOLTAGE_FIELDS, None),
+             (VOLTAGE_FIELDS, NONVOLTAGE_FIELDS), (system.fields, None))
+    shared = [system.submatrix(rows, cols) for rows, cols in pairs]
+    # building and applying the hierarchical preconditioner reads the shared
+    # copies and leaves them as built
+    M = ElectrochemPreconditioner(system, case.grid.centers)
+    fgmres(system.monolithic(), system.rhs_vector(), preconditioner=M,
+           config=SolverConfig(restart=5, tol=1e-6, flexible=True))
+    fresh = BlockSystem(fields=system.fields, dims=system.dims, blocks=system.blocks)
+    for (rows, cols), S in zip(pairs, shared):
+        assert system.submatrix(list(rows), cols and list(cols)) is S
+        F = fresh.submatrix(rows, cols)
+        assert F is not S
+        for a, b in ((S.indptr, F.indptr), (S.indices, F.indices), (S.data, F.data)):
+            assert a.tobytes() == b.tobytes()
+    assert system.monolithic() is system.submatrix(system.fields, system.fields)
+
+
 def test_blockwise_sum_agrees_with_monolithic():
     case = build_case(CaseConfig(nr=4, refinement=0, n_cells=1))
     system = case.system

@@ -100,6 +100,30 @@ def test_nonfinite_rhs_rejected_before_any_apply(solve, bad):
     assert calls == []
 
 
+class NanOnCall:
+    """Applies ``apply`` and counts the calls; the ``bad``-th returns NaN."""
+
+    def __init__(self, apply, bad):
+        self.apply, self.bad, self.calls = apply, bad, 0
+
+    def __call__(self, v):
+        self.calls += 1
+        out = self.apply(v)
+        return np.full_like(out, np.nan) if self.calls == self.bad else out
+
+
+@pytest.mark.parametrize("solve", [gmres, fgmres])
+@pytest.mark.parametrize("nan_in", ["operator", "preconditioner"])
+def test_nonfinite_arnoldi_vector_fails_at_its_iteration(solve, nan_in):
+    A = poisson_2d(16)
+    operator = NanOnCall(lambda v: A @ v, 3 if nan_in == "operator" else 0)
+    preconditioner = NanOnCall(lambda v: v, 3 if nan_in == "preconditioner" else 0)
+    with pytest.raises(ValueError, match="not finite at iteration 3 "):
+        solve(operator, np.ones(A.shape[0]), preconditioner=preconditioner,
+              config=SolverConfig(tol=1e-12))
+    assert operator.calls == 3 and preconditioner.calls == 3
+
+
 def test_nonconvergence_returns_stats_not_exception():
     A = poisson_2d(16)
     b = np.ones(A.shape[0])
