@@ -478,14 +478,10 @@ def build_case(config=None):
 
 
 def _set_dirichlet_rows(A, rows):
-    coo = A.tocoo()
-    mask = np.zeros(A.shape[0], dtype=bool)
-    mask[rows] = True
-    keep = ~mask[coo.row]
-    r = np.concatenate([coo.row[keep], np.asarray(rows)])
-    c = np.concatenate([coo.col[keep], np.asarray(rows)])
-    v = np.concatenate([coo.data[keep], np.ones(len(rows))])
-    return as_csr(sp.coo_matrix((v, (r, c)), shape=A.shape))
+    """``A`` with ``rows`` replaced by identity rows."""
+    rows = np.asarray(rows)
+    return as_csr(_zero_rows(A, rows)
+                  + sp.csr_matrix((np.ones(len(rows)), (rows, rows)), shape=A.shape))
 
 
 def _zero_rows(A, rows):

@@ -14,7 +14,8 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,12 +59,7 @@ class ExperimentRecord:
         return cls(**data)
 
 
-COLUMNS = [
-    "case_id", "refinement", "system", "solver", "p", "repetitions",
-    "iterations", "converged", "final_relative_residual",
-    "mean_setup_seconds", "std_setup_seconds",
-    "mean_solve_seconds", "std_solve_seconds", "dofs",
-]
+COLUMNS = [f.name for f in fields(ExperimentRecord)]
 
 
 @dataclass
@@ -90,23 +86,30 @@ def strong_model_times(t_base, p_base, procs, eta):
     return t_base * (p_base / procs) * (1.0 / eta) ** np.log2(procs / p_base)
 
 
+def _loglog_fit(points, model, what, log):
+    """Least-squares fit of log(T) against log2(x) over the sorted (x, T)
+    ``points``, which need two or more distinct x; returns (x, T, slope, residual)."""
+    points = sorted(points)
+    if len(points) < 2:
+        raise ValueError(f"{model} fit needs at least two points")
+    x = np.array([q[0] for q in points], dtype=np.float64)
+    t = np.array([q[1] for q in points], dtype=np.float64)
+    if np.any(np.diff(x) <= 0):
+        raise ValueError(f"{model} fit needs strictly increasing {what}")
+    u = np.log2(x)
+    y = log(t)
+    slope, intercept = np.polyfit(u, y, 1)
+    residual = float(np.sum((y - (slope * u + intercept)) ** 2))
+    return x, t, slope, residual
+
+
 def fit_weak_efficiency(points):
     """Least-squares fit of log T against log2 n; slope = -log eta.
 
     ``points`` is a sequence of (n, T) with strictly increasing n at a fixed
     n/P ratio.
     """
-    points = sorted(points)
-    if len(points) < 2:
-        raise ValueError("weak fit needs at least two points")
-    n = np.array([p[0] for p in points], dtype=np.float64)
-    t = np.array([p[1] for p in points], dtype=np.float64)
-    if np.any(np.diff(n) <= 0):
-        raise ValueError("weak fit needs strictly increasing problem sizes")
-    x = np.log2(n)
-    y = np.log(t)
-    slope, intercept = np.polyfit(x, y, 1)
-    residual = float(np.sum((y - (slope * x + intercept)) ** 2))
+    _, _, slope, residual = _loglog_fit(points, "weak", "problem sizes", np.log)
     return EfficiencyFit(model="weak", efficiency=float(np.exp(-slope)),
                          residual=residual, points=len(points))
 
@@ -114,17 +117,8 @@ def fit_weak_efficiency(points):
 def fit_strong_efficiency(points):
     """Least-squares fit of log2 T against log2 P under the strong model;
     flags the first P whose pairwise efficiency drops below the 0.5 cut-off."""
-    points = sorted(points)
-    if len(points) < 2:
-        raise ValueError("strong fit needs at least two points")
-    p = np.array([q[0] for q in points], dtype=np.float64)
-    t = np.array([q[1] for q in points], dtype=np.float64)
-    if np.any(np.diff(p) <= 0):
-        raise ValueError("strong fit needs strictly increasing worker counts")
-    x = np.log2(p)
-    y = np.log2(t)
-    slope, intercept = np.polyfit(x, y, 1)
-    residual = float(np.sum((y - (slope * x + intercept)) ** 2))
+    p, t, slope, residual = _loglog_fit(
+        points, "strong", "worker counts", np.log2)
     eta = float(2.0 ** (-(1.0 + slope)))
     limit = None
     for k in range(len(p) - 1):
@@ -138,41 +132,95 @@ def fit_strong_efficiency(points):
 
 # ---------------------------------------------------------------- experiments
 
-TABLE_SYSTEMS = [
-    ("liquid_species", "dd0-ilu0"),
-    ("liquid_pressure", "sa-amg"),
-    ("liquid_voltage", "sa-amg"),
-    ("solid_voltage", "sa-amg"),
-    ("coupled_voltage", "bgs"),
-    ("nonvoltage", "bgs"),
-    ("end_to_end", "hierarchical-bgs"),
-]
+class SystemRow(NamedTuple):
+    """One row of the iteration-count table: what it solves and how."""
 
-SYSTEM_LABELS = {
-    "liquid_species": "Liquid-Phase Species",
-    "liquid_pressure": "Liquid-Phase Pressure",
-    "liquid_voltage": "Liquid-Phase Voltage",
-    "solid_voltage": "Solid-Phase Voltage",
-    "coupled_voltage": "Coupled Voltages",
-    "nonvoltage": "Non-Voltage System",
-    "end_to_end": "End-to-End Solve",
-    "monolithic_ras": "Monolithic DD(0)-ILU(0)",
+    label: str          # row label of the markdown table
+    solver: str         # solver name recorded with each cell
+    fields: tuple       # the fields it solves for, in monolithic order
+    config: SolverConfig  # its Krylov solve (flexible when the config asks)
+    build: Callable     # build(case, fields, options) -> preconditioner
+
+
+def _amg(case, fields, options):
+    # the single-block rows smooth with degree 2 whatever the group degrees;
+    # degree 4 on the solid voltage block gives another table
+    return amg_preconditioner(case.system, fields[0], options, degree=2)
+
+
+def _ras(case, fields, options):
+    return ras_preconditioner(
+        case.system.submatrix(fields), np.vstack([case.grid.centers] * len(fields)),
+        options.ras_subdomains, options.ras_overlap)
+
+
+BLOCK_SOLVE = SolverConfig(restart=30, tol=1e-8, maxiter=500)
+GROUP_SOLVE = SolverConfig(restart=30, tol=1e-6, maxiter=300, flexible=True)
+
+SYSTEMS = {
+    "liquid_species": SystemRow(
+        "Liquid-Phase Species", "dd0-ilu0", ("x",), BLOCK_SOLVE, _ras),
+    "liquid_pressure": SystemRow(
+        "Liquid-Phase Pressure", "sa-amg", ("p",), BLOCK_SOLVE, _amg),
+    "liquid_voltage": SystemRow(
+        "Liquid-Phase Voltage", "sa-amg", ("phi_l",), BLOCK_SOLVE, _amg),
+    "solid_voltage": SystemRow(
+        "Solid-Phase Voltage", "sa-amg", ("phi_s",), BLOCK_SOLVE, _amg),
+    "coupled_voltage": SystemRow(
+        "Coupled Voltages", "bgs", VOLTAGE_FIELDS, GROUP_SOLVE,
+        lambda case, fields, options: VoltageBgs.build(case.system, options)),
+    "nonvoltage": SystemRow(
+        "Non-Voltage System", "bgs", NONVOLTAGE_FIELDS, GROUP_SOLVE,
+        lambda case, fields, options: NonvoltageBgs.build(
+            case.system, case.grid.centers, options)),
+    "end_to_end": SystemRow(
+        "End-to-End Solve", "hierarchical-bgs", FIELDS,
+        SolverConfig(restart=5, tol=1e-6, maxiter=25, flexible=True),
+        lambda case, fields, options: build_electrochem_preconditioner(
+            case.system, case.grid.centers, options)),
+    "monolithic_ras": SystemRow(
+        "Monolithic DD(0)-ILU(0)", "dd0-ilu0", FIELDS, BLOCK_SOLVE, _ras),
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteConfig:
+    """The case x system x P matrix of a suite run, checked on construction.
+
+    ``precon`` sets any ``ElectrochemOptions`` field but ``seed`` and
+    ``ras_subdomains``; ``options`` holds the options it builds.
+    """
+
     case: CaseConfig = field(default_factory=CaseConfig)
     refinements: list = field(default_factory=lambda: [0, 1, 2])
-    systems: list = field(default_factory=lambda: [s for s, _ in TABLE_SYSTEMS])
+    # monolithic RAS stalls for its full iteration budget from r = 1 on
+    systems: list = field(
+        default_factory=lambda: [s for s in SYSTEMS if s != "monolithic_ras"])
     subdomains: list = field(default_factory=lambda: [4])
     repetitions: int = 3
-    theta: float = 0.04
-    max_coarse_size: int = 64
     seed: int = 0
-    # ElectrochemOptions overrides for the end-to-end preconditioner (inner
-    # tolerances, restart lengths, smoother degrees, per-block theta)
     precon: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name, values, least in (("refinements", self.refinements, 0),
+                                    ("subdomains", self.subdomains, 1),
+                                    ("repetitions", [self.repetitions], 1)):
+            if not values or not all(isinstance(v, int) and v >= least for v in values):
+                raise ValueError(f"{name}: want integers >= {least}, "
+                                 f"got {getattr(self, name)!r}")
+        if not self.systems or not set(self.systems) <= SYSTEMS.keys():
+            raise ValueError(f"systems must be a non-empty list of "
+                             f"{', '.join(SYSTEMS)}; got {self.systems!r}")
+        # the suite sets these two itself: the seed from its own field, the
+        # subdomain count from each cell's P
+        owned = {"seed": "seed", "ras_subdomains": "subdomains"}
+        settable = {f.name for f in fields(ElectrochemOptions)} - owned.keys()
+        for key in self.precon:
+            if key not in settable:
+                hint = f"; set the suite's {owned[key]!r}" if key in owned else ""
+                raise ValueError(f"precon cannot set {key!r}{hint}")
+        object.__setattr__(self, "options",
+                           ElectrochemOptions(**self.precon, seed=self.seed))
 
     @classmethod
     def from_dict(cls, data):
@@ -187,55 +235,20 @@ class SuiteConfig:
             return cls.from_dict(json.load(fh))
 
 
-BLOCK_SOLVE = SolverConfig(restart=30, tol=1e-8, maxiter=500)
-GROUP_SOLVE = SolverConfig(restart=30, tol=1e-6, maxiter=300, flexible=True)
-
-# per system: the fields it solves for, in monolithic order, and its Krylov
-# solve (gmres runs the flexible variant when the config asks for it)
-SYSTEMS = {
-    "liquid_species": (("x",), BLOCK_SOLVE),
-    "liquid_pressure": (("p",), BLOCK_SOLVE),
-    "liquid_voltage": (("phi_l",), BLOCK_SOLVE),
-    "solid_voltage": (("phi_s",), BLOCK_SOLVE),
-    "coupled_voltage": (VOLTAGE_FIELDS, GROUP_SOLVE),
-    "nonvoltage": (NONVOLTAGE_FIELDS, GROUP_SOLVE),
-    "end_to_end": (FIELDS, SolverConfig(restart=5, tol=1e-6, maxiter=25, flexible=True)),
-    "monolithic_ras": (FIELDS, BLOCK_SOLVE),
-}
-
-
 def run_experiment(case, system, suite, p=1):
     """One (case, system, P) cell: returns (setup_fn, solve_fn) timings via a
     single execution; the caller repeats and aggregates."""
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}")
-    fields, cfg = SYSTEMS[system]
-    sysB, coords = case.system, case.grid.centers
-    # the suite's P column stays authoritative over the precon overrides
-    options = ElectrochemOptions(**{
-        "drop_tolerance": suite.theta, "max_coarse_size": suite.max_coarse_size,
-        "seed": suite.seed, **suite.precon, "ras_subdomains": p})
-    b = np.concatenate([sysB.rhs[f] for f in fields])
+    spec = SYSTEMS[system]
+    options = replace(suite.options, ras_subdomains=p)
+    b = np.concatenate([case.system.rhs[f] for f in spec.fields])
 
     t0 = time.perf_counter()
-    A = sysB.monolithic() if fields == FIELDS else sysB.submatrix(fields)
-    if system == "end_to_end":
-        precon = build_electrochem_preconditioner(sysB, coords, options)
-    elif system == "coupled_voltage":
-        precon = VoltageBgs.build(sysB, options)
-    elif system == "nonvoltage":
-        precon = NonvoltageBgs.build(sysB, coords, options)
-    elif "x" in fields:  # the species block alone, or the monolithic system
-        precon = ras_preconditioner(
-            A, np.vstack([coords] * len(fields)), p, options.ras_overlap)
-    else:
-        # the single-block rows smooth with degree 2 whatever the group
-        # degrees; degree 4 on the solid voltage block gives another table
-        precon = amg_preconditioner(sysB, fields[0], options, degree=2)
+    A = case.system.submatrix(spec.fields)
+    precon = spec.build(case, spec.fields, options)
     setup_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    _, stats = gmres(A, b, preconditioner=precon, config=cfg)
+    _, stats = gmres(A, b, preconditioner=precon, config=spec.config)
     solve_seconds = time.perf_counter() - t0
     return setup_seconds, solve_seconds, stats
 
@@ -245,12 +258,11 @@ def run_suite(suite, progress=None):
     is a discarded warmup."""
     records = []
     for refinement in suite.refinements:
-        cfg = CaseConfig(**{**suite.case.to_dict(), "refinement": refinement})
+        cfg = replace(suite.case, refinement=refinement)
         case = build_case(cfg)
         for system in suite.systems:
             # P only matters to systems that partition the species block
-            fields = SYSTEMS[system][0] if system in SYSTEMS else ()
-            p_values = suite.subdomains if "x" in fields else [1]
+            p_values = suite.subdomains if "x" in SYSTEMS[system].fields else [1]
             for p in p_values:
                 setups, solves = [], []
                 stats = None
@@ -264,7 +276,7 @@ def run_suite(suite, progress=None):
                     case_id=cfg.case_id,
                     refinement=refinement,
                     system=system,
-                    solver=dict(TABLE_SYSTEMS).get(system, "dd0-ilu0"),
+                    solver=SYSTEMS[system].solver,
                     p=p,
                     repetitions=suite.repetitions,
                     iterations=stats.iterations,
@@ -312,7 +324,7 @@ def records_to_markdown(records):
     if not records:
         raise ValueError("no records to emit")
     refinements = sorted({r.refinement for r in records})
-    systems = [s for s, _ in TABLE_SYSTEMS if any(r.system == s for r in records)]
+    systems = [s for s in SYSTEMS if any(r.system == s for r in records)]
     systems += [s for s in sorted({r.system for r in records}) if s not in systems]
     lines = ["| Subblock | " + " | ".join(f"r={n}" for n in refinements) + " |",
              "|---" * (len(refinements) + 1) + "|"]
@@ -328,7 +340,8 @@ def records_to_markdown(records):
             mark = "" if best.converged else "*"
             cells.append(f"{best.iterations}{mark}")
         lines.append(
-            f"| {SYSTEM_LABELS.get(system, system)} | " + " | ".join(cells) + " |")
+            f"| {SYSTEMS[system].label if system in SYSTEMS else system} | "
+            + " | ".join(cells) + " |")
     lines.append("")
     lines.append("`*` did not reach the requested tolerance")
     return "\n".join(lines) + "\n"

@@ -234,6 +234,10 @@ class ElectrochemOptions:
     inner_mode: str = "iterative"  # or "direct"
     seed: int = 0
 
+    def __post_init__(self):
+        if self.inner_mode not in ("iterative", "direct"):
+            raise ValueError(f"unknown inner mode {self.inner_mode!r}")
+
     def theta(self, fieldname):
         return self.drop_tolerances.get(fieldname, self.drop_tolerance)
 
@@ -255,14 +259,12 @@ class ElectrochemPreconditioner(BlockGaussSeidel):
         A_nn = system.submatrix(NONVOLTAGE_FIELDS)
         if opts.inner_mode == "direct":
             solvers = [splu(A_vv.tocsc()).solve, splu(A_nn.tocsc()).solve]
-        elif opts.inner_mode == "iterative":
+        else:
             cfg = SolverConfig(restart=opts.inner_restart, tol=opts.inner_tol,
                                maxiter=opts.inner_maxiter, flexible=True)
             solvers = [partial(_inner_solve, A_vv, VoltageBgs.build(system, opts), cfg),
                        partial(_inner_solve, A_nn,
                                NonvoltageBgs.build(system, coordinates, opts), cfg)]
-        else:
-            raise ValueError(f"unknown inner mode {opts.inner_mode!r}")
         super().__init__(system, (VOLTAGE_FIELDS, NONVOLTAGE_FIELDS), solvers)
 
 

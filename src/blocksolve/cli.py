@@ -8,11 +8,12 @@ errors.
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .battery import CaseConfig, build_case
+from .battery import build_case
 from .bench import (
     SuiteConfig,
     emit_report,
@@ -35,19 +36,31 @@ class ConfigError(Exception):
     pass
 
 
-def _load_suite_config(path, seed=None, reps=None):
-    if path is None:
-        suite = SuiteConfig()
-    else:
-        try:
-            suite = SuiteConfig.from_json(path)
-        except (OSError, json.JSONDecodeError, TypeError, ValueError) as err:
-            raise ConfigError(f"cannot read suite config {path}: {err}") from err
-    if seed is not None:
-        suite.seed = seed
-    if reps is not None:
-        suite.repetitions = reps
-    return suite
+def _load_suite_config(path, **overrides):
+    """Suite config at ``path`` (None: the defaults) with the non-None overrides."""
+    try:
+        suite = SuiteConfig() if path is None else SuiteConfig.from_json(path)
+        return replace(suite, **{k: v for k, v in overrides.items() if v is not None})
+    except (OSError, json.JSONDecodeError, TypeError, ValueError) as err:
+        raise ConfigError(f"suite config {path or '(defaults)'}: {err}") from err
+
+
+def _load_records(path):
+    try:
+        with open(path) as fh:
+            return load_records_json(fh.read())
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as err:
+        raise ConfigError(f"cannot read records {path}: {err}") from err
+
+
+def _emit_json(result, out, filename):
+    """Print ``result`` as JSON; write it to ``out``/``filename`` if given."""
+    text = json.dumps(result, indent=2, sort_keys=True)
+    print(text)
+    if out:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        with open(Path(out) / filename, "w") as fh:
+            fh.write(text + "\n")
 
 
 def _vector_as_column(v):
@@ -55,11 +68,11 @@ def _vector_as_column(v):
 
 
 def cmd_generate(args):
-    suite = _load_suite_config(args.config, seed=args.seed)
+    suite = _load_suite_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for refinement in suite.refinements:
-        cfg = CaseConfig(**{**suite.case.to_dict(), "refinement": refinement})
+        cfg = replace(suite.case, refinement=refinement)
         case = build_case(cfg)
         prefix = out / f"{cfg.case_id}_r{refinement}"
         store_matrix_market(case.system.monolithic(), f"{prefix}_monolithic.mtx")
@@ -79,13 +92,11 @@ def cmd_generate(args):
 
 
 def cmd_solve(args):
-    suite = _load_suite_config(args.config, seed=args.seed)
-    cfg = CaseConfig(**{**suite.case.to_dict(), "refinement": args.refinement})
-    case = build_case(cfg)
-    try:
-        setup_s, solve_s, stats = run_experiment(case, args.system, suite, p=args.p)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    # the one cell to solve, checked like a suite
+    suite = _load_suite_config(args.config, seed=args.seed, systems=[args.system],
+                               refinements=[args.refinement], subdomains=[args.p])
+    case = build_case(replace(suite.case, refinement=args.refinement))
+    setup_s, solve_s, stats = run_experiment(case, args.system, suite, p=args.p)
     result = {
         "system": args.system,
         "refinement": args.refinement,
@@ -95,18 +106,12 @@ def cmd_solve(args):
         "solve_seconds": solve_s,
         **stats.to_dict(),
     }
-    text = json.dumps(result, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        with open(Path(args.out) / f"solve_{args.system}_r{args.refinement}.json",
-                  "w") as fh:
-            fh.write(text + "\n")
+    _emit_json(result, args.out, f"solve_{args.system}_r{args.refinement}.json")
     return EXIT_OK if stats.converged else EXIT_SOLVER_FAILURE
 
 
 def cmd_suite(args):
-    suite = _load_suite_config(args.config, seed=args.seed, reps=args.reps)
+    suite = _load_suite_config(args.config, seed=args.seed, repetitions=args.reps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -127,12 +132,7 @@ def cmd_suite(args):
 
 
 def cmd_fit(args):
-    try:
-        with open(args.records) as fh:
-            records = load_records_json(fh.read())
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as err:
-        raise ConfigError(f"cannot read records {args.records}: {err}") from err
-    rows = [r for r in records if r.system == args.system]
+    rows = [r for r in _load_records(args.records) if r.system == args.system]
     if not rows:
         raise ConfigError(f"no records for system {args.system!r}")
     if args.model == "weak":
@@ -148,10 +148,7 @@ def cmd_fit(args):
         selected = [r for r in rows if abs(r.dofs / r.p - target) <= 0.01 * target]
         points = sorted((r.dofs, r.mean_setup_seconds + r.mean_solve_seconds)
                         for r in selected)
-        try:
-            fit = fit_weak_efficiency(points)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        fit_efficiency = fit_weak_efficiency
     else:
         # a strong fit holds the problem size fixed; default to the largest
         refinement = args.refinement
@@ -160,32 +157,22 @@ def cmd_fit(args):
         selected = [r for r in rows if r.refinement == refinement]
         points = sorted((r.p, r.mean_setup_seconds + r.mean_solve_seconds)
                         for r in selected)
-        try:
-            fit = fit_strong_efficiency(points)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        fit_efficiency = fit_strong_efficiency
+    try:
+        fit = fit_efficiency(points)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     result = {"system": args.system, "points_used": points, **fit.to_dict()}
-    text = json.dumps(result, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        with open(Path(args.out) / f"fit_{args.model}_{args.system}.json", "w") as fh:
-            fh.write(text + "\n")
+    _emit_json(result, args.out, f"fit_{args.model}_{args.system}.json")
     return EXIT_OK
 
 
 def cmd_report(args):
-    try:
-        with open(args.records) as fh:
-            records = load_records_json(fh.read())
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as err:
-        raise ConfigError(f"cannot read records {args.records}: {err}") from err
+    records = _load_records(args.records)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    suffix = {"csv": "csv", "json": "json", "md": "md"}[args.format]
-    path = out / f"report.{suffix}"
     try:
-        text = emit_report(records, args.format, path)
+        text = emit_report(records, args.format, out / f"report.{args.format}")
     except ValueError as err:
         raise ConfigError(str(err)) from err
     print(text)
@@ -201,7 +188,6 @@ def build_parser():
     gen = sub.add_parser("generate", help="build cases and export Matrix Market files")
     gen.add_argument("--config", default=None)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--seed", type=int, default=None)
     gen.set_defaults(func=cmd_generate)
 
     solve = sub.add_parser("solve", help="run one system with one solver config")

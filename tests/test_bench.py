@@ -1,8 +1,13 @@
+import dataclasses
+
 import pytest
 
 import blocksolve.bench as bench
 from blocksolve.battery import CaseConfig, build_case
+from blocksolve.blockprec import ElectrochemOptions
+from blocksolve.krylov import SolverConfig
 from blocksolve.bench import (
+    SYSTEMS,
     ExperimentRecord,
     SuiteConfig,
     fit_strong_efficiency,
@@ -160,6 +165,40 @@ def test_suite_records_failure_and_continues(monkeypatch):
     by_system = {r.system: r for r in records}
     assert not by_system["monolithic_ras"].converged
     assert by_system["solid_voltage"].converged
+
+
+def test_suite_config_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(SuiteConfig)] == [
+        "case", "refinements", "systems", "subdomains", "repetitions", "seed",
+        "precon"]
+
+
+def test_suite_config_builds_options_from_seed_and_precon():
+    suite = SuiteConfig(seed=7, precon={"drop_tolerance": 0.1, "max_coarse_size": 32})
+    assert suite.options == ElectrochemOptions(
+        drop_tolerance=0.1, max_coarse_size=32, seed=7)
+    assert SuiteConfig().options == ElectrochemOptions()
+
+
+def test_systems_table_rows():
+    block = SolverConfig(restart=30, tol=1e-8, maxiter=500)
+    group = SolverConfig(restart=30, tol=1e-6, maxiter=300, flexible=True)
+    outer = SolverConfig(restart=5, tol=1e-6, maxiter=25, flexible=True)
+    every = ("phi_s", "phi_l", "s", "x", "p")
+    rows = {name: (row.label, row.solver, row.fields, row.config)
+            for name, row in SYSTEMS.items()}
+    assert rows == {
+        "liquid_species": ("Liquid-Phase Species", "dd0-ilu0", ("x",), block),
+        "liquid_pressure": ("Liquid-Phase Pressure", "sa-amg", ("p",), block),
+        "liquid_voltage": ("Liquid-Phase Voltage", "sa-amg", ("phi_l",), block),
+        "solid_voltage": ("Solid-Phase Voltage", "sa-amg", ("phi_s",), block),
+        "coupled_voltage": ("Coupled Voltages", "bgs", ("phi_s", "phi_l"), group),
+        "nonvoltage": ("Non-Voltage System", "bgs", ("s", "x", "p"), group),
+        "end_to_end": ("End-to-End Solve", "hierarchical-bgs", every, outer),
+        "monolithic_ras": ("Monolithic DD(0)-ILU(0)", "dd0-ilu0", every, block),
+    }
+    assert list(rows) == list(TABLE_ITERATIONS[0])
+    assert SuiteConfig().systems == list(rows)[:-1]
 
 
 # iteration counts of the table under the default suite at P = 4;

@@ -419,3 +419,8 @@ def test_preconditioner_apply_is_thread_safe():
         t.join()
     for z, z_ref in zip(threaded, serial):
         assert z.tobytes() == z_ref.tobytes()
+
+
+def test_unknown_inner_mode_rejected_on_construction():
+    with pytest.raises(ValueError, match="unknown inner mode 'bogus'"):
+        ElectrochemOptions(inner_mode="bogus")

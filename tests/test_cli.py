@@ -154,3 +154,44 @@ def test_bad_config_json_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["generate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("suite_fields, message", [
+    ({"systems": ["solid_voltage", "typo"]}, "typo"),
+    ({"precon": {"inner_tool": 1}}, "inner_tool"),
+    ({"precon": {"inner_mode": "bogus"}}, "inner mode"),
+    ({"subdomains": [0]}, "subdomains"),
+    ({"repetitions": 0}, "repetitions"),
+    ({"refinements": [0, -1]}, "refinements"),
+    ({"theta": 0.04}, "theta"),
+    ({"precon": {"seed": 1}}, "set the suite's 'seed'"),
+    ({"precon": {"ras_subdomains": 2}}, "set the suite's 'subdomains'"),
+])
+def test_bad_suite_config_fails_before_any_solve(tmp_path, monkeypatch, capsys,
+                                                 suite_fields, message):
+    import blocksolve.bench as bench
+
+    def never(*args, **kwargs):
+        raise AssertionError("a solve ran before the config was checked")
+
+    monkeypatch.setattr(bench, "run_experiment", never)
+    cfg = write_config(tmp_path, **suite_fields)
+    out = tmp_path / "s"
+    assert main(["suite", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert message in err
+    assert not (out / "records.csv").exists()
+
+
+def test_suite_reps_override_is_checked(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["suite", "--config", cfg, "--out", str(tmp_path / "s"),
+                 "--reps", "0"]) == 2
+    assert "repetitions" in capsys.readouterr().err
+
+
+def test_generate_takes_no_seed(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--out", str(tmp_path), "--seed", "0"])
+    assert exc.value.code == 2
