@@ -28,6 +28,7 @@ from .smoothers import (
     ilu0_apply,
     ilu0_factor,
     jacobi_apply,
+    jacobi_setup,
 )
 from .sparse import as_csr, dense_factor, dense_factor_solve, spmv, triple_product
 
@@ -46,6 +47,7 @@ __all__ = [
     "ras_apply", "ras_preconditioner", "ras_setup",
     "chebyshev_apply", "chebyshev_setup",
     "estimate_lambda_max", "ilu0_apply", "ilu0_factor", "jacobi_apply",
+    "jacobi_setup",
     "as_csr", "dense_factor", "dense_factor_solve",
     "spmv", "triple_product",
 ]

@@ -289,21 +289,19 @@ def build_hierarchy(A, params=None):
 
 
 def vcycle(H, b, x=None, level=0):
-    """One V(pre, post) cycle; linear in the residual b - A x."""
+    """One V(pre, post) cycle from iterate ``x`` (None: the zero vector);
+    linear in the residual b - A x. Neither ``b`` nor ``x`` is written."""
     lvl = H.levels[level]
     b = np.asarray(b, dtype=np.float64)
-    if x is None:
-        x = np.zeros(b.shape[0])
     if lvl.prolongator is None:
         return H.coarse_solver.solve(b)
     A = lvl.operator
     x = chebyshev_apply(lvl.smoother, A, b, x)
-    r = b - A @ x
-    rc = lvl.restrictor @ r
-    ec = vcycle(H, rc, None, level + 1)
-    x = x + lvl.prolongator @ ec
-    x = chebyshev_apply(lvl.smoother, A, b, x)
-    return x
+    r = A @ x
+    np.subtract(b, r, out=r)
+    ec = vcycle(H, lvl.restrictor @ r, None, level + 1)
+    x += lvl.prolongator @ ec
+    return chebyshev_apply(lvl.smoother, A, b, x)
 
 
 def as_preconditioner(H):

@@ -123,8 +123,6 @@ def stack_layers(n_cells):
 
 def build_grid(nr, refinement_level, n_cells, h0=1e-3):
     """Layered grid; refinement doubles both dimensions per level (UMR)."""
-    if nr < 1 or n_cells < 1 or refinement_level < 0:
-        raise ValueError("nr >= 1, n_cells >= 1, refinement_level >= 0 required")
     scale = 2 ** refinement_level
     layers = stack_layers(n_cells)
     nz = len(layers) * scale
@@ -313,6 +311,12 @@ class CaseConfig:
     pressure_mass_fraction: float = 1e-3
     material_overrides: dict = field(default_factory=dict)
     case_id: str = "case"
+
+    def __post_init__(self):
+        for name, least in (("nr", 1), ("n_cells", 1), ("refinement", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name}: want an integer >= {least}, got {value!r}")
 
     def materials(self):
         table = default_materials()

@@ -20,7 +20,7 @@ from scipy.sparse.linalg import splu
 from .amg import AmgParams, as_preconditioner, build_hierarchy
 from .krylov import SolverConfig, fgmres
 from .schwarz import extend_overlap, partition_nodes, ras_apply, ras_setup
-from .smoothers import jacobi_apply
+from .smoothers import jacobi_apply, jacobi_setup
 
 FIELDS = ("phi_s", "phi_l", "s", "x", "p")
 VOLTAGE_FIELDS = ("phi_s", "phi_l")
@@ -208,7 +208,7 @@ class NonvoltageBgs(BlockGaussSeidel):
         precon_x = ras_preconditioner(
             system.blocks[("x", "x")], coordinates,
             options.ras_subdomains, options.ras_overlap)
-        precon_s = partial(jacobi_apply, system.blocks[("s", "s")])
+        precon_s = partial(jacobi_apply, jacobi_setup(system.blocks[("s", "s")]))
         return cls(system, [(f,) for f in NONVOLTAGE_FIELDS],
                    [precon_s, precon_x, precon_p])
 
@@ -237,6 +237,18 @@ class ElectrochemOptions:
     def __post_init__(self):
         if self.inner_mode not in ("iterative", "direct"):
             raise ValueError(f"unknown inner mode {self.inner_mode!r}")
+        self.inner_config  # built here only to check the inner_* fields
+
+    @property
+    def inner_config(self):
+        """The inner group solves' Krylov config, from the inner_* fields;
+        a bad value raises ValueError."""
+        try:
+            return SolverConfig(restart=self.inner_restart, tol=self.inner_tol,
+                                maxiter=self.inner_maxiter, flexible=True)
+        except TypeError as err:
+            raise ValueError("inner_tol, inner_restart and inner_maxiter must be "
+                             f"numbers: {err}") from err
 
     def theta(self, fieldname):
         return self.drop_tolerances.get(fieldname, self.drop_tolerance)
@@ -260,8 +272,7 @@ class ElectrochemPreconditioner(BlockGaussSeidel):
         if opts.inner_mode == "direct":
             solvers = [splu(A_vv.tocsc()).solve, splu(A_nn.tocsc()).solve]
         else:
-            cfg = SolverConfig(restart=opts.inner_restart, tol=opts.inner_tol,
-                               maxiter=opts.inner_maxiter, flexible=True)
+            cfg = opts.inner_config
             solvers = [partial(_inner_solve, A_vv, VoltageBgs.build(system, opts), cfg),
                        partial(_inner_solve, A_nn,
                                NonvoltageBgs.build(system, coordinates, opts), cfg)]

@@ -123,10 +123,8 @@ def cmd_suite(args):
     records = run_suite(suite, progress=progress)
     emit_report(records, "csv", out / "records.csv")
     emit_report(records, "json", out / "records.json")
-    if args.format == "md":
-        emit_report(records, "md", out / "table.md")
-    print(f"wrote {out}/records.csv, {out}/records.json"
-          + (f", {out}/table.md" if args.format == "md" else ""))
+    emit_report(records, "md", out / "table.md")
+    print(f"wrote {out}/records.csv, {out}/records.json, {out}/table.md")
     failed = [r for r in records if not r.converged]
     return EXIT_SOLVER_FAILURE if failed else EXIT_OK
 
@@ -202,7 +200,6 @@ def build_parser():
     suite = sub.add_parser("suite", help="run the full case x solver matrix")
     suite.add_argument("--config", default=None)
     suite.add_argument("--out", required=True)
-    suite.add_argument("--format", choices=["csv", "json", "md"], default="md")
     suite.add_argument("--reps", type=int, default=None)
     suite.add_argument("--seed", type=int, default=None)
     suite.set_defaults(func=cmd_suite)

@@ -6,7 +6,7 @@ smoother runs on the diagonally preconditioned system over a spectral
 interval derived from a power-iteration estimate of the largest eigenvalue.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -224,15 +224,22 @@ def ilu0_apply(F, r):
     return z
 
 
-def jacobi_apply(A, r):
-    """Single Jacobi sweep z = D^{-1} r; exact solve when A is diagonal."""
+def jacobi_setup(A):
+    """Checked diagonal of ``A``, the state of ``jacobi_apply``; raises
+    SingularMatrixError naming the first zero diagonal entry."""
     diag = A.diagonal()
     zero = np.flatnonzero(diag == 0.0)
     if zero.size:
-        raise SingularMatrixError(int(zero[0]), "zero diagonal entry in Jacobi sweep")
+        raise SingularMatrixError(int(zero[0]), "zero diagonal entry in Jacobi setup")
+    return diag
+
+
+def jacobi_apply(diag, r):
+    """Single Jacobi sweep z = D^{-1} r with the diagonal from
+    ``jacobi_setup``; exact solve when A is diagonal."""
     r = np.asarray(r, dtype=np.float64)
-    if r.shape[0] != A.shape[0]:
-        raise ValueError(f"jacobi_apply: length {r.shape[0]} != dimension {A.shape[0]}")
+    if r.shape[0] != diag.shape[0]:
+        raise ValueError(f"jacobi_apply: length {r.shape[0]} != dimension {diag.shape[0]}")
     return r / diag
 
 
@@ -267,17 +274,36 @@ def estimate_lambda_max(A, inverse_diagonal, iterations=10, seed=0):
 @dataclass
 class ChebyshevSmoother:
     """Degree-d Chebyshev iteration on the interval
-    [lambda_max / CHEBYSHEV_RATIO, CHEBYSHEV_BOOST * lambda_max] of D^{-1} A."""
+    [lambda_max / CHEBYSHEV_RATIO, CHEBYSHEV_BOOST * lambda_max] of D^{-1} A.
+
+    Construction also fixes the scalars of every apply: ``theta``, the
+    interval's midpoint, and ``steps``, one pair (c1, c2) per step after the
+    first, with d <- c1 * d + c2 * D^{-1} r.
+    """
 
     degree: int
     lambda_max_estimate: float
     inverse_diagonal: np.ndarray
+    theta: float = field(init=False)
+    steps: tuple = field(init=False)
 
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError(f"Chebyshev degree must be >= 1, got {self.degree}")
         if self.lambda_max_estimate <= 0.0:
             raise ValueError("lambda_max estimate must be positive")
+        lam_max = CHEBYSHEV_BOOST * self.lambda_max_estimate
+        lam_min = self.lambda_max_estimate / CHEBYSHEV_RATIO
+        self.theta = 0.5 * (lam_max + lam_min)
+        delta = 0.5 * (lam_max - lam_min)
+        sigma = self.theta / delta
+        rho = 1.0 / sigma
+        steps = []
+        for _ in range(self.degree - 1):
+            rho_next = 1.0 / (2.0 * sigma - rho)
+            steps.append((rho_next * rho, 2.0 * rho_next / delta))
+            rho = rho_next
+        self.steps = tuple(steps)
 
 
 def chebyshev_setup(A, degree=2, power_iterations=10, seed=0):
@@ -291,28 +317,37 @@ def chebyshev_setup(A, degree=2, power_iterations=10, seed=0):
     return ChebyshevSmoother(degree=degree, lambda_max_estimate=lam, inverse_diagonal=dinv)
 
 
-def chebyshev_apply(S, A, b, x):
-    """Run the degree-d Chebyshev iteration from iterate ``x``; returns the
-    new iterate. A solves-exactly fixed point is returned unchanged."""
-    b = np.asarray(b, dtype=np.float64)
-    x = np.array(x, dtype=np.float64, copy=True)
-    if b.shape[0] != A.shape[0] or x.shape[0] != A.shape[0]:
-        raise ValueError("chebyshev_apply: dimension mismatch")
-    lam_max = CHEBYSHEV_BOOST * S.lambda_max_estimate
-    lam_min = S.lambda_max_estimate / CHEBYSHEV_RATIO
-    theta = 0.5 * (lam_max + lam_min)
-    delta = 0.5 * (lam_max - lam_min)
-    sigma = theta / delta
-    rho = 1.0 / sigma
+def chebyshev_apply(S, A, b, x=None):
+    """Run the degree-d Chebyshev iteration from iterate ``x`` (None: the
+    zero vector); returns the new iterate. A solves-exactly fixed point is
+    returned unchanged; neither ``b`` nor ``x`` is written.
 
-    r = b - A @ x
-    d = (S.inverse_diagonal * r) / theta
-    for k in range(S.degree):
+    The steps update buffers of this call in place, in the operation order
+    of d <- (c1 * d) + (c2 * (D^{-1} r)), so every entry is rounded as in
+    that expression. From a zero guess the residual is ``b`` itself, which
+    saves one operator product: a finite A gives b - A @ 0 == b bit for bit.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    if x is not None:
+        x = np.array(x, dtype=np.float64, copy=True)
+    if b.shape[0] != A.shape[0] or (x is not None and x.shape[0] != A.shape[0]):
+        raise ValueError("chebyshev_apply: dimension mismatch")
+    # r is never written: each step stores r - A d in the buffer of A d
+    r = b if x is None else b - A @ x
+    dinv = S.inverse_diagonal
+    d = dinv * r
+    d /= S.theta
+    if x is None:
+        x = d + 0.0  # as 0 + d: a -0.0 entry becomes +0.0
+    else:
         x += d
-        if k == S.degree - 1:
-            break
-        r -= A @ d
-        rho_next = 1.0 / (2.0 * sigma - rho)
-        d = (rho_next * rho) * d + (2.0 * rho_next / delta) * (S.inverse_diagonal * r)
-        rho = rho_next
+    t = np.empty_like(d)
+    for c1, c2 in S.steps:
+        Ad = A @ d
+        r = np.subtract(r, Ad, out=Ad)
+        d *= c1
+        np.multiply(dinv, r, out=t)
+        t *= c2
+        d += t
+        x += d
     return x

@@ -133,7 +133,10 @@ class DenseFactorization:
             raise ValueError(
                 f"dense solve: rhs length {b.shape[0]} != dimension {self.dimension}"
             )
-        return scipy.linalg.lu_solve((self.factors, self.pivots), b, check_finite=False)
+        # LAPACK getrs, the routine lu_solve calls, without lu_solve's
+        # per-call dispatch: the coarsest V-cycle level solves here every cycle;
+        # getrs only fails on an illegal argument, which the checks rule out
+        return scipy.linalg.lapack.dgetrs(self.factors, self.pivots, b)[0]
 
 
 def dense_factor(A):

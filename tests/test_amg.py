@@ -20,6 +20,7 @@ from blocksolve.battery import CaseConfig, build_case
 from blocksolve.krylov import SolverConfig, gmres
 from blocksolve.smoothers import estimate_lambda_max
 from blocksolve.sparse import as_csr, triple_product
+from test_smoothers import reference_chebyshev_apply
 
 
 def poisson_1d(n):
@@ -426,6 +427,77 @@ def test_vcycle_linear_in_residual():
     z2 = vcycle(H, r2)
     z12 = vcycle(H, 2.0 * r1 + 3.0 * r2)
     np.testing.assert_allclose(z12, 2.0 * z1 + 3.0 * z2, atol=1e-10)
+
+
+def reference_vcycle(H, b, x=None, level=0):
+    """The V-cycle before its zero-guess pre-smoothing and in-place
+    correction, verbatim but for the reference smoother: the oracle
+    ``vcycle`` must match bit for bit."""
+    lvl = H.levels[level]
+    b = np.asarray(b, dtype=np.float64)
+    if x is None:
+        x = np.zeros(b.shape[0])
+    if lvl.prolongator is None:
+        return H.coarse_solver.solve(b)
+    A = lvl.operator
+    x = reference_chebyshev_apply(lvl.smoother, A, b, x)
+    r = b - A @ x
+    rc = lvl.restrictor @ r
+    ec = reference_vcycle(H, rc, None, level + 1)
+    x = x + lvl.prolongator @ ec
+    x = reference_chebyshev_apply(lvl.smoother, A, b, x)
+    return x
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_vcycle_bit_identical_to_reference_on_every_level(degree):
+    rng = np.random.default_rng(10 + degree)
+    for r in range(3):
+        blocks = build_case(CaseConfig(refinement=r)).system.blocks
+        for field in ("phi_s", "phi_l", "p"):
+            H = build_hierarchy(blocks[(field, field)], AmgParams(smoother_degree=degree))
+            assert H.depth >= 2
+            for level in range(H.depth):
+                n = H.levels[level].operator.shape[0]
+                b, x0 = rng.standard_normal(n), rng.standard_normal(n)
+                for guess in (None, x0):
+                    got = vcycle(H, b, guess, level)
+                    assert got.tobytes() == reference_vcycle(H, b, guess, level).tobytes()
+
+
+def test_vcycle_writes_neither_b_nor_x():
+    H = build_hierarchy(poisson_2d(10), AmgParams(max_coarse_size=16))
+    rng = np.random.default_rng(8)
+    b, x = rng.standard_normal(100), rng.standard_normal(100)
+    b_bytes, x_bytes = b.tobytes(), x.tobytes()
+    vcycle(H, b)
+    vcycle(H, b, x)
+    assert b.tobytes() == b_bytes and x.tobytes() == x_bytes
+
+
+def test_vcycle_smooths_through_module_globals(monkeypatch):
+    # the benchmark's tracer counts smoother applies and V-cycles by
+    # patching these two names, so the V-cycle must look them up each call
+    H = build_hierarchy(poisson_2d(16), AmgParams(max_coarse_size=16))
+    assert H.depth >= 3
+    smooths, cycles = [], []
+    real_smooth, real_cycle = amg.chebyshev_apply, amg.vcycle
+
+    def smooth(S, A, b, x=None):
+        smooths.append(x is None)
+        return real_smooth(S, A, b, x)
+
+    def cycle(*args):
+        cycles.append(args[3] if len(args) > 3 else 0)
+        return real_cycle(*args)
+
+    monkeypatch.setattr(amg, "chebyshev_apply", smooth)
+    monkeypatch.setattr(amg, "vcycle", cycle)
+    amg.vcycle(H, np.ones(256))
+    # pre-smoothing from the zero guess on the way down, post-smoothing from
+    # the corrected iterate on the way up
+    assert smooths == [True] * (H.depth - 1) + [False] * (H.depth - 1)
+    assert cycles == list(range(H.depth))
 
 
 @pytest.mark.parametrize("nx,max_iters", [(32, 15), (64, 15)])

@@ -331,3 +331,11 @@ def test_config_roundtrip(tmp_path):
     assert loaded.materials()["anode"].sigma == 5e5
     case = build_case(loaded)
     assert case.total_dim == 5 * case.grid.n
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nr", 0), ("n_cells", 0), ("refinement", -1), ("nr", 2.0), ("refinement", "1"),
+])
+def test_case_config_checked_on_construction(field, value):
+    with pytest.raises(ValueError, match=f"{field}: want an integer"):
+        CaseConfig(**{field: value})

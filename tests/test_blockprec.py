@@ -22,8 +22,8 @@ from blocksolve.blockprec import (
     VOLTAGE_FIELDS,
 )
 from blocksolve.krylov import SolverConfig, fgmres
-from blocksolve.smoothers import jacobi_apply
-from blocksolve.sparse import as_csr, dense_factor
+from blocksolve.smoothers import jacobi_apply, jacobi_setup
+from blocksolve.sparse import SingularMatrixError, as_csr, dense_factor
 
 
 def spd(n, seed, shift=None):
@@ -207,7 +207,7 @@ def test_nonvoltage_bgs_decoupled_exact():
     r_s, r_x, r_p = rng.standard_normal(2), rng.standard_normal(3), rng.standard_normal(3)
     system = BlockSystem(fields=NONVOLTAGE_FIELDS, dims={"s": 2, "x": 3, "p": 3},
                          blocks={("s", "s"): A_s, ("x", "x"): A_x, ("p", "p"): A_p})
-    sweep = field_sweep(system, [partial(jacobi_apply, A_s), Fx.solve, Fp.solve])
+    sweep = field_sweep(system, [partial(jacobi_apply, jacobi_setup(A_s)), Fx.solve, Fp.solve])
     z = sweep(np.concatenate([r_s, r_x, r_p]))
     z_s, z_x, z_p = z[:2], z[2:5], z[5:]
     np.testing.assert_allclose(A_s @ z_s, r_s, rtol=1e-14)
@@ -424,3 +424,28 @@ def test_preconditioner_apply_is_thread_safe():
 def test_unknown_inner_mode_rejected_on_construction():
     with pytest.raises(ValueError, match="unknown inner mode 'bogus'"):
         ElectrochemOptions(inner_mode="bogus")
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"inner_tol": "abc"}, "must be numbers"),
+    ({"inner_restart": None}, "must be numbers"),
+    ({"inner_tol": 1.5}, "relative tolerance"),
+    ({"inner_maxiter": 0}, "maxiter"),
+])
+def test_inner_solve_options_checked_on_construction(options, message):
+    with pytest.raises(ValueError, match=message):
+        ElectrochemOptions(**options)
+
+
+def test_inner_config_built_from_inner_fields():
+    cfg = ElectrochemOptions(inner_tol=1e-4, inner_restart=7, inner_maxiter=9).inner_config
+    assert cfg == SolverConfig(restart=7, tol=1e-4, maxiter=9, flexible=True)
+
+
+def test_zero_solid_diagonal_rejected_at_build():
+    case = build_case(CaseConfig(nr=4, refinement=0, n_cells=1))
+    A_s = case.system.blocks[("s", "s")]
+    A_s.data[np.flatnonzero(A_s.indices == 3)[0]] = 0.0  # the (3, 3) entry
+    with pytest.raises(SingularMatrixError) as err:
+        NonvoltageBgs.build(case.system, case.grid.centers, ElectrochemOptions())
+    assert err.value.row == 3

@@ -68,7 +68,7 @@ def test_solve_unknown_system_is_config_error(tmp_path):
 def test_suite_writes_records_and_reports(tmp_path):
     cfg = write_config(tmp_path, systems=["solid_voltage", "end_to_end"])
     out = tmp_path / "suite"
-    assert main(["suite", "--config", cfg, "--out", str(out), "--format", "md"]) == 0
+    assert main(["suite", "--config", cfg, "--out", str(out)]) == 0
     records = json.loads((out / "records.json").read_text())
     assert len(records) == 2
     table = (out / "table.md").read_text()
@@ -166,6 +166,10 @@ def test_bad_config_json_exit_code(tmp_path):
     ({"theta": 0.04}, "theta"),
     ({"precon": {"seed": 1}}, "set the suite's 'seed'"),
     ({"precon": {"ras_subdomains": 2}}, "set the suite's 'subdomains'"),
+    ({"precon": {"inner_tol": "abc"}}, "inner_tol"),
+    ({"precon": {"inner_tol": 2.0}}, "relative tolerance"),
+    ({"case": {"nr": 0}}, "nr: want an integer >= 1"),
+    ({"case": {"refinement": -1}}, "refinement: want an integer >= 0"),
 ])
 def test_bad_suite_config_fails_before_any_solve(tmp_path, monkeypatch, capsys,
                                                  suite_fields, message):
@@ -194,4 +198,11 @@ def test_suite_reps_override_is_checked(tmp_path, capsys):
 def test_generate_takes_no_seed(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--out", str(tmp_path), "--seed", "0"])
+    assert exc.value.code == 2
+
+
+def test_suite_takes_no_format(tmp_path):
+    # the suite always writes records.csv, records.json and table.md
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--out", str(tmp_path), "--format", "csv"])
     assert exc.value.code == 2

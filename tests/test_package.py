@@ -16,6 +16,7 @@ PUBLIC = [
     "ras_apply", "ras_preconditioner", "ras_setup",
     "chebyshev_apply", "chebyshev_setup",
     "estimate_lambda_max", "ilu0_apply", "ilu0_factor", "jacobi_apply",
+    "jacobi_setup",
     "as_csr", "dense_factor", "dense_factor_solve",
     "spmv", "triple_product",
 ]

@@ -17,6 +17,7 @@ from blocksolve.smoothers import (
     ilu0_apply,
     ilu0_factor,
     jacobi_apply,
+    jacobi_setup,
 )
 from blocksolve.sparse import SingularMatrixError, as_csr
 
@@ -251,26 +252,28 @@ def test_ilu0_apply_matches_dense_solve():
 # ---------------------------------------------------------------- jacobi
 
 def test_jacobi_scalar():
-    np.testing.assert_allclose(jacobi_apply(as_csr(np.array([[4.0]])), np.array([8.0])),
+    np.testing.assert_allclose(jacobi_apply(jacobi_setup(as_csr(np.array([[4.0]]))),
+                                            np.array([8.0])),
                                np.array([2.0]))
 
 
 def test_jacobi_diagonal_exact():
     A = as_csr(np.diag([2.0, -3.0, 0.5]))
     r = np.array([4.0, 9.0, 1.0])
-    z = jacobi_apply(A, r)
+    z = jacobi_apply(jacobi_setup(A), r)
     np.testing.assert_allclose(A @ z, r, rtol=1e-14)
 
 
 def test_jacobi_tridiag_scaling_only():
     A = tridiag(3)
-    np.testing.assert_allclose(jacobi_apply(A, np.array([2.0, 2.0, 2.0])), np.ones(3))
+    np.testing.assert_allclose(jacobi_apply(jacobi_setup(A), np.array([2.0, 2.0, 2.0])),
+                               np.ones(3))
 
 
 def test_jacobi_zero_diagonal_structured():
     A = as_csr(np.array([[1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(SingularMatrixError) as err:
-        jacobi_apply(A, np.ones(2))
+        jacobi_setup(A)
     assert err.value.row == 1
 
 
@@ -387,3 +390,126 @@ def test_chebyshev_never_increases_a_norm_spd(seed):
     before = e @ Ad @ e
     after = e1 @ Ad @ e1
     assert after <= before * (1 + 1e-12)
+
+
+# ------------------------------------------------- chebyshev: differential
+
+def reference_chebyshev_apply(S, A, b, x):
+    """The Chebyshev apply before its in-place, zero-guess form, verbatim:
+    the oracle ``chebyshev_apply`` must match bit for bit."""
+    b = np.asarray(b, dtype=np.float64)
+    x = np.array(x, dtype=np.float64, copy=True)
+    if b.shape[0] != A.shape[0] or x.shape[0] != A.shape[0]:
+        raise ValueError("chebyshev_apply: dimension mismatch")
+    lam_max = CHEBYSHEV_BOOST * S.lambda_max_estimate
+    lam_min = S.lambda_max_estimate / CHEBYSHEV_RATIO
+    theta = 0.5 * (lam_max + lam_min)
+    delta = 0.5 * (lam_max - lam_min)
+    sigma = theta / delta
+    rho = 1.0 / sigma
+
+    r = b - A @ x
+    d = (S.inverse_diagonal * r) / theta
+    for k in range(S.degree):
+        x += d
+        if k == S.degree - 1:
+            break
+        r -= A @ d
+        rho_next = 1.0 / (2.0 * sigma - rho)
+        d = (rho_next * rho) * d + (2.0 * rho_next / delta) * (S.inverse_diagonal * r)
+        rho = rho_next
+    return x
+
+
+class CountingOperator:
+    """Wraps a matrix and counts the operator products taken with it."""
+
+    def __init__(self, A):
+        self.A, self.shape, self.products = A, A.shape, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.A @ v
+
+
+def case_level_smoothers(degree):
+    """(operator, smoother) of every smoothed level of the phi_s, phi_l and p
+    hierarchies at r = 0..2."""
+    from blocksolve.amg import AmgParams, build_hierarchy
+    out = []
+    for r in range(3):
+        blocks = build_case(CaseConfig(refinement=r)).system.blocks
+        for f in ("phi_s", "phi_l", "p"):
+            H = build_hierarchy(blocks[(f, f)], AmgParams(smoother_degree=degree))
+            out += [(lvl.operator, lvl.smoother) for lvl in H.levels[:-1]]
+    return out
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_chebyshev_bit_identical_to_reference_on_case_levels(degree):
+    levels = case_level_smoothers(degree)
+    assert len(levels) >= 9  # at least one smoothed level per hierarchy
+    rng = np.random.default_rng(degree)
+    for A, S in levels:
+        n = A.shape[0]
+        b, x0 = rng.standard_normal(n), rng.standard_normal(n)
+        zero = chebyshev_apply(S, A, b)
+        assert zero.tobytes() == reference_chebyshev_apply(S, A, b, np.zeros(n)).tobytes()
+        guess = chebyshev_apply(S, A, b, x0)
+        assert guess.tobytes() == reference_chebyshev_apply(S, A, b, x0).tobytes()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_chebyshev_zero_guess_keeps_signed_zeros(degree):
+    # 0 + (-0.0) is +0.0: the zero-guess iterate must round as the add onto
+    # an explicit zero vector does
+    A = tridiag(6)
+    S = chebyshev_setup(A, degree=degree)
+    b = np.array([-0.0, 0.0, -0.0, 1.0, -2.0, -0.0])
+    got = chebyshev_apply(S, A, b, None)
+    assert got.tobytes() == reference_chebyshev_apply(S, A, b, np.zeros(6)).tobytes()
+    if degree == 1:
+        assert not np.signbit(got[[0, 2, 5]]).any()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4])
+def test_chebyshev_operator_products(degree):
+    A = CountingOperator(tridiag(12))
+    S = chebyshev_setup(A.A, degree=degree)
+    b = np.linspace(-1.0, 1.0, 12)
+    chebyshev_apply(S, A, b)
+    assert A.products == degree - 1
+    A.products = 0
+    chebyshev_apply(S, A, b, np.ones(12))
+    assert A.products == degree
+    A.products = 0
+    reference_chebyshev_apply(S, A, b, np.zeros(12))
+    assert A.products == degree
+
+
+def test_chebyshev_writes_neither_b_nor_x():
+    A = tridiag(10)
+    S = chebyshev_setup(A, degree=4)
+    rng = np.random.default_rng(7)
+    b, x = rng.standard_normal(10), rng.standard_normal(10)
+    b_bytes, x_bytes = b.tobytes(), x.tobytes()
+    for guess in (None, x):
+        out = chebyshev_apply(S, A, b, guess)
+        assert out is not x and out is not b
+    assert b.tobytes() == b_bytes and x.tobytes() == x_bytes
+
+
+def test_chebyshev_setup_fixes_step_scalars():
+    S = chebyshev_setup(tridiag(8), degree=4)
+    lam_max = CHEBYSHEV_BOOST * S.lambda_max_estimate
+    lam_min = S.lambda_max_estimate / CHEBYSHEV_RATIO
+    assert S.theta == 0.5 * (lam_max + lam_min)
+    assert len(S.steps) == 3
+    assert chebyshev_setup(tridiag(8), degree=1).steps == ()
+
+
+def test_chebyshev_rejects_mismatched_guess():
+    A = tridiag(5)
+    S = chebyshev_setup(A)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        chebyshev_apply(S, A, np.ones(5), np.ones(4))

@@ -176,6 +176,19 @@ def test_dense_factor_reproduces_identity_columns():
         np.testing.assert_allclose(x, e, atol=1e-12)
 
 
+def test_dense_solve_bit_identical_to_lu_solve():
+    # the solve calls LAPACK getrs directly; scipy's lu_solve is the oracle
+    import scipy.linalg
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((9, 9))
+    F = dense_factor(as_csr(A))
+    for b in (rng.standard_normal(9), rng.standard_normal((9, 3))):
+        before = b.tobytes()
+        expected = scipy.linalg.lu_solve((F.factors, F.pivots), b)
+        assert F.solve(b).tobytes() == expected.tobytes()
+        assert b.tobytes() == before
+
+
 def test_dense_factor_singular_names_row():
     A = np.zeros((3, 3))
     A[0, 0] = 1.0
