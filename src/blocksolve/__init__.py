@@ -7,8 +7,6 @@ from .battery import CaseConfig, build_case, build_grid
 from .bench import (
     ExperimentRecord,
     SuiteConfig,
-    fit_strong_efficiency,
-    fit_weak_efficiency,
     run_suite,
 )
 from .blockprec import (
@@ -30,15 +28,14 @@ from .smoothers import (
     jacobi_apply,
     jacobi_setup,
 )
-from .sparse import as_csr, dense_factor, dense_factor_solve, spmv, triple_product
+from .sparse import as_csr, dense_factor, triple_product
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AmgParams", "as_preconditioner", "build_hierarchy", "vcycle",
     "CaseConfig", "build_case", "build_grid",
-    "ExperimentRecord", "SuiteConfig",
-    "fit_strong_efficiency", "fit_weak_efficiency", "run_suite",
+    "ExperimentRecord", "SuiteConfig", "run_suite",
     "BlockSystem", "ElectrochemOptions",
     "assemble_block_operator", "build_electrochem_preconditioner",
     "SolverConfig", "SolveStats", "fgmres", "gmres",
@@ -48,6 +45,5 @@ __all__ = [
     "chebyshev_apply", "chebyshev_setup",
     "estimate_lambda_max", "ilu0_apply", "ilu0_factor", "jacobi_apply",
     "jacobi_setup",
-    "as_csr", "dense_factor", "dense_factor_solve",
-    "spmv", "triple_product",
+    "as_csr", "dense_factor", "triple_product",
 ]

@@ -47,6 +47,9 @@ class AmgParams:
             raise ValueError("drop tolerance must be >= 0")
         if self.max_coarse_size < 1:
             raise ValueError("max_coarse_size must be >= 1")
+        degree = self.smoother_degree
+        if not isinstance(degree, (int, np.integer)) or degree < 1:
+            raise ValueError(f"smoother_degree: want an integer >= 1, got {degree!r}")
 
 
 @dataclass
@@ -228,7 +231,8 @@ def filtered_matrix(A, theta):
 def smooth_prolongator(A, P_tent, params):
     """Damped-Jacobi smoothing of the tentative prolongator against the
     filtered operator: P = (I - omega * Dhat^{-1} A_f) P_tent with
-    omega = damping / lambda_max(Dhat^{-1} A_f)."""
+    omega = damping / lambda_max(Dhat^{-1} A_f). Returns P and that
+    lambda_max estimate."""
     Af = filtered_matrix(A, params.drop_tolerance)
     dinv = 1.0 / Af.diagonal()
     lam = estimate_lambda_max(Af, dinv, seed=params.seed)
@@ -238,7 +242,7 @@ def smooth_prolongator(A, P_tent, params):
     P = (P_tent - sp.diags(omega * dinv) @ (Af @ P_tent)).tocsr()
     P.sum_duplicates()
     P.sort_indices()
-    return P
+    return P, lam
 
 
 def build_hierarchy(A, params=None):
@@ -263,7 +267,7 @@ def build_hierarchy(A, params=None):
         agg = aggregate(S)
         P_tent = tentative_prolongator(agg, nullspace)
         coarse_nullspace = P_tent.T @ nullspace
-        P = smooth_prolongator(Al, P_tent, level_params)
+        P, lam = smooth_prolongator(Al, P_tent, level_params)
         R = P.T.tocsr()
         R.sort_indices()
         Ac = triple_product(R, Al, P)
@@ -278,7 +282,14 @@ def build_hierarchy(A, params=None):
             stagnant_once = True
         else:
             stagnant_once = False
-        smoother = chebyshev_setup(Al, degree=params.smoother_degree, seed=params.seed)
+        if level_params.drop_tolerance == 0.0:
+            # A_f is A less its stored zeros, with A's diagonal: the same
+            # seeded power iteration would return the same bits
+            smoother = ChebyshevSmoother(degree=params.smoother_degree,
+                                         lambda_max_estimate=lam,
+                                         inverse_diagonal=1.0 / Al.diagonal())
+        else:
+            smoother = chebyshev_setup(Al, degree=params.smoother_degree, seed=params.seed)
         levels.append(Level(operator=Al, prolongator=P, restrictor=R, smoother=smoother))
         Al = Ac
         nullspace = coarse_nullspace

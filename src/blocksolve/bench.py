@@ -1,13 +1,10 @@
 """Benchmark harness: runs solver configurations over generated cases,
-records iteration counts and timings, and fits the weak/strong scaling cost
-models.
+records iteration counts and timings, and fits a scaling exponent to each
+weak and strong iteration series.
 
-Weak model: T_n = T_m / eta^log2(n/m) at fixed work per subdomain.
-Strong model: each doubling of P multiplies time by 1/(2 eta), i.e.
-T_P = T_Pm * (Pm/P) * (1/eta)^log2(P/Pm).
-
-Timing at desk scale is informational; iteration counts are the regression
-surface.
+Every "processor" is a virtual subdomain solved serially, so wall time
+cannot show parallel scaling. Timing at desk scale is informational; the
+deterministic iteration counts are the regression surface.
 """
 
 import csv
@@ -15,11 +12,12 @@ import io
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .battery import CaseConfig, build_case
+from .battery import CaseConfig, build_case, build_grid
 from .blockprec import (
     ElectrochemOptions,
     FIELDS,
@@ -62,72 +60,38 @@ class ExperimentRecord:
 COLUMNS = [f.name for f in fields(ExperimentRecord)]
 
 
-@dataclass
-class EfficiencyFit:
-    model: str                 # "weak" or "strong"
-    efficiency: float
-    residual: float
-    points: int
-    strong_scale_limit_p: int | None = None
-
-    def to_dict(self):
-        return asdict(self)
-
-
-def weak_model_times(t_base, n_base, sizes, eta):
-    """Generate times from the weak scaling model at fixed n/P."""
-    sizes = np.asarray(sizes, dtype=np.float64)
-    return t_base / eta ** np.log2(sizes / n_base)
-
-
-def strong_model_times(t_base, p_base, procs, eta):
-    """Generate times from the strong scaling model at fixed n."""
-    procs = np.asarray(procs, dtype=np.float64)
-    return t_base * (p_base / procs) * (1.0 / eta) ** np.log2(procs / p_base)
-
-
-def _loglog_fit(points, model, what, log):
-    """Least-squares fit of log(T) against log2(x) over the sorted (x, T)
-    ``points``, which need two or more distinct x; returns (x, T, slope, residual)."""
+def fit_exponent(points):
+    """Least-squares slope of log2 y against log2 x over the (x, y)
+    ``points``, which need two or more strictly increasing x: y grows as
+    x**exponent, so 0 means flat. Returns (exponent, residual)."""
     points = sorted(points)
     if len(points) < 2:
-        raise ValueError(f"{model} fit needs at least two points")
-    x = np.array([q[0] for q in points], dtype=np.float64)
-    t = np.array([q[1] for q in points], dtype=np.float64)
+        raise ValueError("a scaling fit needs at least two points")
+    x, y = np.array(points, dtype=np.float64).T
     if np.any(np.diff(x) <= 0):
-        raise ValueError(f"{model} fit needs strictly increasing {what}")
-    u = np.log2(x)
-    y = log(t)
-    slope, intercept = np.polyfit(u, y, 1)
-    residual = float(np.sum((y - (slope * u + intercept)) ** 2))
-    return x, t, slope, residual
+        raise ValueError(f"a scaling fit needs strictly increasing x, got {x.tolist()}")
+    u, v = np.log2(x), np.log2(y)
+    slope, intercept = np.polyfit(u, v, 1)
+    return float(slope), float(np.sum((v - (slope * u + intercept)) ** 2))
 
 
-def fit_weak_efficiency(points):
-    """Least-squares fit of log T against log2 n; slope = -log eta.
+def scaling_series(records):
+    """The iteration series of ``records``, as (weak, strong).
 
-    ``points`` is a sequence of (n, T) with strictly increasing n at a fixed
-    n/P ratio.
+    ``weak`` maps each exact dofs/P ratio (a Fraction) to its sorted
+    (dofs, iterations) points and ``strong`` maps each refinement to its
+    sorted (P, iterations) points. Only families with two or more distinct x
+    are kept. Unconverged records are left out: their count is the
+    iteration cap.
     """
-    _, _, slope, residual = _loglog_fit(points, "weak", "problem sizes", np.log)
-    return EfficiencyFit(model="weak", efficiency=float(np.exp(-slope)),
-                         residual=residual, points=len(points))
-
-
-def fit_strong_efficiency(points):
-    """Least-squares fit of log2 T against log2 P under the strong model;
-    flags the first P whose pairwise efficiency drops below the 0.5 cut-off."""
-    p, t, slope, residual = _loglog_fit(
-        points, "strong", "worker counts", np.log2)
-    eta = float(2.0 ** (-(1.0 + slope)))
-    limit = None
-    for k in range(len(p) - 1):
-        pairwise = (p[k] * t[k]) / (p[k + 1] * t[k + 1])
-        if pairwise < 0.5:
-            limit = int(p[k + 1])
-            break
-    return EfficiencyFit(model="strong", efficiency=eta, residual=residual,
-                         points=len(points), strong_scale_limit_p=limit)
+    weak, strong = {}, {}
+    for r in records:
+        if r.converged:
+            weak.setdefault(Fraction(r.dofs, r.p), []).append((r.dofs, r.iterations))
+            strong.setdefault(r.refinement, []).append((r.p, r.iterations))
+    return tuple({key: sorted(points) for key, points in sorted(groups.items())
+                  if len({x for x, _ in points}) >= 2}
+                 for groups in (weak, strong))
 
 
 # ---------------------------------------------------------------- experiments
@@ -221,6 +185,12 @@ class SuiteConfig:
                 raise ValueError(f"precon cannot set {key!r}{hint}")
         object.__setattr__(self, "options",
                            ElectrochemOptions(**self.precon, seed=self.seed))
+        if any("x" in SYSTEMS[s].fields for s in self.systems):
+            coarsest = min(self.refinements)
+            cells = build_grid(self.case.nr, coarsest, self.case.n_cells).n
+            if max(self.subdomains) > cells:
+                raise ValueError(f"subdomains: P = {max(self.subdomains)} exceeds "
+                                 f"the {cells} cells at refinement {coarsest}")
 
     @classmethod
     def from_dict(cls, data):

@@ -83,9 +83,6 @@ class BlockSystem:
     def split(self, vec):
         return {f: self.segment(vec, f) for f in self.fields}
 
-    def join(self, parts):
-        return np.concatenate([parts[f] for f in self.fields])
-
     def rhs_vector(self):
         return np.concatenate([self.rhs[f] for f in self.fields])
 
@@ -129,11 +126,8 @@ def amg_preconditioner(system, fieldname, options, degree):
     """One smoothed-aggregation V-cycle per application on the diagonal
     block of ``fieldname``, with that field's drop tolerance and a
     Chebyshev smoother of the given degree."""
-    params = AmgParams(drop_tolerance=options.theta(fieldname),
-                       max_coarse_size=options.max_coarse_size,
-                       smoother_degree=degree, seed=options.seed)
-    return as_preconditioner(
-        build_hierarchy(system.blocks[(fieldname, fieldname)], params))
+    return as_preconditioner(build_hierarchy(
+        system.blocks[(fieldname, fieldname)], options.amg_params(fieldname, degree)))
 
 
 def ras_preconditioner(A, coordinates, count, overlap=0):
@@ -237,7 +231,23 @@ class ElectrochemOptions:
     def __post_init__(self):
         if self.inner_mode not in ("iterative", "direct"):
             raise ValueError(f"unknown inner mode {self.inner_mode!r}")
-        self.inner_config  # built here only to check the inner_* fields
+        for name, least in (("ras_subdomains", 1), ("ras_overlap", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name}: want an integer >= {least}, got {value!r}")
+        unknown = set(self.drop_tolerances) - {"phi_s", "phi_l", "p"}
+        if unknown:
+            raise ValueError(f"drop_tolerances: unknown fields {sorted(unknown)}; "
+                             "want phi_s, phi_l or p")
+        # built here only to check the values they take
+        self.inner_config
+        for fieldname, degree in (("phi_s", self.voltage_smoother_degree),
+                                  ("phi_l", self.voltage_smoother_degree),
+                                  ("p", self.pressure_smoother_degree)):
+            try:
+                self.amg_params(fieldname, degree)
+            except ValueError as err:
+                raise ValueError(f"AMG options of {fieldname!r}: {err}") from err
 
     @property
     def inner_config(self):
@@ -252,6 +262,13 @@ class ElectrochemOptions:
 
     def theta(self, fieldname):
         return self.drop_tolerances.get(fieldname, self.drop_tolerance)
+
+    def amg_params(self, fieldname, degree):
+        """The AMG parameters of ``fieldname``'s block, with a Chebyshev
+        smoother of the given degree."""
+        return AmgParams(drop_tolerance=self.theta(fieldname),
+                         max_coarse_size=self.max_coarse_size,
+                         smoother_degree=degree, seed=self.seed)
 
 
 class ElectrochemPreconditioner(BlockGaussSeidel):

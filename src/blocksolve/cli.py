@@ -1,5 +1,5 @@
-"""Command-line harness: generate cases, run solves and suites, fit scaling
-models, and emit reports.
+"""Command-line harness: generate cases, run solves and suites, fit the
+scaling exponents of iteration series, and emit reports.
 
 Exit codes: 0 full success, 1 a recorded solver failure, 2 configuration
 errors.
@@ -17,11 +17,11 @@ from .battery import build_case
 from .bench import (
     SuiteConfig,
     emit_report,
-    fit_strong_efficiency,
-    fit_weak_efficiency,
+    fit_exponent,
     load_records_json,
     run_experiment,
     run_suite,
+    scaling_series,
 )
 from .blockprec import FIELDS
 from .mmio import store_matrix_market
@@ -129,39 +129,28 @@ def cmd_suite(args):
     return EXIT_SOLVER_FAILURE if failed else EXIT_OK
 
 
+def _fitted(points):
+    exponent, residual = fit_exponent(points)
+    return {"points": points, "exponent": exponent, "residual": residual}
+
+
 def cmd_fit(args):
     rows = [r for r in _load_records(args.records) if r.system == args.system]
-    if not rows:
-        raise ConfigError(f"no records for system {args.system!r}")
-    if args.model == "weak":
-        # a weak fit needs a fixed dofs-per-subdomain family; default to the
-        # ratio the records realize most often
-        if args.ratio is not None:
-            target = args.ratio
-        else:
-            counts = {}
-            for r in rows:
-                counts[r.dofs / r.p] = counts.get(r.dofs / r.p, 0) + 1
-            target = max(counts, key=lambda k: (counts[k], k))
-        selected = [r for r in rows if abs(r.dofs / r.p - target) <= 0.01 * target]
-        points = sorted((r.dofs, r.mean_setup_seconds + r.mean_solve_seconds)
-                        for r in selected)
-        fit_efficiency = fit_weak_efficiency
-    else:
-        # a strong fit holds the problem size fixed; default to the largest
-        refinement = args.refinement
-        if refinement is None:
-            refinement = max(r.refinement for r in rows)
-        selected = [r for r in rows if r.refinement == refinement]
-        points = sorted((r.p, r.mean_setup_seconds + r.mean_solve_seconds)
-                        for r in selected)
-        fit_efficiency = fit_strong_efficiency
+    weak, strong = scaling_series(rows)
+    if not weak and not strong:
+        raise ConfigError(f"{args.records} holds no converged {args.system!r} "
+                          "series of two or more points")
     try:
-        fit = fit_efficiency(points)
+        result = {
+            "system": args.system,
+            "weak": [{"dofs_per_subdomain": float(ratio), **_fitted(points)}
+                     for ratio, points in weak.items()],
+            "strong": [{"refinement": refinement, **_fitted(points)}
+                       for refinement, points in strong.items()],
+        }
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    result = {"system": args.system, "points_used": points, **fit.to_dict()}
-    _emit_json(result, args.out, f"fit_{args.model}_{args.system}.json")
+    _emit_json(result, args.out, f"fit_{args.system}.json")
     return EXIT_OK
 
 
@@ -204,14 +193,11 @@ def build_parser():
     suite.add_argument("--seed", type=int, default=None)
     suite.set_defaults(func=cmd_suite)
 
-    fit = sub.add_parser("fit", help="fit a scaling-efficiency model to records")
+    fit = sub.add_parser(
+        "fit", help="fit the iteration scaling exponent of every weak and strong "
+                    "series in a records file")
     fit.add_argument("--records", required=True)
-    fit.add_argument("--model", choices=["weak", "strong"], required=True)
     fit.add_argument("--system", default="end_to_end")
-    fit.add_argument("--refinement", type=int, default=None,
-                     help="fixed problem scale for strong fits (default: largest)")
-    fit.add_argument("--ratio", type=float, default=None,
-                     help="fixed dofs-per-subdomain family for weak fits")
     fit.add_argument("--out", default=None)
     fit.set_defaults(func=cmd_fit)
 

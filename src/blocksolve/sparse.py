@@ -1,4 +1,4 @@
-"""CSR matrix utilities: canonical-form handling, products, and dense factorization.
+"""CSR matrix utilities: canonical form, the Galerkin product, and dense factorization.
 
 Every operator in this library is a scipy CSR matrix kept in canonical form
 (sorted column indices, no duplicates). Explicit zeros are legal stored
@@ -67,16 +67,6 @@ def require_canonical(A, name="matrix"):
     if bad.size:
         raise ValueError(f"{name}: row {row_of[bad[0]]} has unsorted or duplicate columns")
     return A
-
-
-def spmv(A, x):
-    """Sparse matrix-vector product y = A x with a deterministic reduction order."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != A.shape[1]:
-        raise ValueError(
-            f"spmv: operand length {x.shape} does not match operator columns {A.shape[1]}"
-        )
-    return A @ x
 
 
 def _structural_pattern(R, A, P):
@@ -156,8 +146,3 @@ def dense_factor(A):
     if np.any(diag == 0.0):
         raise SingularMatrixError(int(np.argmin(diag)), "zero pivot after partial pivoting")
     return DenseFactorization(dimension=A.shape[0], factors=lu, pivots=piv)
-
-
-def dense_factor_solve(A, b):
-    """Solve A x = b through a pivoted dense factorization."""
-    return dense_factor(A).solve(b)

@@ -5,6 +5,7 @@ sizes and are reported, not asserted.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,7 @@ import scipy.sparse as sp
 
 from blocksolve.amg import AmgParams, as_preconditioner, build_hierarchy
 from blocksolve.battery import CaseConfig, build_case
-from blocksolve.bench import (
-    fit_strong_efficiency,
-    fit_weak_efficiency,
-    strong_model_times,
-    weak_model_times,
-)
+from blocksolve.bench import SuiteConfig, fit_exponent, run_experiment
 from blocksolve.blockprec import (
     assemble_block_operator,
     build_electrochem_preconditioner,
@@ -26,7 +22,7 @@ from blocksolve.krylov import SolverConfig, fgmres, gmres
 from blocksolve.schwarz import extend_overlap, partition_nodes, ras_apply, ras_setup
 from blocksolve.smoothers import (
     CHEBYSHEV_BOOST, CHEBYSHEV_RATIO, chebyshev_apply, chebyshev_setup, ilu0_factor)
-from blocksolve.sparse import as_csr, dense_factor_solve, triple_product
+from blocksolve.sparse import as_csr, dense_factor, triple_product
 
 
 def poisson_2d(nx):
@@ -223,27 +219,32 @@ def test_criterion_6_end_to_end_hierarchy(battery_family):
               f"spread <= 1, inner FGMRES(30) at 1e-6)", t0)
 
 
+# iterations at a fixed 82.5 dofs per subdomain (P = 4 * 4**r, r = 0..3) under
+# the default suite, and the fitted exponent of each growing series
+WEAK_SERIES = {"liquid_species": ([12, 24, 49, 103], 0.517),
+               "nonvoltage": ([15, 23, 46, 77], 0.404),
+               "end_to_end": ([2, 2, 2, 1], None)}
+
+
 def test_criterion_7_scaling_model_fits():
     t0 = time.perf_counter()
-    for eta in (0.3, 0.5, 0.74, 0.93, 1.0):
-        sizes = [4000 * 2**k for k in range(4)]
-        fit = fit_weak_efficiency(
-            list(zip(sizes, weak_model_times(1.0, sizes[0], sizes, eta))))
-        assert abs(fit.efficiency - eta) <= 1e-6
-        procs = [1, 2, 4, 8]
-        fit = fit_strong_efficiency(
-            list(zip(procs, strong_model_times(8.0, 1, procs, eta))))
-        assert abs(fit.efficiency - eta) <= 1e-6
-    # worked case: eta_weak = 0.5 means the time doubles per size doubling
-    times = weak_model_times(1.0, 1000, [1000, 2000, 4000], 0.5)
-    assert np.allclose(times, [1.0, 2.0, 4.0])
-    # strong model pairwise relation T_2P = T_P/(2 eta): a 25% reduction per
-    # doubling corresponds to eta = 2/3 (the quoted 0.5 is inconsistent with
-    # the model; see the decisions ledger)
-    fit = fit_strong_efficiency([(1, 1.0), (2, 0.75), (4, 0.5625)])
-    assert abs(fit.efficiency - 2.0 / 3.0) <= 1e-6
-    report(7, "weak/strong generate-then-fit recovers eta within 1e-6 over "
-              "[0.3, 1.0]; worked cases verified against the model equations", t0)
+    suite = SuiteConfig()
+    points = {system: [] for system in WEAK_SERIES}
+    for r in range(4):
+        case = build_case(replace(suite.case, refinement=r))
+        for system in points:
+            stats = run_experiment(case, system, suite, p=4 * 4**r)[2]
+            assert stats.converged
+            points[system].append((case.total_dim, stats.iterations))
+    fitted = {}
+    for system, (iterations, exponent) in WEAK_SERIES.items():
+        assert [its for _, its in points[system]] == iterations
+        fitted[system] = fit_exponent(points[system])[0]
+        if exponent is not None:
+            assert fitted[system] == pytest.approx(exponent, abs=5e-4)
+    report(7, "weak iteration series at 82.5 dofs per subdomain, r = 0..3: "
+              + "; ".join(f"{s} {WEAK_SERIES[s][0]} (exponent {e:.3f})"
+                          for s, e in fitted.items()), t0)
 
 
 def test_criterion_8_structural_fidelity(battery_family):
@@ -259,7 +260,7 @@ def test_criterion_8_structural_fidelity(battery_family):
     electrodes = set(case.grid.cells_of("anode")) | set(case.grid.cells_of("cathode"))
     for pair in [("phi_s", "phi_l"), ("phi_l", "phi_s")]:
         assert set(blocks[pair].tocoo().row) <= electrodes
-    x = dense_factor_solve(case.system.monolithic(), case.system.rhs_vector())
+    x = dense_factor(case.system.monolithic()).solve(case.system.rhs_vector())
     err = np.linalg.norm(x - case.solution) / np.linalg.norm(case.solution)
     assert err <= 1e-8
     report(8, f"block topology matches the nested splitting; manufactured "

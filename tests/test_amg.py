@@ -314,9 +314,9 @@ def test_smooth_prolongator_dense_oracle_theta_zero():
     agg = AggregateMap(np.array([0, 0, 1, 1]), 2)
     P_tent = tentative_prolongator(agg, np.ones(4))
     params = AmgParams(drop_tolerance=0.0)
-    P = smooth_prolongator(A, P_tent, params)
+    P, lam = smooth_prolongator(A, P_tent, params)
     dinv = 1.0 / A.diagonal()
-    lam = estimate_lambda_max(A, dinv, iterations=10, seed=params.seed)
+    assert lam == estimate_lambda_max(A, dinv, iterations=10, seed=params.seed)
     omega = (4.0 / 3.0) / lam
     expected = (np.eye(4) - omega * np.diag(dinv) @ A.toarray()) @ P_tent.toarray()
     np.testing.assert_allclose(P.toarray(), expected, atol=1e-14)
@@ -327,7 +327,7 @@ def test_smooth_prolongator_diagonal_closed_form():
     from blocksolve.amg import AggregateMap
     agg = AggregateMap(np.array([0, 0, 1, 1]), 2)
     P_tent = tentative_prolongator(agg, np.ones(4))
-    P = smooth_prolongator(A, P_tent, AmgParams(drop_tolerance=0.0))
+    P, _ = smooth_prolongator(A, P_tent, AmgParams(drop_tolerance=0.0))
     np.testing.assert_allclose(P.toarray(), -P_tent.toarray() / 3.0, rtol=1e-12)
 
 
@@ -337,7 +337,7 @@ def test_smooth_prolongator_pattern_growth_bound():
     agg = aggregate(S)
     P_tent = tentative_prolongator(agg, np.ones(64))
     params = AmgParams(drop_tolerance=0.0)
-    P = smooth_prolongator(A, P_tent, params)
+    P, _ = smooth_prolongator(A, P_tent, params)
     Af = filtered_matrix(A, params.drop_tolerance)
     nnz_p = np.diff(P.indptr)
     nnz_af = np.diff(Af.indptr)

@@ -19,7 +19,7 @@ from blocksolve.battery import (
     melt_mask,
     stack_layers,
 )
-from blocksolve.sparse import dense_factor_solve
+from blocksolve.sparse import dense_factor
 
 
 # ---------------------------------------------------------------- grid
@@ -298,7 +298,7 @@ def test_conservation_away_from_dirichlet_rows():
 
 def test_manufactured_closure_dense_solve():
     case = build_case(CaseConfig(nr=6, refinement=0, n_cells=2))
-    x = dense_factor_solve(case.system.monolithic(), case.system.rhs_vector())
+    x = dense_factor(case.system.monolithic()).solve(case.system.rhs_vector())
     err = np.linalg.norm(x - case.solution) / np.linalg.norm(case.solution)
     assert err <= 1e-8
 

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -10,16 +11,14 @@ from blocksolve.bench import (
     SYSTEMS,
     ExperimentRecord,
     SuiteConfig,
-    fit_strong_efficiency,
-    fit_weak_efficiency,
+    fit_exponent,
     load_records_json,
     records_to_csv,
     records_to_json,
     records_to_markdown,
     run_experiment,
     run_suite,
-    strong_model_times,
-    weak_model_times,
+    scaling_series,
 )
 
 
@@ -33,74 +32,79 @@ def make_record(**overrides):
     return ExperimentRecord(**base)
 
 
-# ---------------------------------------------------------------- weak fit
+# ---------------------------------------------------------------- scaling fits
 
-def test_weak_fit_flat_times_is_perfect_efficiency():
-    fit = fit_weak_efficiency([(1000, 2.0), (2000, 2.0), (4000, 2.0)])
-    assert fit.efficiency == pytest.approx(1.0, abs=1e-12)
-
-
-def test_weak_fit_time_doubles_per_size_doubling():
-    # the worked case: efficiency one half
-    sizes = [1000, 2000, 4000, 8000]
-    times = [1.0, 2.0, 4.0, 8.0]
-    fit = fit_weak_efficiency(list(zip(sizes, times)))
-    assert fit.efficiency == pytest.approx(0.5, abs=1e-12)
+@pytest.mark.parametrize("exponent", [0.0, 0.5, 1.0])
+def test_fit_exponent_recovers_power_law(exponent):
+    # flat, square-root and linear growth
+    xs = [1000 * 4**k for k in range(4)]
+    fitted, residual = fit_exponent([(x, 3.0 * x**exponent) for x in reversed(xs)])
+    assert fitted == pytest.approx(exponent, abs=1e-12)
+    assert residual <= 1e-20
 
 
-@pytest.mark.parametrize("eta", [0.3, 0.5, 0.74, 0.93, 1.0])
-def test_weak_fit_roundtrip(eta):
-    sizes = [8000 * 2**k for k in range(4)]
-    times = weak_model_times(0.7, sizes[0], sizes, eta)
-    fit = fit_weak_efficiency(list(zip(sizes, times)))
-    assert fit.efficiency == pytest.approx(eta, abs=1e-6)
-    assert fit.residual <= 1e-20
-    assert fit.points == 4
+@pytest.mark.parametrize("exponent", [0.3, 0.5, 0.74, 0.93, 1.0])
+def test_weak_fit_roundtrip(exponent):
+    # one family at 330 dofs per subdomain: P grows with the problem size
+    records = [make_record(refinement=k, dofs=330 * 4**k, p=4**k,
+                           iterations=12.0 * 4**(k * exponent)) for k in range(4)]
+    weak, strong = scaling_series(records)
+    assert list(weak) == [330] and strong == {}
+    fitted, residual = fit_exponent(weak[330])
+    assert fitted == pytest.approx(exponent, abs=1e-12)
+    assert residual <= 1e-20
 
 
 def test_weak_fit_rejects_single_point():
-    with pytest.raises(ValueError):
-        fit_weak_efficiency([(100, 1.0)])
+    # each dofs/P ratio occurs once: no weak family
+    weak, _ = scaling_series([make_record(dofs=330, p=1),
+                              make_record(refinement=1, dofs=1320, p=1)])
+    assert weak == {}
+    with pytest.raises(ValueError, match="at least two points"):
+        fit_exponent([(330, 12)])
 
 
-# ---------------------------------------------------------------- strong fit
-
-def test_strong_fit_ideal_halving():
-    points = [(1, 8.0), (2, 4.0), (4, 2.0), (8, 1.0)]
-    fit = fit_strong_efficiency(points)
-    assert fit.efficiency == pytest.approx(1.0, abs=1e-12)
-    assert fit.strong_scale_limit_p is None
-
-
-def test_strong_fit_quarter_reduction_per_doubling():
-    # T_{2P} = 0.75 T_P; under T_{2P} = T_P/(2 eta) this is eta = 2/3
-    points = [(1, 1.0), (2, 0.75), (4, 0.5625)]
-    fit = fit_strong_efficiency(points)
-    assert fit.efficiency == pytest.approx(2.0 / 3.0, abs=1e-10)
-
-
-@pytest.mark.parametrize("eta", [0.3, 0.5, 0.74, 1.0])
-def test_strong_fit_roundtrip(eta):
-    procs = [1, 2, 4, 8, 16]
-    times = strong_model_times(4.0, procs[0], procs, eta)
-    fit = fit_strong_efficiency(list(zip(procs, times)))
-    assert fit.efficiency == pytest.approx(eta, abs=1e-6)
-    # pairwise relation of the model: T_{2P} = T_P / (2 eta)
-    for k in range(len(procs) - 1):
-        assert times[k + 1] == pytest.approx(times[k] / (2 * eta), rel=1e-12)
-
-
-def test_strong_fit_flags_scale_limit():
-    # flat times: pairwise efficiency 0.5 exactly at every doubling; drop
-    # below with slightly increasing times
-    points = [(1, 1.0), (2, 1.01), (4, 1.02)]
-    fit = fit_strong_efficiency(points)
-    assert fit.strong_scale_limit_p == 2
+@pytest.mark.parametrize("exponent", [0.3, 0.5, 0.74, 1.0])
+def test_strong_fit_roundtrip(exponent):
+    # one problem size, P doubling
+    records = [make_record(refinement=2, dofs=5280, p=p, iterations=20.0 * p**exponent)
+               for p in (1, 2, 4, 8, 16)]
+    weak, strong = scaling_series(records)
+    assert weak == {} and list(strong) == [2]
+    fitted, residual = fit_exponent(strong[2])
+    assert fitted == pytest.approx(exponent, abs=1e-12)
+    assert residual <= 1e-20
 
 
 def test_strong_fit_rejects_single_point():
-    with pytest.raises(ValueError):
-        fit_strong_efficiency([(4, 1.0)])
+    # a second record at the same P is not a second point
+    _, strong = scaling_series([make_record(p=4), make_record(p=4, case_id="d")])
+    assert strong == {}
+    with pytest.raises(ValueError, match="strictly increasing"):
+        fit_exponent([(4, 10), (16, 12), (4, 11)])
+
+
+def series_records(*rows):
+    return [make_record(refinement=r, dofs=dofs, p=p, iterations=its, converged=ok)
+            for r, dofs, p, its, ok in rows]
+
+
+def test_scaling_series_groups_by_exact_ratio_and_refinement():
+    weak, strong = scaling_series(series_records(
+        (0, 330, 1, 12, True), (1, 1320, 4, 17, True), (1, 1320, 16, 20, True),
+        (2, 5280, 16, 40, True),
+        (3, 1332, 4, 30, True)))  # dofs/P 333, within 1% of 330
+    assert weak == {Fraction(330): [(330, 12), (1320, 17), (5280, 40)]}
+    assert strong == {1: [(4, 17), (16, 20)]}
+
+
+def test_scaling_series_leaves_out_unconverged_records():
+    rows = [(1, 1320, 16, 20, True), (2, 5280, 16, 40, True)]
+    capped = (2, 5280, 64, 500, False)  # would pair with each row above
+    assert scaling_series(series_records(*rows, capped)) == ({}, {})
+    weak, strong = scaling_series(series_records(*rows, capped[:-1] + (True,)))
+    assert weak == {Fraction(165, 2): [(1320, 20), (5280, 500)]}
+    assert strong == {2: [(16, 40), (64, 500)]}
 
 
 # ---------------------------------------------------------------- suite

@@ -1,10 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from blocksolve.battery import CaseConfig, build_case
-from blocksolve.cli import main
+from blocksolve.cli import build_parser, main
 from blocksolve.mmio import load_matrix_market
 
 
@@ -90,53 +92,80 @@ def test_suite_failure_exit_code(tmp_path, monkeypatch):
     assert main(["suite", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
 
 
-def test_fit_command_weak(tmp_path, capsys):
-    from blocksolve.bench import weak_model_times
-    sizes = [1000, 2000, 4000]
-    times = weak_model_times(1.0, 1000, sizes, 0.93)
-    # fixed dofs-per-subdomain: P doubles with the problem size
+def write_records(tmp_path, rows):
+    """A records file of converged cells, one (system, refinement, P, dofs,
+    iterations) tuple per record."""
     records = [
-        {"case_id": "c", "refinement": k, "system": "end_to_end",
-         "solver": "hierarchical-bgs", "p": 2**k, "repetitions": 1,
-         "iterations": 1, "converged": True, "final_relative_residual": 1e-8,
-         "mean_setup_seconds": t / 2, "std_setup_seconds": 0.0,
-         "mean_solve_seconds": t / 2, "std_solve_seconds": 0.0, "dofs": n}
-        for k, (n, t) in enumerate(zip(sizes, times))
+        {"case_id": "c", "refinement": r, "system": system, "solver": "s", "p": p,
+         "repetitions": 1, "iterations": its, "converged": True,
+         "final_relative_residual": 1e-8, "mean_setup_seconds": 0.1,
+         "std_setup_seconds": 0.0, "mean_solve_seconds": 0.1,
+         "std_solve_seconds": 0.0, "dofs": dofs}
+        for system, r, p, dofs, its in rows
     ]
     path = tmp_path / "records.json"
     path.write_text(json.dumps(records))
-    assert main(["fit", "--records", str(path), "--model", "weak",
-                 "--system", "end_to_end"]) == 0
+    return str(path)
+
+
+def test_fit_command_weak(tmp_path, capsys):
+    # fixed dofs per subdomain: P quadruples with the problem size, and the
+    # iterations double
+    path = write_records(tmp_path, [("end_to_end", k, 4**k, 330 * 4**k, 12 * 2**k)
+                                    for k in range(3)])
+    out = tmp_path / "fit"
+    assert main(["fit", "--records", path, "--system", "end_to_end",
+                 "--out", str(out)]) == 0
     result = json.loads(capsys.readouterr().out)
-    assert result["efficiency"] == pytest.approx(0.93, abs=1e-6)
+    assert result == json.loads((out / "fit_end_to_end.json").read_text())
+    assert result["system"] == "end_to_end" and result["strong"] == []
+    [family] = result["weak"]
+    assert family["dofs_per_subdomain"] == 330
+    assert family["points"] == [[330, 12], [1320, 24], [5280, 48]]
+    assert family["exponent"] == pytest.approx(0.5, abs=1e-12)
+    assert family["residual"] <= 1e-20
 
 
 def test_fit_strong_selects_fixed_problem_size(tmp_path, capsys):
-    from blocksolve.bench import strong_model_times
-
-    def row(refinement, p, t, dofs):
-        return {"case_id": "c", "refinement": refinement, "system": "liquid_species",
-                "solver": "dd0-ilu0", "p": p, "repetitions": 1, "iterations": 10,
-                "converged": True, "final_relative_residual": 1e-9,
-                "mean_setup_seconds": t / 2, "std_setup_seconds": 0.0,
-                "mean_solve_seconds": t / 2, "std_solve_seconds": 0.0, "dofs": dofs}
-
-    procs = [2, 4, 8]
-    times = strong_model_times(1.0, 2, procs, 0.8)
-    records = [row(1, p, t, 4000) for p, t in zip(procs, times)]
-    records += [row(0, p, 0.123, 1000) for p in procs]  # another scale, ignored
-    path = tmp_path / "records.json"
-    path.write_text(json.dumps(records))
-    assert main(["fit", "--records", str(path), "--model", "strong",
-                 "--system", "liquid_species"]) == 0
+    rows = [("liquid_species", 1, p, 4000, its) for p, its in [(2, 10), (4, 12), (8, 14)]]
+    rows += [("liquid_species", 0, 3, 1000, 9),  # one P at this scale: no family
+             ("solid_voltage", 1, 16, 4000, 40)]  # another system, ignored
+    path = write_records(tmp_path, rows)
+    assert main(["fit", "--records", path, "--system", "liquid_species"]) == 0
     result = json.loads(capsys.readouterr().out)
-    assert result["efficiency"] == pytest.approx(0.8, abs=1e-6)
-    assert all(n_or_p in procs for n_or_p, _ in result["points_used"])
+    assert result["weak"] == []
+    assert [(f["refinement"], f["points"]) for f in result["strong"]] == [
+        (1, [[2, 10], [4, 12], [8, 14]])]
 
 
 def test_fit_missing_file_is_config_error(tmp_path):
-    assert main(["fit", "--records", str(tmp_path / "nope.json"),
-                 "--model", "weak"]) == 2
+    assert main(["fit", "--records", str(tmp_path / "nope.json")]) == 2
+
+
+def test_fit_without_a_two_point_series_is_config_error(tmp_path, capsys):
+    # one P per refinement and a new dofs/P at each: nothing to fit
+    path = write_records(tmp_path, [("liquid_species", r, 4, 1000 * 4**r, 10)
+                                    for r in range(3)])
+    assert main(["fit", "--records", path, "--system", "liquid_species"]) == 2
+    assert "two or more points" in capsys.readouterr().err
+
+
+def test_suite_then_fit_reports_the_suite_iterations(tmp_path, capsys):
+    cfg = write_config(tmp_path, systems=["liquid_species"], refinements=[0, 1],
+                       subdomains=[1, 4])
+    out = tmp_path / "suite"
+    assert main(["suite", "--config", cfg, "--out", str(out)]) == 0
+    its = {(r["refinement"], r["p"]): r["iterations"]
+           for r in json.loads((out / "records.json").read_text())}
+    capsys.readouterr()
+    assert main(["fit", "--records", str(out / "records.json"),
+                 "--system", "liquid_species"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    # 140 dofs at r = 0 and 560 at r = 1
+    assert [(f["dofs_per_subdomain"], f["points"]) for f in result["weak"]] == [
+        (140, [[140, its[0, 1]], [560, its[1, 4]]])]
+    assert [(f["refinement"], f["points"]) for f in result["strong"]] == [
+        (r, [[1, its[r, 1]], [4, its[r, 4]]]) for r in (0, 1)]
 
 
 def test_report_roundtrip(tmp_path, capsys):
@@ -170,6 +199,15 @@ def test_bad_config_json_exit_code(tmp_path):
     ({"precon": {"inner_tol": 2.0}}, "relative tolerance"),
     ({"case": {"nr": 0}}, "nr: want an integer >= 1"),
     ({"case": {"refinement": -1}}, "refinement: want an integer >= 0"),
+    ({"precon": {"ras_overlap": -1}}, "ras_overlap: want an integer >= 0"),
+    ({"precon": {"ras_overlap": 1.5}}, "ras_overlap: want an integer >= 0"),
+    ({"precon": {"voltage_smoother_degree": 0}}, "smoother_degree: want an integer >= 1"),
+    ({"precon": {"pressure_smoother_degree": 2.5}}, "AMG options of 'p'"),
+    ({"precon": {"drop_tolerances": {"phi_s": -1}}}, "drop tolerance must be >= 0"),
+    ({"precon": {"drop_tolerances": {"q": 0.1}}}, "unknown fields ['q']"),
+    ({"precon": {"max_coarse_size": 0}}, "max_coarse_size must be >= 1"),
+    ({"systems": ["liquid_pressure", "liquid_species"], "subdomains": [256]},
+     "P = 256 exceeds the 28 cells at refinement 0"),
 ])
 def test_bad_suite_config_fails_before_any_solve(tmp_path, monkeypatch, capsys,
                                                  suite_fields, message):
@@ -182,9 +220,10 @@ def test_bad_suite_config_fails_before_any_solve(tmp_path, monkeypatch, capsys,
     cfg = write_config(tmp_path, **suite_fields)
     out = tmp_path / "s"
     assert main(["suite", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "configuration error" in err
-    assert message in err
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err
+    assert message in captured.err
+    assert "[ok]" not in captured.out
     assert not (out / "records.csv").exists()
 
 
@@ -206,3 +245,17 @@ def test_suite_takes_no_format(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["suite", "--out", str(tmp_path), "--format", "csv"])
     assert exc.value.code == 2
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("blocksolve ")]
+    parser = build_parser()
+    assert {shlex.split(line)[1] for line in lines} == {
+        "generate", "solve", "suite", "fit", "report"}
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")

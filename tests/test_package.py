@@ -6,8 +6,7 @@ import blocksolve
 PUBLIC = [
     "AmgParams", "as_preconditioner", "build_hierarchy", "vcycle",
     "CaseConfig", "build_case", "build_grid",
-    "ExperimentRecord", "SuiteConfig",
-    "fit_strong_efficiency", "fit_weak_efficiency", "run_suite",
+    "ExperimentRecord", "SuiteConfig", "run_suite",
     "BlockSystem", "ElectrochemOptions",
     "assemble_block_operator", "build_electrochem_preconditioner",
     "SolverConfig", "SolveStats", "fgmres", "gmres",
@@ -17,8 +16,7 @@ PUBLIC = [
     "chebyshev_apply", "chebyshev_setup",
     "estimate_lambda_max", "ilu0_apply", "ilu0_factor", "jacobi_apply",
     "jacobi_setup",
-    "as_csr", "dense_factor", "dense_factor_solve",
-    "spmv", "triple_product",
+    "as_csr", "dense_factor", "triple_product",
 ]
 
 # the names the benchmark in perfbench/ calls through the package namespace
