@@ -45,11 +45,13 @@ class AmgParams:
     def __post_init__(self):
         if self.drop_tolerance < 0.0:
             raise ValueError("drop tolerance must be >= 0")
-        if self.max_coarse_size < 1:
-            raise ValueError("max_coarse_size must be >= 1")
-        degree = self.smoother_degree
-        if not isinstance(degree, (int, np.integer)) or degree < 1:
-            raise ValueError(f"smoother_degree: want an integer >= 1, got {degree!r}")
+        size = self.max_coarse_size
+        if not isinstance(size, (int, np.integer)) or size < 1:
+            raise ValueError(f"max_coarse_size must be >= 1 and an integer, got {size!r}")
+        for name, least in (("smoother_degree", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name}: want an integer >= {least}, got {value!r}")
 
 
 @dataclass

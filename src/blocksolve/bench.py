@@ -168,7 +168,8 @@ class SuiteConfig:
     def __post_init__(self):
         for name, values, least in (("refinements", self.refinements, 0),
                                     ("subdomains", self.subdomains, 1),
-                                    ("repetitions", [self.repetitions], 1)):
+                                    ("repetitions", [self.repetitions], 1),
+                                    ("seed", [self.seed], 0)):
             if not values or not all(isinstance(v, int) and v >= least for v in values):
                 raise ValueError(f"{name}: want integers >= {least}, "
                                  f"got {getattr(self, name)!r}")

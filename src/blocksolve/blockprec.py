@@ -256,9 +256,9 @@ class ElectrochemOptions:
         try:
             return SolverConfig(restart=self.inner_restart, tol=self.inner_tol,
                                 maxiter=self.inner_maxiter, flexible=True)
-        except TypeError as err:
+        except ValueError as err:
             raise ValueError("inner_tol, inner_restart and inner_maxiter must be "
-                             f"numbers: {err}") from err
+                             f"numbers that SolverConfig takes: {err}") from err
 
     def theta(self, fieldname):
         return self.drop_tolerances.get(fieldname, self.drop_tolerance)

@@ -139,7 +139,10 @@ def cmd_fit(args):
     weak, strong = scaling_series(rows)
     if not weak and not strong:
         raise ConfigError(f"{args.records} holds no converged {args.system!r} "
-                          "series of two or more points")
+                          "series of two or more points; run the suite with two or "
+                          "more subdomains (a strong series) or with P growing with "
+                          "the refinement, fourfold like the dofs, as subdomains "
+                          "[4, 16] over refinements [0, 1] (a weak series)")
     try:
         result = {
             "system": args.system,

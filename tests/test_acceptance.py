@@ -224,18 +224,34 @@ def test_criterion_6_end_to_end_hierarchy(battery_family):
 WEAK_SERIES = {"liquid_species": ([12, 24, 49, 103], 0.517),
                "nonvoltage": ([15, 23, 46, 77], 0.404),
                "end_to_end": ([2, 2, 2, 1], None)}
+# levels of the lower and upper ILU(0) sweeps of the species RAS factor,
+# r = 0..3: flat at P = 4·4^r, growing with the subdomain size at P = 4
+WAVEFRONT_LEVELS = {"weak": [6, 6, 6, 6], "fixed P = 4": [6, 15, 32, 66]}
+
+
+def species_sweep_levels(case, p):
+    A = case.system.submatrix(("x",))
+    part = partition_nodes(case.grid.centers, p)
+    factors = ras_setup(A, extend_overlap(A, part, 0), part).factors
+    return len(factors.lower.row_ptr) - 1, len(factors.upper.row_ptr) - 1
 
 
 def test_criterion_7_scaling_model_fits():
     t0 = time.perf_counter()
     suite = SuiteConfig()
     points = {system: [] for system in WEAK_SERIES}
+    levels = {series: [] for series in WAVEFRONT_LEVELS}
     for r in range(4):
         case = build_case(replace(suite.case, refinement=r))
+        for series, p in (("weak", 4 * 4**r), ("fixed P = 4", 4)):
+            lower, upper = species_sweep_levels(case, p)
+            assert lower == upper
+            levels[series].append(lower)
         for system in points:
             stats = run_experiment(case, system, suite, p=4 * 4**r)[2]
             assert stats.converged
             points[system].append((case.total_dim, stats.iterations))
+    assert levels == WAVEFRONT_LEVELS
     fitted = {}
     for system, (iterations, exponent) in WEAK_SERIES.items():
         assert [its for _, its in points[system]] == iterations
@@ -244,7 +260,9 @@ def test_criterion_7_scaling_model_fits():
             assert fitted[system] == pytest.approx(exponent, abs=5e-4)
     report(7, "weak iteration series at 82.5 dofs per subdomain, r = 0..3: "
               + "; ".join(f"{s} {WEAK_SERIES[s][0]} (exponent {e:.3f})"
-                          for s, e in fitted.items()), t0)
+                          for s, e in fitted.items())
+              + "; ILU(0) levels per sweep "
+              + "; ".join(f"{s} {v}" for s, v in levels.items()), t0)
 
 
 def test_criterion_8_structural_fidelity(battery_family):

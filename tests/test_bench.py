@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import blocksolve.bench as bench
+from blocksolve.amg import AmgParams
 from blocksolve.battery import CaseConfig, build_case
 from blocksolve.blockprec import ElectrochemOptions
 from blocksolve.krylov import SolverConfig
@@ -175,6 +176,27 @@ def test_suite_config_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(SuiteConfig)] == [
         "case", "refinements", "systems", "subdomains", "repetitions", "seed",
         "precon"]
+
+
+INTEGER_OPTIONS = [
+    (cls, f.name, f.default)
+    for cls in (CaseConfig, AmgParams, SolverConfig, ElectrochemOptions)
+    for f in dataclasses.fields(cls) if type(f.default) is int]
+
+
+def test_integer_options_are_found():
+    assert {(cls.__name__, name) for cls, name, _ in INTEGER_OPTIONS} >= {
+        ("SolverConfig", "restart"), ("SolverConfig", "maxiter"),
+        ("AmgParams", "max_coarse_size"), ("AmgParams", "seed"),
+        ("ElectrochemOptions", "inner_restart"), ("CaseConfig", "nr")}
+
+
+@pytest.mark.parametrize("cls, name, default", INTEGER_OPTIONS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name, _ in INTEGER_OPTIONS])
+def test_integer_options_reject_a_fraction(cls, name, default):
+    # a new integer option cannot skip its check
+    with pytest.raises(ValueError):
+        cls(**{name: default + 0.5})
 
 
 def test_suite_config_builds_options_from_seed_and_precon():

@@ -62,6 +62,22 @@ def test_solve_reports_measured_setup_seconds(tmp_path, capsys):
     assert payload["setup_seconds"] > 0
 
 
+def test_solve_reports_the_harness_timings(tmp_path, capsys, monkeypatch):
+    import blocksolve.cli as cli
+    from blocksolve.krylov import SolveStats
+
+    def fake(case, system, suite, p=1):
+        return 0.5, 0.25, SolveStats(iterations=3, converged=True,
+                                     final_relative_residual=1e-7)
+
+    monkeypatch.setattr(cli, "run_experiment", fake)
+    cfg = write_config(tmp_path)
+    assert main(["solve", "--config", cfg, "--system", "solid_voltage"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["setup_seconds"] == 0.5 and payload["solve_seconds"] == 0.25
+    assert payload["iterations"] == 3
+
+
 def test_solve_unknown_system_is_config_error(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["solve", "--config", cfg, "--system", "bogus"]) == 2
@@ -147,7 +163,10 @@ def test_fit_without_a_two_point_series_is_config_error(tmp_path, capsys):
     path = write_records(tmp_path, [("liquid_species", r, 4, 1000 * 4**r, 10)
                                     for r in range(3)])
     assert main(["fit", "--records", path, "--system", "liquid_species"]) == 2
-    assert "two or more points" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "two or more points" in err
+    assert "two or more subdomains (a strong series)" in err
+    assert "P growing with the refinement" in err and "(a weak series)" in err
 
 
 def test_suite_then_fit_reports_the_suite_iterations(tmp_path, capsys):
@@ -208,6 +227,10 @@ def test_bad_config_json_exit_code(tmp_path):
     ({"precon": {"max_coarse_size": 0}}, "max_coarse_size must be >= 1"),
     ({"systems": ["liquid_pressure", "liquid_species"], "subdomains": [256]},
      "P = 256 exceeds the 28 cells at refinement 0"),
+    ({"precon": {"inner_restart": 2.5}}, "restart: want an integer >= 1"),
+    ({"precon": {"inner_maxiter": 2.5}}, "maxiter: want an integer >= 1"),
+    ({"precon": {"max_coarse_size": 10.5}}, "max_coarse_size must be >= 1 and an integer"),
+    ({"seed": 0.5}, "seed: want integers >= 0"),
 ])
 def test_bad_suite_config_fails_before_any_solve(tmp_path, monkeypatch, capsys,
                                                  suite_fields, message):

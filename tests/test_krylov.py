@@ -248,6 +248,23 @@ def test_preconditioner_application_counts():
     assert sg.precond_applications == sg.iterations + sg.restarts + 1
 
 
+@pytest.mark.parametrize("solve", [gmres, fgmres])
+def test_one_true_residual_per_restart_cycle(solve):
+    # each cycle ends on one b - A x, which also seeds the next cycle
+    A = poisson_1d(40)
+    applications = []
+
+    def operator(v):
+        applications.append(1)
+        return A @ v
+
+    _, stats = solve(operator, A @ np.ones(40), preconditioner=lambda r: 0.5 * r,
+                     config=SolverConfig(restart=6, tol=1e-9, maxiter=100))
+    assert stats.restarts == 16  # stops at maxiter
+    assert len(applications) == stats.iterations + stats.restarts + 1
+    assert "solve_seconds" not in stats.to_dict()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(restart=0)
@@ -255,3 +272,6 @@ def test_config_validation():
         SolverConfig(tol=2.0)
     with pytest.raises(ValueError):
         SolverConfig(maxiter=0)
+    for bad in ({"restart": 2.5}, {"maxiter": 2.5}, {"restart": None}, {"tol": "1e-6"}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
