@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .smoothers import ChebyshevSmoother, chebyshev_setup, chebyshev_apply, estimate_lambda_max
-from .sparse import DenseFactorization, dense_factor, require_finite, triple_product
+from .sparse import DenseFactorization, dense_factor, matvec, require_finite, triple_product
 
 
 MAX_LEVELS = 20
@@ -310,10 +310,10 @@ def vcycle(H, b, x=None, level=0):
         return H.coarse_solver.solve(b)
     A = lvl.operator
     x = chebyshev_apply(lvl.smoother, A, b, x)
-    r = A @ x
+    r = matvec(A, x)
     np.subtract(b, r, out=r)
-    ec = vcycle(H, lvl.restrictor @ r, None, level + 1)
-    x += lvl.prolongator @ ec
+    ec = vcycle(H, matvec(lvl.restrictor, r), None, level + 1)
+    x += matvec(lvl.prolongator, ec)
     return chebyshev_apply(lvl.smoother, A, b, x)
 
 

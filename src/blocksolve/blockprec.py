@@ -21,6 +21,7 @@ from .amg import AmgParams, as_preconditioner, build_hierarchy
 from .krylov import SolverConfig, fgmres
 from .schwarz import extend_overlap, partition_nodes, ras_apply, ras_setup
 from .smoothers import jacobi_apply, jacobi_setup
+from .sparse import matvec
 
 FIELDS = ("phi_s", "phi_l", "s", "x", "p")
 VOLTAGE_FIELDS = ("phi_s", "phi_l")
@@ -164,7 +165,7 @@ class BlockGaussSeidel:
             r_k = r[self.bounds[k]:self.bounds[k + 1]]
             for C, z_later in zip(self.couplings[k], z):
                 if C is not None:
-                    r_k = r_k - C @ z_later
+                    r_k = r_k - matvec(C, z_later)
             z.insert(0, self.solvers[k](r_k))
         return np.concatenate(z)
 

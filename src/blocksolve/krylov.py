@@ -12,9 +12,12 @@ and residuals only; callers time the solves they run.
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
+
+from .sparse import matvec
 
 
 @dataclass
@@ -72,7 +75,7 @@ def as_apply(obj, what="operator"):
     if obj is None:
         return lambda v: v
     if sp.issparse(obj) or isinstance(obj, np.ndarray):
-        return lambda v: obj @ v
+        return partial(matvec, obj)
     if hasattr(obj, "matvec"):
         return obj.matvec
     if callable(obj):
@@ -96,6 +99,16 @@ def fgmres(operator, b, preconditioner=None, config=None):
 
 
 def _gmres(operator, b, preconditioner, config, flexible):
+    """The restarted (flexible) GMRES loop behind ``gmres`` and ``fgmres``.
+
+    Each step applies the preconditioner and the operator (a CSR operator
+    through ``sparse.matvec``), orthogonalizes by modified Gram-Schmidt into
+    column j of the Hessenberg matrix ``H``, and reduces that column with
+    the cycle's Givens rotations. The rotations run on the column as a list
+    of Python floats, with the stored cosines and sines as lists: the same
+    expressions in the same order round exactly as float64 array scalars,
+    at a fraction of their per-operation cost.
+    """
     apply_a = as_apply(operator, "operator")
     has_precond = preconditioner is not None
     apply_m = as_apply(preconditioner, "preconditioner")
@@ -128,8 +141,7 @@ def _gmres(operator, b, preconditioner, config, flexible):
         V = np.zeros((m + 1, n))
         Z = np.zeros((m, n)) if flexible else None
         H = np.zeros((m + 1, m))
-        cs = np.zeros(m)
-        sn = np.zeros(m)
+        cs, sn = [], []  # the cycle's rotations, as Python floats
         g = np.zeros(m + 1)
         V[0] = r / rnorm
         g[0] = rnorm
@@ -158,18 +170,20 @@ def _gmres(operator, b, preconditioner, config, flexible):
             else:
                 V[j + 1] = w / H[j + 1, j]
             # apply stored Givens rotations, then a new one to annihilate H[j+1,j]
+            h = H[:j + 2, j].tolist()
             for i in range(j):
-                hij = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = hij
-            denom = np.hypot(H[j, j], H[j + 1, j])
+                hij = cs[i] * h[i] + sn[i] * h[i + 1]
+                h[i + 1] = -sn[i] * h[i] + cs[i] * h[i + 1]
+                h[i] = hij
+            denom = float(np.hypot(h[j], h[j + 1]))
             if denom == 0.0:
-                cs[j], sn[j] = 1.0, 0.0
+                cs.append(1.0)
+                sn.append(0.0)
             else:
-                cs[j] = H[j, j] / denom
-                sn[j] = H[j + 1, j] / denom
-            H[j, j] = denom
-            H[j + 1, j] = 0.0
+                cs.append(h[j] / denom)
+                sn.append(h[j + 1] / denom)
+            h[j], h[j + 1] = denom, 0.0
+            H[:j + 2, j] = h
             g[j + 1] = -sn[j] * g[j]
             g[j] = cs[j] * g[j]
             stats.residual_history.append(abs(g[j + 1]) / bnorm)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sparse import SingularMatrixError, require_canonical, require_finite
+from .sparse import SingularMatrixError, matvec, require_canonical, require_finite
 
 PIVOT_FLOOR = 1e-14
 # the Chebyshev interval of D^{-1} A is [lambda_max / RATIO, BOOST * lambda_max]
@@ -20,24 +20,29 @@ CHEBYSHEV_BOOST = 1.1
 
 @dataclass
 class Wavefront:
-    """Level schedule of one triangular sweep, as flat arrays.
+    """Level schedule of one triangular sweep, in schedule order.
 
-    Level ``l`` computes ``rows[row_ptr[l]:row_ptr[l + 1]]`` at once; their
-    off-diagonal entries are ``cols``/``vals[entry_ptr[l]:entry_ptr[l + 1]]``,
-    grouped by row, and ``seg`` holds each row's first entry relative to its
-    level's block (the ``np.add.reduceat`` offsets). A row reads only rows of
-    earlier levels or rows without off-diagonal entries, which the schedule
-    leaves out. ``pivots`` holds the divisor of each scheduled row, or is
-    None for a unit-diagonal sweep.
+    ``order`` lists the rows a sweep computes: the scheduled rows grouped by
+    level, then the rows without off-diagonal entries, which the schedule
+    leaves out. A sweep keeps its vector in that order, so level ``l`` owns
+    the contiguous positions ``row_ptr[l]:row_ptr[l + 1]``. ``levels`` holds
+    one tuple of views per level: (that slice, the off-diagonal values, their
+    columns as positions in ``order``, each row's first entry relative to
+    the level's block for ``np.add.reduceat``, the rows' divisors or None).
+    A row reads only positions of earlier levels or of unscheduled rows.
+    ``pivots`` holds the divisor of each row of ``order``, or is None for a
+    unit-diagonal sweep.
     """
 
-    rows: np.ndarray
+    order: np.ndarray
     row_ptr: list
-    cols: np.ndarray
-    vals: np.ndarray
-    seg: np.ndarray
-    entry_ptr: list
     pivots: np.ndarray | None
+    levels: tuple
+
+    @property
+    def rows(self):
+        """The scheduled rows, grouped by level."""
+        return self.order[:self.row_ptr[-1]]
 
 
 @dataclass
@@ -47,7 +52,10 @@ class Ilu0Factors:
     The unit lower-triangular part lives strictly below the diagonal of the
     combined array; the diagonal and above belong to U. ``lower`` and
     ``upper`` are the wavefront schedules of the two triangular solves,
-    built from ``data`` at factor time; the factors are read-only.
+    built from ``data`` at factor time, and ``to_upper`` maps the lower
+    sweep's order to the upper sweep's: position k of the upper order holds
+    the row at position ``to_upper[k]`` of the lower order. The factors are
+    read-only.
     """
 
     n: int
@@ -58,6 +66,7 @@ class Ilu0Factors:
     pivots: np.ndarray
     lower: Wavefront
     upper: Wavefront
+    to_upper: np.ndarray
 
 
 def _ranges(starts, counts):
@@ -97,14 +106,22 @@ def _wavefront(level, starts, counts, indices, data, pivots=None):
     row's entries are ``starts[i]`` to ``starts[i] + counts[i]``."""
     rows = np.flatnonzero(counts)
     rows = rows[np.argsort(level[rows], kind="stable")]
+    order = np.concatenate((rows, np.flatnonzero(counts == 0)))
+    position = np.empty(order.size, dtype=np.int64)
+    position[order] = np.arange(order.size)
     row_ptr = np.searchsorted(level[rows], np.arange(1, level.max(initial=0) + 2))
     entries = _ranges(starts[rows], counts[rows])
+    cols, vals = position[indices[entries]], data[entries]
     first = np.concatenate(([0], np.cumsum(counts[rows])))
     entry_ptr = first[row_ptr]
     seg = first[:-1] - np.repeat(entry_ptr[:-1], np.diff(row_ptr))
-    return Wavefront(rows=rows, row_ptr=row_ptr.tolist(), cols=indices[entries],
-                     vals=data[entries], seg=seg, entry_ptr=entry_ptr.tolist(),
-                     pivots=None if pivots is None else pivots[rows])
+    pivots = None if pivots is None else pivots[order]
+    row_ptr, entry_ptr = row_ptr.tolist(), entry_ptr.tolist()
+    levels = tuple(
+        (slice(r0, r1), vals[e0:e1], cols[e0:e1], seg[r0:r1],
+         None if pivots is None else pivots[r0:r1])
+        for r0, r1, e0, e1 in zip(row_ptr, row_ptr[1:], entry_ptr, entry_ptr[1:]))
+    return Wavefront(order=order, row_ptr=row_ptr, pivots=pivots, levels=levels)
 
 
 def ilu0_factor(A, block_offsets=None):
@@ -192,35 +209,40 @@ def ilu0_factor(A, block_offsets=None):
 
     upper_rows = np.repeat(np.arange(n), u_count)
     u_level = _levels(n, upper_rows, indices[_ranges(u_start, u_count)])
+    lower_sweep = _wavefront(l_level, indptr[:-1], diag_pos - indptr[:-1], indices, data)
+    upper_sweep = _wavefront(u_level, u_start, u_count, indices, data, pivots)
     return Ilu0Factors(
         n=n, indptr=indptr, indices=indices, data=data, diag_pos=diag_pos,
-        pivots=pivots,
-        lower=_wavefront(l_level, indptr[:-1], diag_pos - indptr[:-1], indices, data),
-        upper=_wavefront(u_level, u_start, u_count, indices, data, pivots))
-
-
-def _sweep(w, x, b):
-    """x[i] = (b[i] - sum_j v_ij x[j]) / pivot_i on the scheduled rows,
-    one level at a time (no division for a unit-diagonal sweep)."""
-    for l in range(len(w.row_ptr) - 1):
-        r0, r1 = w.row_ptr[l], w.row_ptr[l + 1]
-        e0, e1 = w.entry_ptr[l], w.entry_ptr[l + 1]
-        rows = w.rows[r0:r1]
-        v = b[rows] - np.add.reduceat(w.vals[e0:e1] * x[w.cols[e0:e1]], w.seg[r0:r1])
-        if w.pivots is not None:
-            v /= w.pivots[r0:r1]
-        x[rows] = v
+        pivots=pivots, lower=lower_sweep, upper=upper_sweep,
+        to_upper=np.argsort(lower_sweep.order)[upper_sweep.order])
 
 
 def ilu0_apply(F, r):
-    """Apply the factored inverse: z = U^{-1} L^{-1} r, by wavefronts."""
+    """Apply the factored inverse: z = U^{-1} L^{-1} r, by wavefronts.
+
+    Each sweep keeps its vector in its schedule order, so a level reads its
+    right-hand side and writes its result as one contiguous slice; the
+    vector is gathered once, permuted once between the sweeps and scattered
+    once. Every entry sees the operations of a per-level gather/scatter
+    sweep in the same order, so the result is bit-identical to it.
+    """
     r = np.asarray(r, dtype=np.float64)
     if r.shape[0] != F.n:
         raise ValueError(f"ilu0_apply: length {r.shape[0]} != dimension {F.n}")
-    y = r.copy()
-    _sweep(F.lower, y, r)
-    z = y / F.pivots
-    _sweep(F.upper, z, y)
+    # y = L^{-1} r in the lower order
+    u = r[F.lower.order]
+    for rows, vals, cols, seg, _ in F.lower.levels:
+        u[rows] = u[rows] - np.add.reduceat(vals * u[cols], seg)
+    # z = U^{-1} y in the upper order; unscheduled rows only divide
+    u = u[F.to_upper]
+    m = F.upper.row_ptr[-1]
+    u[m:] /= F.upper.pivots[m:]
+    for rows, vals, cols, seg, pivots in F.upper.levels:
+        t = u[rows] - np.add.reduceat(vals * u[cols], seg)
+        t /= pivots
+        u[rows] = t
+    z = np.empty(F.n)
+    z[F.upper.order] = u
     return z
 
 
@@ -260,14 +282,14 @@ def estimate_lambda_max(A, inverse_diagonal, iterations=10, seed=0):
         v /= nv
         ok = True
         for _ in range(iterations):
-            w = inverse_diagonal * (A @ v)
+            w = inverse_diagonal * matvec(A, v)
             nw = np.linalg.norm(w)
             if nw == 0.0:
                 ok = False
                 break
             v = w / nw
         if ok:
-            return abs(v @ (inverse_diagonal * (A @ v)))
+            return abs(v @ (inverse_diagonal * matvec(A, v)))
     raise RuntimeError("power iteration collapsed to the zero vector twice")
 
 
@@ -333,7 +355,7 @@ def chebyshev_apply(S, A, b, x=None):
     if b.shape[0] != A.shape[0] or (x is not None and x.shape[0] != A.shape[0]):
         raise ValueError("chebyshev_apply: dimension mismatch")
     # r is never written: each step stores r - A d in the buffer of A d
-    r = b if x is None else b - A @ x
+    r = b if x is None else b - matvec(A, x)
     dinv = S.inverse_diagonal
     d = dinv * r
     d /= S.theta
@@ -343,7 +365,7 @@ def chebyshev_apply(S, A, b, x=None):
         x += d
     t = np.empty_like(d)
     for c1, c2 in S.steps:
-        Ad = A @ d
+        Ad = matvec(A, d)
         r = np.subtract(r, Ad, out=Ad)
         d *= c1
         np.multiply(dinv, r, out=t)

@@ -1,9 +1,11 @@
-"""CSR matrix utilities: canonical form, the Galerkin product, and dense factorization.
+"""CSR matrix utilities: canonical form, the matrix-vector product, the
+Galerkin product, and dense factorization.
 
 Every operator in this library is a scipy CSR matrix kept in canonical form
 (sorted column indices, no duplicates). Explicit zeros are legal stored
 entries and are never silently dropped, so sparsity patterns stay
-deterministic across runs.
+deterministic across runs. The solve path applies operators with
+``matvec``, the kernel ``A @ x`` ends in, without its dispatch.
 """
 
 from dataclasses import dataclass
@@ -11,6 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+
+_CSR = (sp.csr_matrix, sp.csr_array)
+_FLOAT64 = np.dtype(np.float64)
 
 
 class SingularMatrixError(RuntimeError):
@@ -38,6 +44,27 @@ def as_csr(A):
     if M.data.dtype != np.float64:
         M = M.astype(np.float64)
     return M
+
+
+def matvec(A, x):
+    """y = A @ x, bit for bit, by the scipy kernel that ``A @ x`` ends in.
+
+    For a float64 CSR matrix and a float64 array the kernel runs without
+    the operator dispatch (a few microseconds per call on small levels);
+    anything else, such as a duck-typed operator, goes through ``A @ x``.
+    Raises ValueError naming both lengths when ``x`` is not a vector of
+    ``A.shape[1]`` entries: the kernel does not check them.
+    """
+    if (not isinstance(A, _CSR) or not isinstance(x, np.ndarray)
+            or A.data.dtype != _FLOAT64 or x.dtype != _FLOAT64):
+        return A @ x
+    m, n = A.shape
+    if x.shape != (n,):
+        raise ValueError(f"matvec: vector of shape {x.shape} for a matrix "
+                         f"with {n} columns (want length {n})")
+    y = np.zeros(m)
+    _csr_matvec(m, n, A.indptr, A.indices, A.data, x, y)
+    return y
 
 
 def require_finite(A, name="matrix"):

@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -90,12 +91,13 @@ def random_dominant(seed, n=25):
     return as_csr(A + sp.diags(np.abs(A).sum(axis=1).A1 + 1.0))
 
 
-def stacked_species_block(refinement, overlap):
+def stacked_species_block(refinement, overlap, count=4):
     """The block-diagonal stack of the RAS subdomain blocks of the species
-    operator (P = 4), as the Schwarz setup factors it, with its offsets."""
+    operator (P = ``count``), as the Schwarz setup factors it, with its
+    offsets."""
     case = build_case(CaseConfig(nr=6, n_cells=2, refinement=refinement))
     A = case.system.blocks[("x", "x")]
-    sets = extend_overlap(A, partition_nodes(case.grid.centers, 4), overlap)
+    sets = extend_overlap(A, partition_nodes(case.grid.centers, count), overlap)
     stacked = sp.block_diag([A[idx][:, idx] for idx in sets], format="csr")
     stacked.sort_indices()
     return stacked, np.concatenate(([0], np.cumsum([len(idx) for idx in sets])))
@@ -193,6 +195,98 @@ def test_ilu0_schedules_are_topological_orders(case):
         for l in range(len(w.row_ptr) - 1):
             for i in w.rows[w.row_ptr[l]:w.row_ptr[l + 1]]:
                 assert all(level[F.indices[p]] < l + 1 for p in reads(i))
+
+
+def reference_schedule(F, upper):
+    """A sweep's per-level schedule in the layout ``reference_wavefront_apply``
+    reads (the scheduled rows by level, their entries with their column
+    indices, ``reduceat`` offsets and divisors), with each row's level found
+    row by row."""
+    def reads(i):
+        return (range(F.diag_pos[i] + 1, F.indptr[i + 1]) if upper
+                else range(F.indptr[i], F.diag_pos[i]))
+    level = np.zeros(F.n, dtype=np.int64)
+    for i in (range(F.n - 1, -1, -1) if upper else range(F.n)):
+        if len(reads(i)):
+            level[i] = 1 + max(level[F.indices[p]] for p in reads(i))
+    rows = np.array(sorted((i for i in range(F.n) if level[i]), key=lambda i: (level[i], i)),
+                    dtype=np.int64)
+    entries = np.array([p for i in rows for p in reads(i)], dtype=np.int64)
+    counts = np.array([len(reads(i)) for i in rows], dtype=np.int64)
+    row_ptr = np.searchsorted(level[rows], np.arange(1, level.max(initial=0) + 2))
+    first = np.concatenate(([0], np.cumsum(counts)))
+    entry_ptr = first[row_ptr]
+    return SimpleNamespace(
+        rows=rows, row_ptr=row_ptr.tolist(), cols=F.indices[entries], vals=F.data[entries],
+        seg=first[:-1] - np.repeat(entry_ptr[:-1], np.diff(row_ptr)),
+        entry_ptr=entry_ptr.tolist(), pivots=F.pivots[rows] if upper else None)
+
+
+def reference_wavefront_apply(F, r):
+    """The per-level gather/scatter wavefront apply that the schedule-ordered
+    ``ilu0_apply`` replaced, verbatim: the oracle it must match bit for bit."""
+    def _sweep(w, x, b):
+        """x[i] = (b[i] - sum_j v_ij x[j]) / pivot_i on the scheduled rows,
+        one level at a time (no division for a unit-diagonal sweep)."""
+        for l in range(len(w.row_ptr) - 1):
+            r0, r1 = w.row_ptr[l], w.row_ptr[l + 1]
+            e0, e1 = w.entry_ptr[l], w.entry_ptr[l + 1]
+            rows = w.rows[r0:r1]
+            v = b[rows] - np.add.reduceat(w.vals[e0:e1] * x[w.cols[e0:e1]], w.seg[r0:r1])
+            if w.pivots is not None:
+                v /= w.pivots[r0:r1]
+            x[rows] = v
+
+    r = np.asarray(r, dtype=np.float64)
+    y = r.copy()
+    _sweep(reference_schedule(F, upper=False), y, r)
+    z = y / F.pivots
+    _sweep(reference_schedule(F, upper=True), z, y)
+    return z
+
+
+BYTE_CASES = ORACLE_CASES + [
+    pytest.param(lambda: stacked_species_block(3, 0), id="species-r3-P4"),
+    pytest.param(lambda: stacked_species_block(3, 0, count=256), id="species-r3-P256"),
+    pytest.param(lambda: stacked_species_block(3, 1), id="species-r3-P4-overlap1"),
+]
+
+
+@pytest.mark.parametrize("case", BYTE_CASES)
+def test_ilu0_apply_bit_identical_to_per_level_sweep(case):
+    A, offsets = case()
+    F = ilu0_factor(A, block_offsets=offsets)
+    rng = np.random.default_rng(A.shape[0])
+    for r in (rng.standard_normal(A.shape[0]), np.ones(A.shape[0])):
+        assert ilu0_apply(F, r).tobytes() == reference_wavefront_apply(F, r).tobytes()
+
+
+def array_fields(obj):
+    """Field name -> bytes of every array a dataclass instance holds,
+    directly or in (nested) tuples; None for any other field."""
+    def flat(value):
+        if isinstance(value, np.ndarray):
+            return [value.tobytes()]
+        if isinstance(value, tuple):
+            return [b for v in value for b in flat(v)]
+        return []
+    return {name: flat(value) or None for name, value in vars(obj).items()}
+
+
+def test_factors_and_smoothers_unchanged_by_applies():
+    from blocksolve.amg import AmgParams, build_hierarchy, vcycle
+    A, offsets = stacked_species_block(1, 1)
+    F = ilu0_factor(A, block_offsets=offsets)
+    H = build_hierarchy(build_case(CaseConfig(refinement=1)).system.blocks[("phi_s", "phi_s")],
+                        AmgParams())
+    parts = [F, F.lower, F.upper] + [lvl.smoother for lvl in H.levels[:-1]]
+    before = [array_fields(obj) for obj in parts]
+    assert all(any(fields.values()) for fields in before)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        ilu0_apply(F, rng.standard_normal(A.shape[0]))
+        vcycle(H, rng.standard_normal(H.levels[0].operator.shape[0]))
+    assert [array_fields(obj) for obj in parts] == before
 
 
 def test_ilu0_missing_diagonal_rejected():

@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import blocksolve.sparse
+from blocksolve.amg import AmgParams, build_hierarchy
+from blocksolve.battery import CaseConfig, build_case
+from blocksolve.blockprec import NONVOLTAGE_FIELDS, VOLTAGE_FIELDS
 from blocksolve.sparse import (
     SingularMatrixError,
     as_csr,
     dense_factor,
+    matvec,
     require_canonical,
     triple_product,
 )
@@ -66,6 +71,86 @@ def test_spmv_deterministic():
     y1 = A @ x
     y2 = A @ x
     assert np.array_equal(y1, y2)
+
+
+# ---------------------------------------------------------------- matvec
+# the solve path's product: the kernel ``A @ x`` ends in, without dispatch
+
+def solve_path_matrices():
+    """Every level operator, prolongator and restrictor of the phi_s, phi_l
+    and p hierarchies at r = 0..3, and the r = 3 monolithic matrix and group
+    submatrices."""
+    out = []
+    for r in range(4):
+        system = build_case(CaseConfig(refinement=r)).system
+        for f in ("phi_s", "phi_l", "p"):
+            for lvl in build_hierarchy(system.blocks[(f, f)], AmgParams()).levels:
+                out += [M for M in (lvl.operator, lvl.prolongator, lvl.restrictor)
+                        if M is not None]
+    out += [system.monolithic(), system.submatrix(VOLTAGE_FIELDS),
+            system.submatrix(NONVOLTAGE_FIELDS)]
+    return out
+
+
+def test_matvec_bit_identical_to_matmul_on_solve_path_matrices():
+    matrices = solve_path_matrices()
+    assert len(matrices) >= 30
+    rng = np.random.default_rng(11)
+    for A in matrices:
+        x = rng.standard_normal(A.shape[1])
+        assert matvec(A, x).tobytes() == (A @ x).tobytes()
+
+
+def test_matvec_bit_identical_with_empty_rows_and_int64_indices():
+    A = random_csr(30, 20, 0.2, seed=5)
+    A.data[A.indptr[3]:A.indptr[7]] = 0.0
+    A.eliminate_zeros()   # rows 3..6 now hold no entries
+    assert not np.diff(A.indptr)[3:7].any()
+    wide = A.copy()   # scipy's constructors would narrow int64 indices again
+    wide.indices, wide.indptr = A.indices.astype(np.int64), A.indptr.astype(np.int64)
+    assert wide.indices.dtype == wide.indptr.dtype == np.int64
+    x = np.random.default_rng(6).standard_normal(20)
+    for M in (A, wide):
+        y = matvec(M, x)
+        assert y.tobytes() == (M @ x).tobytes()
+        assert not y[3:7].any()
+
+
+@pytest.mark.parametrize("length", [19, 21])
+def test_matvec_rejects_wrong_length_before_the_kernel(monkeypatch, length):
+    calls = []
+    monkeypatch.setattr(blocksolve.sparse, "_csr_matvec",
+                        lambda *args: calls.append(args))
+    A = random_csr(30, 20, 0.2, seed=5)
+    with pytest.raises(ValueError, match=rf"shape \({length},\).* 20 columns"):
+        matvec(A, np.ones(length))
+    with pytest.raises(ValueError, match="20 columns"):
+        matvec(A, np.ones((20, 1)))
+    assert calls == []
+
+
+class MatmulOnly:
+    """A duck-typed operator: shape and ``@``, nothing else."""
+
+    def __init__(self, A):
+        self.A, self.shape, self.products = A, A.shape, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.A @ v
+
+
+def test_matvec_sends_other_operators_through_matmul(monkeypatch):
+    calls = []
+    monkeypatch.setattr(blocksolve.sparse, "_csr_matvec",
+                        lambda *args: calls.append(args))
+    A = random_csr(12, 12, 0.3, seed=9)
+    x = np.random.default_rng(10).standard_normal(12)
+    op = MatmulOnly(A)
+    assert matvec(op, x).tobytes() == (A @ x).tobytes() and op.products == 1
+    for M in (A.tocsc(), A.astype(np.float32), A.toarray()):
+        np.testing.assert_array_equal(matvec(M, x), M @ x)
+    assert calls == []
 
 
 # ---------------------------------------------------------------- triple product
