@@ -20,7 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .smoothers import ChebyshevSmoother, chebyshev_setup, chebyshev_apply, estimate_lambda_max
-from .sparse import DenseFactorization, dense_factor, matvec, require_finite, triple_product
+from .sparse import (DenseFactorization, dense_factor, matvec, require_canonical,
+                     require_finite, triple_product)
 
 
 MAX_LEVELS = 20
@@ -96,7 +97,8 @@ def strength_graph(A, theta):
     Off-diagonal (i, j) is strong iff |a_ij| > theta * sqrt(|a_ii a_jj|);
     the pattern is symmetrized by union and the diagonal is always present.
     Stored values are the (summed) strength ratios used for tie-breaking
-    during aggregation; the pattern itself is the contract.
+    during aggregation; the pattern itself is the contract. ``A`` must be
+    canonical CSR.
     """
     n = A.shape[0]
     diag = np.abs(A.diagonal())
@@ -104,19 +106,26 @@ def strength_graph(A, theta):
         raise ValueError("strength_graph: zero diagonal entry")
     indptr, indices, data = A.indptr, A.indices, A.data
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    cols = indices.astype(np.int64)
-    scale = np.sqrt(diag[rows] * diag[cols])
-    ratio = np.abs(data) / scale
-    keep = (rows != cols) & (ratio > theta)
-    ri, ci, rv = rows[keep], cols[keep], ratio[keep]
-    # union-symmetrize; duplicate (i,j)/(j,i) strengths accumulate
-    i_all = np.concatenate([ri, ci, np.arange(n, dtype=np.int64)])
-    j_all = np.concatenate([ci, ri, np.arange(n, dtype=np.int64)])
-    v_all = np.concatenate([rv, rv, np.zeros(n)])
-    S = sp.coo_matrix((v_all, (i_all, j_all)), shape=(n, n)).tocsr()
-    S.sum_duplicates()
-    S.sort_indices()
+    ratio = np.abs(data) / np.sqrt(diag[rows] * diag[indices])
+    offdiag = rows != indices
+    weak = offdiag & ~(ratio > theta)
+    # the diagonal rides through the union as NaN, which no strong ratio is,
+    # and ends as the explicit zero; masking a canonical A leaves K
+    # canonical, and the union adds ratio_ij + ratio_ji, which commutes
+    ratio[~offdiag] = np.nan
+    K = sp.csr_matrix(_without(weak, rows, indptr, ratio.astype(np.float64, copy=False), indices),
+                      shape=(n, n))
+    S = K + K.T
+    S.data[np.isnan(S.data)] = 0.0
     return S
+
+
+def _without(drop, rows, indptr, data, indices):
+    """(data, indices, indptr) of a CSR matrix less the entries ``drop``
+    selects; ``rows`` holds each entry's row."""
+    dropped = np.bincount(rows[drop], minlength=indptr.size - 1)
+    keep = ~drop
+    return data[keep], indices[keep], indptr - np.concatenate(([0], np.cumsum(dropped)))
 
 
 def aggregate(S):
@@ -196,37 +205,33 @@ def tentative_prolongator(agg, nullspace):
             f"tentative_prolongator: nullspace vanishes on aggregate {bad}"
         )
     norms = np.sqrt(norms_sq)
-    P = sp.csr_matrix(
-        (nullspace / norms[agg.assignments], (np.arange(n), agg.assignments)),
+    return sp.csr_matrix(
+        (nullspace / norms[agg.assignments], agg.assignments, np.arange(n + 1)),
         shape=(n, agg.count),
     )
-    P.sort_indices()
-    return P
 
 
 def filtered_matrix(A, theta):
     """Drop entries failing the theta rule and lump their magnitudes onto the
-    diagonal with the diagonal's sign (absolute-row-sum compensation)."""
+    diagonal with the diagonal's sign (absolute-row-sum compensation).
+    ``A`` must be canonical CSR."""
     n = A.shape[0]
     diag = A.diagonal()
     if np.any(diag == 0.0):
         raise ValueError("filtered_matrix: zero diagonal entry")
     indptr, indices, data = A.indptr, A.indices, A.data
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    cols = indices.astype(np.int64)
     absd = np.abs(diag)
-    offdiag = rows != cols
-    weak = offdiag & (np.abs(data) <= theta * np.sqrt(absd[rows] * absd[cols]))
+    offdiag = rows != indices
+    weak = offdiag & (np.abs(data) <= theta * np.sqrt(absd[rows] * absd[indices]))
     dropped = np.bincount(rows[weak], weights=np.abs(data[weak]), minlength=n)
     compensated = np.sign(diag) * (absd + dropped)
 
-    keep = ~weak & offdiag
-    i_all = np.concatenate([rows[keep], np.arange(n, dtype=np.int64)])
-    j_all = np.concatenate([cols[keep], np.arange(n, dtype=np.int64)])
-    v_all = np.concatenate([data[keep], compensated])
-    Af = sp.coo_matrix((v_all, (i_all, j_all)), shape=(n, n)).tocsr()
-    Af.sum_duplicates()
-    Af.sort_indices()
+    # a nonzero diagonal is stored once per row, so the kept entries hold
+    # it in row order and stay canonical
+    Af = sp.csr_matrix(_without(weak, rows, indptr, data.astype(np.float64, copy=False), indices),
+                       shape=A.shape)
+    Af.data[~offdiag[~weak]] = compensated
     return Af
 
 
@@ -235,14 +240,23 @@ def smooth_prolongator(A, P_tent, params):
     filtered operator: P = (I - omega * Dhat^{-1} A_f) P_tent with
     omega = damping / lambda_max(Dhat^{-1} A_f). Returns P and that
     lambda_max estimate."""
-    Af = filtered_matrix(A, params.drop_tolerance)
-    dinv = 1.0 / Af.diagonal()
+    # at drop tolerance 0, A_f is A less its stored zeros; a stored zero
+    # adds +-0 to a product sum that starts at +0.0, so every product below
+    # gives the same bits on A itself
+    Af = A if params.drop_tolerance == 0.0 else filtered_matrix(A, params.drop_tolerance)
+    diag = Af.diagonal()
+    if np.any(diag == 0.0):
+        raise ValueError("smooth_prolongator: zero diagonal entry")
+    dinv = 1.0 / diag
     lam = estimate_lambda_max(Af, dinv, seed=params.seed)
     if lam <= 0.0:
         raise CoarseningError(f"nonpositive spectral estimate {lam} for the filtered operator")
     omega = PROLONGATOR_DAMPING / lam
-    P = (P_tent - sp.diags(omega * dinv) @ (Af @ P_tent)).tocsr()
-    P.sum_duplicates()
+    # the row scaling omega * Dhat^{-1}: each entry is the one product the
+    # diagonal SpGEMM would add to +0.0
+    AP = Af @ P_tent
+    AP.data *= np.repeat(omega * dinv, np.diff(AP.indptr))
+    P = P_tent - AP
     P.sort_indices()
     return P, lam
 
@@ -252,6 +266,8 @@ def build_hierarchy(A, params=None):
     the operator fits the coarse-size target (or the level cap), then factor
     the coarsest operator densely."""
     params = params or AmgParams()
+    # every setup function reads the arrays of a canonical CSR matrix
+    require_canonical(A, "build_hierarchy")
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"build_hierarchy: matrix is not square {A.shape}")
     require_finite(A, "build_hierarchy")
@@ -285,8 +301,8 @@ def build_hierarchy(A, params=None):
         else:
             stagnant_once = False
         if level_params.drop_tolerance == 0.0:
-            # A_f is A less its stored zeros, with A's diagonal: the same
-            # seeded power iteration would return the same bits
+            # smooth_prolongator ran the same seeded power iteration on Al
+            # itself, so chebyshev_setup would return the same bits
             smoother = ChebyshevSmoother(degree=params.smoother_degree,
                                          lambda_max_estimate=lam,
                                          inverse_diagonal=1.0 / Al.diagonal())

@@ -21,6 +21,7 @@ from blocksolve.krylov import SolverConfig, gmres
 from blocksolve.smoothers import estimate_lambda_max
 from blocksolve.sparse import as_csr, triple_product
 from test_smoothers import reference_chebyshev_apply
+from test_sparse import count_structural_patterns, csr_bytes, reference_triple_product
 
 
 def poisson_1d(n):
@@ -342,6 +343,240 @@ def test_smooth_prolongator_pattern_growth_bound():
     nnz_p = np.diff(P.indptr)
     nnz_af = np.diff(Af.indptr)
     assert np.all(nnz_p <= nnz_af)
+
+
+# ---------------------------------------------------------------- setup in CSR
+# the setup functions build canonical CSR directly; these are the forms that
+# went through COO and a structural SpGEMM, verbatim, and the oracles every
+# setup matrix must match byte for byte
+
+def reference_strength_graph(A, theta):
+    n = A.shape[0]
+    diag = np.abs(A.diagonal())
+    if np.any(diag == 0.0):
+        raise ValueError("strength_graph: zero diagonal entry")
+    indptr, indices, data = A.indptr, A.indices, A.data
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    cols = indices.astype(np.int64)
+    scale = np.sqrt(diag[rows] * diag[cols])
+    ratio = np.abs(data) / scale
+    keep = (rows != cols) & (ratio > theta)
+    ri, ci, rv = rows[keep], cols[keep], ratio[keep]
+    # union-symmetrize; duplicate (i,j)/(j,i) strengths accumulate
+    i_all = np.concatenate([ri, ci, np.arange(n, dtype=np.int64)])
+    j_all = np.concatenate([ci, ri, np.arange(n, dtype=np.int64)])
+    v_all = np.concatenate([rv, rv, np.zeros(n)])
+    S = sp.coo_matrix((v_all, (i_all, j_all)), shape=(n, n)).tocsr()
+    S.sum_duplicates()
+    S.sort_indices()
+    return S
+
+
+def reference_tentative_prolongator(agg, nullspace):
+    nullspace = np.asarray(nullspace, dtype=np.float64)
+    n = nullspace.shape[0]
+    if n != agg.assignments.shape[0]:
+        raise ValueError("tentative_prolongator: nullspace length != node count")
+    norms_sq = np.bincount(agg.assignments, weights=nullspace**2, minlength=agg.count)
+    if np.any(norms_sq == 0.0):
+        bad = int(np.flatnonzero(norms_sq == 0.0)[0])
+        raise ValueError(
+            f"tentative_prolongator: nullspace vanishes on aggregate {bad}"
+        )
+    norms = np.sqrt(norms_sq)
+    P = sp.csr_matrix(
+        (nullspace / norms[agg.assignments], (np.arange(n), agg.assignments)),
+        shape=(n, agg.count),
+    )
+    P.sort_indices()
+    return P
+
+
+def reference_filtered_matrix(A, theta):
+    n = A.shape[0]
+    diag = A.diagonal()
+    if np.any(diag == 0.0):
+        raise ValueError("filtered_matrix: zero diagonal entry")
+    indptr, indices, data = A.indptr, A.indices, A.data
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    cols = indices.astype(np.int64)
+    absd = np.abs(diag)
+    offdiag = rows != cols
+    weak = offdiag & (np.abs(data) <= theta * np.sqrt(absd[rows] * absd[cols]))
+    dropped = np.bincount(rows[weak], weights=np.abs(data[weak]), minlength=n)
+    compensated = np.sign(diag) * (absd + dropped)
+
+    keep = ~weak & offdiag
+    i_all = np.concatenate([rows[keep], np.arange(n, dtype=np.int64)])
+    j_all = np.concatenate([cols[keep], np.arange(n, dtype=np.int64)])
+    v_all = np.concatenate([data[keep], compensated])
+    Af = sp.coo_matrix((v_all, (i_all, j_all)), shape=(n, n)).tocsr()
+    Af.sum_duplicates()
+    Af.sort_indices()
+    return Af
+
+
+def reference_smooth_prolongator(A, P_tent, params):
+    Af = reference_filtered_matrix(A, params.drop_tolerance)
+    dinv = 1.0 / Af.diagonal()
+    lam = estimate_lambda_max(Af, dinv, seed=params.seed)
+    if lam <= 0.0:
+        raise CoarseningError(f"nonpositive spectral estimate {lam} for the filtered operator")
+    omega = amg.PROLONGATOR_DAMPING / lam
+    P = (P_tent - sp.diags(omega * dinv) @ (Af @ P_tent)).tocsr()
+    P.sum_duplicates()
+    P.sort_indices()
+    return P, lam
+
+
+REFERENCE_SETUP = {
+    "strength_graph": reference_strength_graph,
+    "tentative_prolongator": reference_tentative_prolongator,
+    "filtered_matrix": reference_filtered_matrix,
+    "smooth_prolongator": reference_smooth_prolongator,
+    "triple_product": reference_triple_product,
+}
+
+
+def setup_bytes(result):
+    """The bytes of a setup matrix, or of a (prolongator, lambda) pair."""
+    if isinstance(result, tuple):
+        return csr_bytes(result[0]), np.float64(result[1]).tobytes()
+    return csr_bytes(result)
+
+
+def hierarchy_bytes(H):
+    """Every stored array and scalar of a hierarchy: each level's operator,
+    P, R and smoother, and the coarse LU factors."""
+    out = []
+    for lvl in H.levels:
+        out.append([None if M is None else csr_bytes(M)
+                    for M in (lvl.operator, lvl.prolongator, lvl.restrictor)])
+        S = lvl.smoother
+        if S is not None:
+            out.append((S.degree, np.float64(S.lambda_max_estimate).tobytes(),
+                        S.inverse_diagonal.tobytes()))
+    c = H.coarse_solver
+    out.append((c.dimension, c.factors.tobytes(), c.pivots.tobytes()))
+    return out
+
+
+def reference_hierarchy(monkeypatch, A, params):
+    """The hierarchy the reference setup functions build. Every setup call
+    also runs the library's function on the same arguments and requires its
+    output to match the reference byte for byte."""
+    def checked(name):
+        new, reference = getattr(amg, name), REFERENCE_SETUP[name]
+
+        def call(*args):
+            expected = reference(*args)
+            assert setup_bytes(new(*args)) == setup_bytes(expected), name
+            return expected
+        return call
+
+    with monkeypatch.context() as m:
+        for name in REFERENCE_SETUP:
+            m.setattr(amg, name, checked(name))
+        return build_hierarchy(A, params)
+
+
+def awkward_matrix(nx=12):
+    """A nonsymmetric 2D operator built to reach every branch of the setup:
+    one-sided strong entries, stored off-diagonal zeros, negative diagonals
+    and a row that stores only its diagonal."""
+    A = poisson_2d(nx).tocoo()
+    n = nx * nx
+    rows, cols, vals = A.row, A.col, A.data.copy()
+    vals[(rows < cols) & (rows % 3 == 0)] *= 1e-3   # weak above, strong below
+    vals[(rows != cols) & (rows % 7 == 1)] = 0.0     # stored zeros in place
+    vals[rows % 5 == 0] *= -1.0                      # negative diagonals
+    extra = np.arange(0, n - 5, 4)
+    rows = np.concatenate([rows, extra])
+    cols = np.concatenate([cols, extra + 5])
+    vals = np.concatenate([vals, np.zeros(extra.size)])  # zeros outside A's pattern
+    lone = (rows != 7) | (cols == 7)
+    A = sp.coo_matrix((vals[lone], (rows[lone], cols[lone])), shape=(n, n))
+    return as_csr(A)
+
+
+def test_awkward_matrix_has_what_it_promises():
+    A = awkward_matrix()
+    dense = A.toarray()
+    offdiag = ~np.eye(A.shape[0], dtype=bool)
+    stored = A.copy()
+    stored.data[:] = 1.0
+    assert np.any((stored.toarray() == 1.0) & (dense == 0.0) & offdiag)
+    d = np.abs(np.diag(dense))
+    assert np.any(np.diag(dense) < 0.0) and np.any(np.diag(dense) > 0.0)
+    assert A.indptr[8] - A.indptr[7] == 1 and dense[7, 7] != 0.0
+    strong = (np.abs(dense) > 0.04 * np.sqrt(np.outer(d, d))) & offdiag
+    assert np.any(strong & ~strong.T)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.04, 0.25])
+def test_setup_functions_match_reference_on_awkward_matrix(theta):
+    A = awkward_matrix()
+    params = AmgParams(drop_tolerance=theta)
+    S = strength_graph(A, theta)
+    assert csr_bytes(S) == csr_bytes(reference_strength_graph(A, theta))
+    assert csr_bytes(filtered_matrix(A, theta)) == csr_bytes(reference_filtered_matrix(A, theta))
+    agg = aggregate(S)
+    rng = np.random.default_rng(3)
+    for nullspace in (np.ones(A.shape[0]), rng.uniform(-1.0, 1.0, A.shape[0])):
+        P_tent = tentative_prolongator(agg, nullspace)
+        assert csr_bytes(P_tent) == csr_bytes(reference_tentative_prolongator(agg, nullspace))
+        P, lam = smooth_prolongator(A, P_tent, params)
+        assert (setup_bytes((P, lam))
+                == setup_bytes(reference_smooth_prolongator(A, P_tent, params)))
+        R = P.T.tocsr()
+        assert csr_bytes(triple_product(R, A, P)) == csr_bytes(reference_triple_product(R, A, P))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.04, 0.25])
+def test_hierarchy_matches_reference_on_awkward_matrix(monkeypatch, theta):
+    A = awkward_matrix()
+    params = AmgParams(drop_tolerance=theta, max_coarse_size=8)
+    H = build_hierarchy(A, params)
+    assert H.depth >= 3
+    assert hierarchy_bytes(H) == hierarchy_bytes(reference_hierarchy(monkeypatch, A, params))
+
+
+def test_hierarchy_matches_reference_on_case_blocks(monkeypatch):
+    cases = [(r, f) for r in range(4) for f in ("phi_s", "phi_l", "p")]
+    cases += [(5, f) for f in ("phi_s", "phi_l")]
+    for r, field in cases:
+        A = build_case(CaseConfig(refinement=r)).system.blocks[(field, field)]
+        H = build_hierarchy(A, AmgParams())
+        assert H.depth >= 2
+        assert hierarchy_bytes(H) == hierarchy_bytes(
+            reference_hierarchy(monkeypatch, A, AmgParams())), (r, field)
+
+
+def unsorted_csr():
+    A = poisson_1d(5)
+    A.indices[[0, 1]] = A.indices[[1, 0]]
+    A.data[[0, 1]] = A.data[[1, 0]]
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+
+
+def duplicate_csr():
+    A = poisson_1d(5)
+    return sp.csr_matrix((np.append(A.data, 1.0), np.append(A.indices, 4),
+                          np.append(A.indptr[:-1], A.nnz + 1)), shape=A.shape)
+
+
+@pytest.mark.parametrize("make", [lambda: poisson_1d(5).tocsc(), lambda: poisson_1d(5).tocoo(),
+                                  unsorted_csr, duplicate_csr],
+                         ids=["csc", "coo", "unsorted", "duplicate"])
+def test_hierarchy_requires_canonical_csr_before_any_setup(monkeypatch, make):
+    # CSC arrays read as CSR filter and lump the transpose
+    A = make()
+    calls = []
+    monkeypatch.setattr(amg, "strength_graph", lambda *args: calls.append(args))
+    monkeypatch.setattr(amg, "require_finite", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="^build_hierarchy: "):
+        build_hierarchy(A, AmgParams(max_coarse_size=2))
+    assert calls == []
 
 
 # ---------------------------------------------------------------- hierarchy

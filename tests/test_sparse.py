@@ -155,6 +155,72 @@ def test_matvec_sends_other_operators_through_matmul(monkeypatch):
 
 # ---------------------------------------------------------------- triple product
 
+def reference_structural_pattern(R, A, P):
+    # Symbolic triple product: all-ones values cannot cancel, so the result
+    # pattern is the full structural union.
+    Rs = sp.csr_matrix((np.ones_like(R.data), R.indices, R.indptr), shape=R.shape)
+    As = sp.csr_matrix((np.ones_like(A.data), A.indices, A.indptr), shape=A.shape)
+    Ps = sp.csr_matrix((np.ones_like(P.data), P.indices, P.indptr), shape=P.shape)
+    S = (Rs @ As) @ Ps
+    S.sort_indices()
+    return S
+
+
+def reference_triple_product(R, A, P):
+    """The Galerkin product that always builds the structural pattern,
+    verbatim: the oracle ``triple_product`` must match byte for byte."""
+    if R.shape[1] != A.shape[0] or A.shape[1] != P.shape[0]:
+        raise ValueError(
+            f"triple_product: incompatible shapes {R.shape} x {A.shape} x {P.shape}"
+        )
+    C = (R @ A) @ P
+    C.sort_indices()
+    S = reference_structural_pattern(R, A, P)
+    if C.nnz == S.nnz:
+        return C
+    # scipy pruned cancellation zeros; scatter the numeric values back into
+    # the structural pattern.
+    ncols = np.int64(S.shape[1])
+    rows_s = np.repeat(np.arange(S.shape[0], dtype=np.int64), np.diff(S.indptr))
+    rows_c = np.repeat(np.arange(C.shape[0], dtype=np.int64), np.diff(C.indptr))
+    keys_s = rows_s * ncols + S.indices.astype(np.int64)
+    keys_c = rows_c * ncols + C.indices.astype(np.int64)
+    data = np.zeros(S.nnz, dtype=np.float64)
+    pos = np.searchsorted(keys_s, keys_c)
+    data[pos] = C.data
+    return sp.csr_matrix((data, S.indices.copy(), S.indptr.copy()), shape=S.shape)
+
+
+def csr_bytes(M):
+    """Everything a CSR matrix stores: class, shape and each array's dtype
+    and bytes."""
+    return (type(M), M.shape) + tuple((a.dtype, a.tobytes())
+                                      for a in (M.indptr, M.indices, M.data))
+
+
+def outcome(product, operands):
+    """The bytes of ``product(*operands)``, or the type and message of the
+    exception it raises."""
+    try:
+        return csr_bytes(product(*operands))
+    except (AttributeError, ValueError) as err:
+        return type(err), str(err)
+
+
+def count_structural_patterns(monkeypatch):
+    """Count calls of the symbolic triple product from here on."""
+    calls = [0]
+    real = blocksolve.sparse._structural_pattern
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(blocksolve.sparse, "_structural_pattern", counted)
+    return calls
+
+
+
 def test_triple_product_identity():
     A = tridiag(4)
     I = as_csr(np.eye(4))
@@ -195,8 +261,9 @@ def test_triple_product_seeded_oracle():
         np.testing.assert_allclose(C.toarray(), expected, atol=1e-12 * scale)
 
 
-def test_triple_product_retains_cancellation_zeros():
+def test_triple_product_retains_cancellation_zeros(monkeypatch):
     # R A P has an exact structural entry that cancels to zero numerically
+    calls = count_structural_patterns(monkeypatch)
     A = as_csr(np.array([[1.0, -1.0], [0.0, 1.0]]))
     P = as_csr(np.array([[1.0, 0.0], [1.0, 0.0]]))
     I = as_csr(np.eye(2))
@@ -206,6 +273,8 @@ def test_triple_product_retains_cancellation_zeros():
     # the cancelled entry must remain stored
     assert C.nnz == 2
     assert C.indptr[1] - C.indptr[0] == 1
+    # the symbolic product is built only once a cancellation shows
+    assert calls == [1]
 
 
 def test_triple_product_dim_mismatch():
@@ -224,6 +293,37 @@ def test_triple_product_deterministic_pattern():
     assert np.array_equal(C1.indptr, C2.indptr)
     assert np.array_equal(C1.indices, C2.indices)
     assert np.array_equal(C1.data, C2.data)
+
+
+def test_triple_product_matches_reference_on_every_operand_form():
+    R = random_csr(10, 30, 0.2, seed=5)
+    A = random_csr(30, 30, 0.1, seed=6)
+    P = random_csr(30, 10, 0.2, seed=7)
+    # stored zeros in A, and a P that cancels: x - x in one column
+    A.data[::7] = 0.0
+    cancel = as_csr(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    operands = [(R, A, P), (as_csr(np.eye(2)), as_csr(np.ones((2, 2))), cancel),
+                (sp.csr_matrix((2, 3)), tridiag(3), random_csr(3, 5, 0.5, seed=3))]
+    # other formats and dtypes take the reference's path, with its result or
+    # its error: it reads the arrays of a non-square CSC operand as CSR
+    # arrays and a COO operand has none
+    for R, A, P in operands:
+        for form in ("csr", "csc", "coo"):
+            ops = [M.asformat(form) for M in (R, A, P)]
+            assert outcome(triple_product, ops) == outcome(reference_triple_product, ops)
+        ops = (R, A.astype(np.float32), P)
+        assert outcome(triple_product, ops) == outcome(reference_triple_product, ops)
+
+
+def test_triple_product_builds_no_structural_pattern_on_case_hierarchies(monkeypatch):
+    calls = count_structural_patterns(monkeypatch)
+    levels = 0
+    for r in range(4):
+        blocks = build_case(CaseConfig(refinement=r)).system.blocks
+        for f in ("phi_s", "phi_l", "p"):
+            levels += build_hierarchy(blocks[(f, f)], AmgParams()).depth - 1
+    assert levels == 22
+    assert calls == [0]
 
 
 # ---------------------------------------------------------------- dense factorization
