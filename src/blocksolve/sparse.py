@@ -13,10 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matmat as _csr_matmat
 from scipy.sparse._sparsetools import csr_matmat_maxnnz as _csr_matmat_maxnnz
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-from scipy.sparse._sputils import get_index_dtype as _get_index_dtype
 
 _CSR = (sp.csr_matrix, sp.csr_array)
 _FLOAT64 = np.dtype(np.float64)
@@ -110,24 +108,10 @@ def _structural_pattern(R, A, P):
     return S
 
 
-def _matmat(A, B):
-    """A @ B for float64 CSR operands, by the kernels ``A @ B`` ends in, and
-    the structural nnz of the product: the kernel prunes exact zeros, so the
-    product has the structural pattern iff its nnz equals that count."""
-    m, n = A.shape[0], B.shape[1]
-    arrays = (A.indptr, A.indices, B.indptr, B.indices)
-    idx = _get_index_dtype(arrays)
-    maxnnz = _csr_matmat_maxnnz(m, n, *(np.asarray(a, dtype=idx) for a in arrays))
-    idx = _get_index_dtype(arrays, maxval=maxnnz)
-    Ap, Aj, Bp, Bj = (np.asarray(a, dtype=idx) for a in arrays)
-    indptr = np.empty(m + 1, dtype=idx)
-    indices = np.empty(maxnnz, dtype=idx)
-    data = np.empty(maxnnz, dtype=np.float64)
-    _csr_matmat(m, n, Ap, Aj, A.data, Bp, Bj, B.data, indptr, indices, data)
-    # past indptr[-1] the arrays hold uninitialised memory, which must not
-    # pick the index dtype of a product of int64-indexed operands
-    nnz = indptr[-1]
-    return type(A)((data[:nnz], indices[:nnz], indptr), shape=(m, n)), maxnnz
+def _structural_nnz(A, B):
+    # entries of A @ B before the product prunes exact zeros
+    return _csr_matmat_maxnnz(A.shape[0], B.shape[1], A.indptr, A.indices,
+                              B.indptr, B.indices)
 
 
 def triple_product(R, A, P):
@@ -136,21 +120,20 @@ def triple_product(R, A, P):
     The sparsity pattern is the full structural product: entries that become
     exactly zero through cancellation are stored, keeping level shapes
     reproducible. The symbolic product is built only when the numeric one
-    pruned such an entry, or when an operand is not a float64 CSR matrix.
+    pruned such an entry. Operands other than float64 CSR matrices are
+    converted with ``as_csr`` first.
     """
     if R.shape[1] != A.shape[0] or A.shape[1] != P.shape[0]:
         raise ValueError(
             f"triple_product: incompatible shapes {R.shape} x {A.shape} x {P.shape}"
         )
-    if all(isinstance(M, _CSR) and M.data.dtype == _FLOAT64 for M in (R, A, P)):
-        RA, ra_structural = _matmat(R, A)
-        C, c_structural = _matmat(RA, P)
-        # nothing cancelled: C already has the structural pattern
-        complete = RA.nnz == ra_structural and C.nnz == c_structural
-    else:
-        C, complete = (R @ A) @ P, False
+    R, A, P = (M if isinstance(M, _CSR) and M.data.dtype == _FLOAT64 else as_csr(M)
+               for M in (R, A, P))
+    RA = R @ A
+    C = RA @ P
     C.sort_indices()
-    if complete:
+    # nothing cancelled: C already has the structural pattern
+    if RA.nnz == _structural_nnz(R, A) and C.nnz == _structural_nnz(RA, P):
         return C
     S = _structural_pattern(R, A, P)
     if C.nnz == S.nnz:

@@ -332,6 +332,20 @@ def test_smooth_prolongator_diagonal_closed_form():
     np.testing.assert_allclose(P.toarray(), -P_tent.toarray() / 3.0, rtol=1e-12)
 
 
+@pytest.mark.parametrize("theta, owner", [(0.0, "smooth_prolongator"),
+                                           (0.04, "filtered_matrix")])
+def test_smooth_prolongator_rejects_zero_diagonal(theta, owner):
+    # at drop tolerance 0 the level operator itself is scaled by D^-1, so
+    # smooth_prolongator checks its diagonal; above 0 the filter does
+    A = poisson_1d(4)
+    A[2, 2] = 0.0  # a stored zero: the pattern is unchanged
+    from blocksolve.amg import AggregateMap
+    P_tent = tentative_prolongator(AggregateMap(np.array([0, 0, 1, 1]), 2), np.ones(4))
+    assert A.nnz == 10
+    with pytest.raises(ValueError, match=f"^{owner}: zero diagonal entry$"):
+        smooth_prolongator(A, P_tent, AmgParams(drop_tolerance=theta))
+
+
 def test_smooth_prolongator_pattern_growth_bound():
     A = poisson_2d(8)
     S = strength_graph(A, 0.0)
