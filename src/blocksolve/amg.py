@@ -20,8 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .smoothers import ChebyshevSmoother, chebyshev_setup, chebyshev_apply, estimate_lambda_max
-from .sparse import (DenseFactorization, dense_factor, matvec, require_canonical,
-                     require_finite, triple_product)
+from .sparse import (DenseFactorization, dense_factor, fit_index_dtype, matvec,
+                     require_canonical, require_finite, triple_product)
 
 
 MAX_LEVELS = 20
@@ -238,8 +238,8 @@ def filtered_matrix(A, theta):
 def smooth_prolongator(A, P_tent, params):
     """Damped-Jacobi smoothing of the tentative prolongator against the
     filtered operator: P = (I - omega * Dhat^{-1} A_f) P_tent with
-    omega = damping / lambda_max(Dhat^{-1} A_f). Returns P and that
-    lambda_max estimate."""
+    omega = damping / lambda_max(Dhat^{-1} A_f). Returns P, with index
+    arrays as ``fit_index_dtype`` sets them, and that lambda_max estimate."""
     # at drop tolerance 0, A_f is A less its stored zeros; a stored zero
     # adds +-0 to a product sum that starts at +0.0, so every product below
     # gives the same bits on A itself
@@ -258,7 +258,7 @@ def smooth_prolongator(A, P_tent, params):
     AP.data *= np.repeat(omega * dinv, np.diff(AP.indptr))
     P = P_tent - AP
     P.sort_indices()
-    return P, lam
+    return fit_index_dtype(P), lam
 
 
 def build_hierarchy(A, params=None):

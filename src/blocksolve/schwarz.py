@@ -3,8 +3,8 @@
 Subdomains stand in for processor-local matrix rows: nodes are assigned by
 recursive coordinate bisection, optionally extended by structural overlap,
 and each subdomain block is factored with ILU(0). The blocks are stacked
-into one block-diagonal matrix and factored once, so one wavefront-scheduled
-ILU(0) apply solves every subdomain at the same time. On write-back only
+into one block-diagonal matrix and factored once, so one ILU(0) apply solves
+every subdomain at the same time. On write-back only
 owned entries contribute, so the result does not depend on how the
 subdomains are ordered.
 """

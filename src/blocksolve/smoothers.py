@@ -9,6 +9,7 @@ interval derived from a power-iteration estimate of the largest eigenvalue.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .sparse import SingularMatrixError, matvec, require_canonical, require_finite
 
@@ -19,43 +20,16 @@ CHEBYSHEV_BOOST = 1.1
 
 
 @dataclass
-class Wavefront:
-    """Level schedule of one triangular sweep, in schedule order.
-
-    ``order`` lists the rows a sweep computes: the scheduled rows grouped by
-    level, then the rows without off-diagonal entries, which the schedule
-    leaves out. A sweep keeps its vector in that order, so level ``l`` owns
-    the contiguous positions ``row_ptr[l]:row_ptr[l + 1]``. ``levels`` holds
-    one tuple of views per level: (that slice, the off-diagonal values, their
-    columns as positions in ``order``, each row's first entry relative to
-    the level's block for ``np.add.reduceat``, the rows' divisors or None).
-    A row reads only positions of earlier levels or of unscheduled rows.
-    ``pivots`` holds the divisor of each row of ``order``, or is None for a
-    unit-diagonal sweep.
-    """
-
-    order: np.ndarray
-    row_ptr: list
-    pivots: np.ndarray | None
-    levels: tuple
-
-    @property
-    def rows(self):
-        """The scheduled rows, grouped by level."""
-        return self.order[:self.row_ptr[-1]]
-
-
-@dataclass
 class Ilu0Factors:
     """Combined L\\U storage on the exact pattern of the factored matrix.
 
     The unit lower-triangular part lives strictly below the diagonal of the
     combined array; the diagonal and above belong to U. ``lower`` and
-    ``upper`` are the wavefront schedules of the two triangular solves,
-    built from ``data`` at factor time, and ``to_upper`` maps the lower
-    sweep's order to the upper sweep's: position k of the upper order holds
-    the row at position ``to_upper[k]`` of the lower order. The factors are
-    read-only.
+    ``upper`` are the CSR arrays (indptr, indices, data) of the two
+    substitution sweeps, built at factor time: ``lower`` holds -l_ij in row
+    order, and ``upper`` holds -u_ij / u_ii with rows and columns reversed
+    (row n - 1 - i, column n - 1 - j, columns ascending), so both sweeps run
+    forward. The factors are read-only.
     """
 
     n: int
@@ -64,9 +38,25 @@ class Ilu0Factors:
     data: np.ndarray
     diag_pos: np.ndarray
     pivots: np.ndarray
-    lower: Wavefront
-    upper: Wavefront
-    to_upper: np.ndarray
+    lower: tuple
+    upper: tuple
+
+
+def require_in_place_substitution(kernel):
+    """Raise RuntimeError unless ``kernel(n, n, indptr, indices, data, x, y)``
+    adds row i's products to y[i] in row order, reading x after the rows
+    before i are written when x is y: ``ilu0_apply`` relies on that to run
+    a forward substitution in one call. Checked on a 3-row chain."""
+    x = np.ones(3)
+    kernel(3, 3, np.array([0, 0, 1, 2]), np.array([0, 1]), np.ones(2), x, x)
+    if x.tolist() != [1.0, 2.0, 3.0]:
+        raise RuntimeError(
+            "blocksolve.smoothers: scipy's csr_matvec kernel no longer substitutes "
+            f"in place (a 3-row chain gave {x.tolist()}, want [1.0, 2.0, 3.0]); "
+            "ilu0_apply would return wrong results")
+
+
+require_in_place_substitution(_csr_matvec)
 
 
 def _ranges(starts, counts):
@@ -99,29 +89,6 @@ def _levels(n, readers, read):
         pending[reached] -= hits
         frontier = reached[pending[reached] == 0]
     return level
-
-
-def _wavefront(level, starts, counts, indices, data, pivots=None):
-    """Schedule of the rows with off-diagonal entries, grouped by level; a
-    row's entries are ``starts[i]`` to ``starts[i] + counts[i]``."""
-    rows = np.flatnonzero(counts)
-    rows = rows[np.argsort(level[rows], kind="stable")]
-    order = np.concatenate((rows, np.flatnonzero(counts == 0)))
-    position = np.empty(order.size, dtype=np.int64)
-    position[order] = np.arange(order.size)
-    row_ptr = np.searchsorted(level[rows], np.arange(1, level.max(initial=0) + 2))
-    entries = _ranges(starts[rows], counts[rows])
-    cols, vals = position[indices[entries]], data[entries]
-    first = np.concatenate(([0], np.cumsum(counts[rows])))
-    entry_ptr = first[row_ptr]
-    seg = first[:-1] - np.repeat(entry_ptr[:-1], np.diff(row_ptr))
-    pivots = None if pivots is None else pivots[order]
-    row_ptr, entry_ptr = row_ptr.tolist(), entry_ptr.tolist()
-    levels = tuple(
-        (slice(r0, r1), vals[e0:e1], cols[e0:e1], seg[r0:r1],
-         None if pivots is None else pivots[r0:r1])
-        for r0, r1, e0, e1 in zip(row_ptr, row_ptr[1:], entry_ptr, entry_ptr[1:]))
-    return Wavefront(order=order, row_ptr=row_ptr, pivots=pivots, levels=levels)
 
 
 def ilu0_factor(A, block_offsets=None):
@@ -207,43 +174,37 @@ def ilu0_factor(A, block_offsets=None):
     if failed.size:
         raise SingularMatrixError(failed[0], "vanishing ILU(0) pivot")
 
-    upper_rows = np.repeat(np.arange(n), u_count)
-    u_level = _levels(n, upper_rows, indices[_ranges(u_start, u_count)])
-    lower_sweep = _wavefront(l_level, indptr[:-1], diag_pos - indptr[:-1], indices, data)
-    upper_sweep = _wavefront(u_level, u_start, u_count, indices, data, pivots)
+    # the sweeps of ilu0_apply, in the layout Ilu0Factors describes
+    upper = _ranges(u_start, u_count)
+    scaled = -(data[upper] / np.repeat(pivots, u_count))
     return Ilu0Factors(
-        n=n, indptr=indptr, indices=indices, data=data, diag_pos=diag_pos,
-        pivots=pivots, lower=lower_sweep, upper=upper_sweep,
-        to_upper=np.argsort(lower_sweep.order)[upper_sweep.order])
+        n=n, indptr=indptr, indices=indices, data=data, diag_pos=diag_pos, pivots=pivots,
+        lower=(np.concatenate(([0], np.cumsum(diag_pos - indptr[:-1]))),
+               indices[lower], -data[lower]),
+        upper=(np.concatenate(([0], np.cumsum(u_count[::-1]))),
+               n - 1 - indices[upper][::-1], scaled[::-1].copy()))
 
 
 def ilu0_apply(F, r):
-    """Apply the factored inverse: z = U^{-1} L^{-1} r, by wavefronts.
+    """Apply the factored inverse: z = U^{-1} L^{-1} r, by two compiled
+    substitution sweeps.
 
-    Each sweep keeps its vector in its schedule order, so a level reads its
-    right-hand side and writes its result as one contiguous slice; the
-    vector is gathered once, permuted once between the sweeps and scattered
-    once. Every entry sees the operations of a per-level gather/scatter
-    sweep in the same order, so the result is bit-identical to it.
+    scipy's ``csr_matvec`` kernel sets y[i] = y[i] + sum_j a_ij x[j], row by
+    row and entry by entry; with x and y the same array a row reads the rows
+    already written, so one call is one forward substitution (checked at
+    import). The lower sweep runs on a copy of ``r``; the vector is divided
+    by the pivots, reversed, swept with the reversed upper part and reversed
+    back. Each entry is rounded as in the Python loop ``s = y[i]; s += a_ij
+    * y[j] ...; y[i] = s`` over the same arrays.
     """
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape[0] != F.n:
-        raise ValueError(f"ilu0_apply: length {r.shape[0]} != dimension {F.n}")
-    # y = L^{-1} r in the lower order
-    u = r[F.lower.order]
-    for rows, vals, cols, seg, _ in F.lower.levels:
-        u[rows] = u[rows] - np.add.reduceat(vals * u[cols], seg)
-    # z = U^{-1} y in the upper order; unscheduled rows only divide
-    u = u[F.to_upper]
-    m = F.upper.row_ptr[-1]
-    u[m:] /= F.upper.pivots[m:]
-    for rows, vals, cols, seg, pivots in F.upper.levels:
-        t = u[rows] - np.add.reduceat(vals * u[cols], seg)
-        t /= pivots
-        u[rows] = t
-    z = np.empty(F.n)
-    z[F.upper.order] = u
-    return z
+    u = np.array(r, dtype=np.float64)
+    if u.shape != (F.n,):
+        raise ValueError(f"ilu0_apply: vector of shape {u.shape} for dimension {F.n}")
+    _csr_matvec(F.n, F.n, *F.lower, u, u)
+    u /= F.pivots
+    u = u[::-1].copy()
+    _csr_matvec(F.n, F.n, *F.upper, u, u)
+    return u[::-1].copy()
 
 
 def jacobi_setup(A):

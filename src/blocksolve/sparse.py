@@ -18,6 +18,7 @@ from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 _CSR = (sp.csr_matrix, sp.csr_array)
 _FLOAT64 = np.dtype(np.float64)
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 class SingularMatrixError(RuntimeError):
@@ -66,6 +67,21 @@ def matvec(A, x):
     y = np.zeros(m)
     _csr_matvec(m, n, A.indptr, A.indices, A.data, x, y)
     return y
+
+
+def fit_index_dtype(M):
+    """Store the index arrays of the CSR matrix ``M`` as int32 when its
+    dimensions and entry count fit, else as int64; returns ``M``.
+
+    scipy's products and differences of int64-indexed matrices choose
+    between the two by scanning the unused tails of ``np.empty`` buffers,
+    so one call can return either; this is scipy's rule on the stored
+    entries alone. int32-indexed results are returned as they are.
+    """
+    dtype = np.int32 if max(*M.shape, M.nnz) <= _INT32_MAX else np.int64
+    M.indptr = M.indptr.astype(dtype, copy=False)
+    M.indices = M.indices.astype(dtype, copy=False)
+    return M
 
 
 def require_finite(A, name="matrix"):
@@ -121,7 +137,8 @@ def triple_product(R, A, P):
     exactly zero through cancellation are stored, keeping level shapes
     reproducible. The symbolic product is built only when the numeric one
     pruned such an entry. Operands other than float64 CSR matrices are
-    converted with ``as_csr`` first.
+    converted with ``as_csr`` first; the index dtype follows
+    ``fit_index_dtype``.
     """
     if R.shape[1] != A.shape[0] or A.shape[1] != P.shape[0]:
         raise ValueError(
@@ -134,10 +151,10 @@ def triple_product(R, A, P):
     C.sort_indices()
     # nothing cancelled: C already has the structural pattern
     if RA.nnz == _structural_nnz(R, A) and C.nnz == _structural_nnz(RA, P):
-        return C
+        return fit_index_dtype(C)
     S = _structural_pattern(R, A, P)
     if C.nnz == S.nnz:
-        return C
+        return fit_index_dtype(C)
     # scipy pruned cancellation zeros; scatter the numeric values back into
     # the structural pattern.
     ncols = np.int64(S.shape[1])
@@ -148,7 +165,8 @@ def triple_product(R, A, P):
     data = np.zeros(S.nnz, dtype=np.float64)
     pos = np.searchsorted(keys_s, keys_c)
     data[pos] = C.data
-    return sp.csr_matrix((data, S.indices.copy(), S.indptr.copy()), shape=S.shape)
+    return fit_index_dtype(sp.csr_matrix((data, S.indices.copy(), S.indptr.copy()),
+                                         shape=S.shape))
 
 
 @dataclass
@@ -167,8 +185,11 @@ class DenseFactorization:
             )
         # LAPACK getrs, the routine lu_solve calls, without lu_solve's
         # per-call dispatch: the coarsest V-cycle level solves here every cycle;
-        # getrs only fails on an illegal argument, which the checks rule out
-        return scipy.linalg.lapack.dgetrs(self.factors, self.pivots, b)[0]
+        # getrs only fails on an illegal argument, which the checks rule out.
+        # The wrapper shifts the pivot array it is given to 1-based and back
+        # during the call, so each call gets its own copy: with the shared
+        # one, concurrent solves swap rows by shifted indices
+        return scipy.linalg.lapack.dgetrs(self.factors, self.pivots.copy(), b)[0]
 
 
 def dense_factor(A):

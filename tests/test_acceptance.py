@@ -230,10 +230,21 @@ WAVEFRONT_LEVELS = {"weak": [6, 6, 6, 6], "fixed P = 4": [6, 15, 32, 66]}
 
 
 def species_sweep_levels(case, p):
+    """Wavefront depth of the lower and upper sweeps of the species RAS
+    factor: a row that reads no other row is on level 0, any other row one
+    level above the highest row it reads; found row by row."""
     A = case.system.submatrix(("x",))
     part = partition_nodes(case.grid.centers, p)
-    factors = ras_setup(A, extend_overlap(A, part, 0), part).factors
-    return len(factors.lower.row_ptr) - 1, len(factors.upper.row_ptr) - 1
+    F = ras_setup(A, extend_overlap(A, part, 0), part).factors
+    indptr, indices, diag_pos = F.indptr.tolist(), F.indices.tolist(), F.diag_pos.tolist()
+    depths = []
+    for rows, reads in ((range(F.n), lambda i: indices[indptr[i]:diag_pos[i]]),
+                        (range(F.n - 1, -1, -1), lambda i: indices[diag_pos[i] + 1:indptr[i + 1]])):
+        level = [0] * F.n
+        for i in rows:
+            level[i] = max((level[j] + 1 for j in reads(i)), default=0)
+        depths.append(max(level))
+    return tuple(depths)
 
 
 def test_criterion_7_scaling_model_fits():

@@ -555,6 +555,27 @@ def test_hierarchy_matches_reference_on_awkward_matrix(monkeypatch, theta):
     assert hierarchy_bytes(H) == hierarchy_bytes(reference_hierarchy(monkeypatch, A, params))
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.04])
+def test_int64_indexed_products_pick_one_index_dtype(theta):
+    # scipy sizes the index dtype of a product of int64-indexed matrices by
+    # scanning np.empty buffers whose unused tails hold whatever freed memory
+    # held; large stale values there made P and R A P int64 on some calls
+    A = awkward_matrix()
+    A64 = A.copy()
+    A64.indptr, A64.indices = A.indptr.astype(np.int64), A.indices.astype(np.int64)
+    params = AmgParams(drop_tolerance=theta)
+    P_tent = tentative_prolongator(aggregate(strength_graph(A, theta)), np.ones(A.shape[0]))
+    P, _ = smooth_prolongator(A, P_tent, params)
+    expected = [csr_bytes(P), csr_bytes(triple_product(P.T.tocsr(), A, P))]
+    assert P.indices.dtype == np.int32
+    for k in range(40):
+        stale = [np.full(512 * (k % 7 + 1), 2**40) for _ in range(3)]
+        del stale
+        P64, _ = smooth_prolongator(A64, P_tent, params)
+        C64 = triple_product(P64.T.tocsr(), A64, P64)
+        assert [csr_bytes(P64), csr_bytes(C64)] == expected, k
+
+
 def test_hierarchy_matches_reference_on_case_blocks(monkeypatch):
     cases = [(r, f) for r in range(4) for f in ("phi_s", "phi_l", "p")]
     cases += [(5, f) for f in ("phi_s", "phi_l")]

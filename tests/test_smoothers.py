@@ -1,5 +1,4 @@
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -182,67 +181,27 @@ def test_ilu0_matches_row_loop_reference(case):
     assert np.linalg.norm(z - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("case", ORACLE_CASES)
-def test_ilu0_schedules_are_topological_orders(case):
-    A, offsets = case()
-    F = ilu0_factor(A, block_offsets=offsets)
-    for w, reads in ((F.lower, lambda i: range(F.indptr[i], F.diag_pos[i])),
-                     (F.upper, lambda i: range(F.diag_pos[i] + 1, F.indptr[i + 1]))):
-        level = np.zeros(F.n, dtype=int)   # unscheduled rows read nothing
-        for l in range(len(w.row_ptr) - 1):
-            level[w.rows[w.row_ptr[l]:w.row_ptr[l + 1]]] = l + 1
-        assert sorted(w.rows) == [i for i in range(F.n) if len(reads(i))]
-        for l in range(len(w.row_ptr) - 1):
-            for i in w.rows[w.row_ptr[l]:w.row_ptr[l + 1]]:
-                assert all(level[F.indices[p]] < l + 1 for p in reads(i))
-
-
-def reference_schedule(F, upper):
-    """A sweep's per-level schedule in the layout ``reference_wavefront_apply``
-    reads (the scheduled rows by level, their entries with their column
-    indices, ``reduceat`` offsets and divisors), with each row's level found
-    row by row."""
-    def reads(i):
-        return (range(F.diag_pos[i] + 1, F.indptr[i + 1]) if upper
-                else range(F.indptr[i], F.diag_pos[i]))
-    level = np.zeros(F.n, dtype=np.int64)
-    for i in (range(F.n - 1, -1, -1) if upper else range(F.n)):
-        if len(reads(i)):
-            level[i] = 1 + max(level[F.indices[p]] for p in reads(i))
-    rows = np.array(sorted((i for i in range(F.n) if level[i]), key=lambda i: (level[i], i)),
-                    dtype=np.int64)
-    entries = np.array([p for i in rows for p in reads(i)], dtype=np.int64)
-    counts = np.array([len(reads(i)) for i in rows], dtype=np.int64)
-    row_ptr = np.searchsorted(level[rows], np.arange(1, level.max(initial=0) + 2))
-    first = np.concatenate(([0], np.cumsum(counts)))
-    entry_ptr = first[row_ptr]
-    return SimpleNamespace(
-        rows=rows, row_ptr=row_ptr.tolist(), cols=F.indices[entries], vals=F.data[entries],
-        seg=first[:-1] - np.repeat(entry_ptr[:-1], np.diff(row_ptr)),
-        entry_ptr=entry_ptr.tolist(), pivots=F.pivots[rows] if upper else None)
-
-
-def reference_wavefront_apply(F, r):
-    """The per-level gather/scatter wavefront apply that the schedule-ordered
-    ``ilu0_apply`` replaced, verbatim: the oracle it must match bit for bit."""
-    def _sweep(w, x, b):
-        """x[i] = (b[i] - sum_j v_ij x[j]) / pivot_i on the scheduled rows,
-        one level at a time (no division for a unit-diagonal sweep)."""
-        for l in range(len(w.row_ptr) - 1):
-            r0, r1 = w.row_ptr[l], w.row_ptr[l + 1]
-            e0, e1 = w.entry_ptr[l], w.entry_ptr[l + 1]
-            rows = w.rows[r0:r1]
-            v = b[rows] - np.add.reduceat(w.vals[e0:e1] * x[w.cols[e0:e1]], w.seg[r0:r1])
-            if w.pivots is not None:
-                v /= w.pivots[r0:r1]
-            x[rows] = v
-
-    r = np.asarray(r, dtype=np.float64)
-    y = r.copy()
-    _sweep(reference_schedule(F, upper=False), y, r)
-    z = y / F.pivots
-    _sweep(reference_schedule(F, upper=True), z, y)
-    return z
+def reference_substitution_apply(F, r):
+    """The substitution loop ``ilu0_apply`` must match bit for bit, on
+    Python floats from the combined array: s = r_i, then s += (-l_ij) * y_j
+    over the row's columns in ascending order; y / pivots; then from the
+    last row up, s = w_i, then s += (-(u_ij / u_ii)) * z_j over the row's
+    columns in descending order."""
+    indptr, indices, data = F.indptr.tolist(), F.indices.tolist(), F.data.tolist()
+    diag_pos = F.diag_pos.tolist()
+    y = np.asarray(r, dtype=np.float64).tolist()
+    for i in range(F.n):
+        s = y[i]
+        for p in range(indptr[i], diag_pos[i]):
+            s += (-data[p]) * y[indices[p]]
+        y[i] = s
+    z = [y[i] / data[diag_pos[i]] for i in range(F.n)]
+    for i in range(F.n - 1, -1, -1):
+        s, pivot = z[i], data[diag_pos[i]]
+        for p in range(indptr[i + 1] - 1, diag_pos[i], -1):
+            s += (-(data[p] / pivot)) * z[indices[p]]
+        z[i] = s
+    return np.array(z)
 
 
 BYTE_CASES = ORACLE_CASES + [
@@ -254,11 +213,49 @@ BYTE_CASES = ORACLE_CASES + [
 
 @pytest.mark.parametrize("case", BYTE_CASES)
 def test_ilu0_apply_bit_identical_to_per_level_sweep(case):
+    # a row-by-row substitution is a sweep with one row per level
     A, offsets = case()
     F = ilu0_factor(A, block_offsets=offsets)
     rng = np.random.default_rng(A.shape[0])
     for r in (rng.standard_normal(A.shape[0]), np.ones(A.shape[0])):
-        assert ilu0_apply(F, r).tobytes() == reference_wavefront_apply(F, r).tobytes()
+        z = ilu0_apply(F, r)
+        assert z.tobytes() == reference_substitution_apply(F, r).tobytes()
+        expected = reference_ilu0_apply(F, r)
+        assert np.linalg.norm(z - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_ilu0_apply_leaves_its_input_alone_and_checks_its_shape():
+    A, offsets = stacked_species_block(1, 1)
+    F = ilu0_factor(A, block_offsets=offsets)
+    r = np.random.default_rng(5).standard_normal(A.shape[0])
+    before = r.tobytes()
+    z = ilu0_apply(F, r)
+    assert r.tobytes() == before and z.flags.c_contiguous and z.base is None
+    for bad in (r[:-1], np.ones((A.shape[0], 2))):
+        with pytest.raises(ValueError, match=rf"ilu0_apply: vector of shape .* for dimension {A.shape[0]}$"):
+            ilu0_apply(F, bad)
+
+
+def test_in_place_substitution_guard():
+    """The import-time check accepts scipy's kernel and rejects one that
+    reads a copy of its input, both called directly and at module import."""
+    import importlib.util
+    import scipy.sparse._sparsetools as sparsetools
+    from blocksolve import smoothers
+
+    kernel = sparsetools.csr_matvec
+
+    def copying(n_row, n_col, indptr, indices, data, x, y):
+        kernel(n_row, n_col, indptr, indices, data, x.copy(), y)
+
+    smoothers.require_in_place_substitution(kernel)
+    with pytest.raises(RuntimeError, match="no longer substitutes in place"):
+        smoothers.require_in_place_substitution(copying)
+    spec = importlib.util.spec_from_file_location("blocksolve._guard_check", smoothers.__file__)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sparsetools, "csr_matvec", copying)
+        with pytest.raises(RuntimeError, match=r"gave \[1\.0, 2\.0, 2\.0\]"):
+            spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def array_fields(obj):
@@ -279,9 +276,11 @@ def test_factors_and_smoothers_unchanged_by_applies():
     F = ilu0_factor(A, block_offsets=offsets)
     H = build_hierarchy(build_case(CaseConfig(refinement=1)).system.blocks[("phi_s", "phi_s")],
                         AmgParams())
-    parts = [F, F.lower, F.upper] + [lvl.smoother for lvl in H.levels[:-1]]
+    parts = [F] + [lvl.smoother for lvl in H.levels[:-1]]
     before = [array_fields(obj) for obj in parts]
     assert all(any(fields.values()) for fields in before)
+    # the two sweeps' (indptr, indices, data) are checked with the factors
+    assert len(before[0]["lower"]) == len(before[0]["upper"]) == 3
     rng = np.random.default_rng(3)
     for _ in range(3):
         ilu0_apply(F, rng.standard_normal(A.shape[0]))

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -364,6 +366,34 @@ def test_dense_solve_bit_identical_to_lu_solve():
         expected = scipy.linalg.lu_solve((F.factors, F.pivots), b)
         assert F.solve(b).tobytes() == expected.tobytes()
         assert b.tobytes() == before
+
+
+def test_dense_solve_is_thread_safe():
+    # scipy's getrs wrapper shifts the pivot array it is given to 1-based
+    # and back during the call; threads sharing one array swap rows by
+    # doubly shifted indices, write outside the vector and corrupt the heap
+    rng = np.random.default_rng(11)
+    n = 240
+    F = dense_factor(rng.standard_normal((n, n)))
+    rhs = [rng.standard_normal(n) for _ in range(2)]
+    expected = [F.solve(b).tobytes() for b in rhs]
+    pivots = F.pivots.tobytes()
+    mismatches = [0, 0]
+    start = threading.Barrier(2, timeout=60)
+
+    def solve(k):
+        start.wait()
+        for _ in range(3000):
+            mismatches[k] += F.solve(rhs[k]).tobytes() != expected[k]
+
+    threads = [threading.Thread(target=solve, args=(k,)) for k in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == [0, 0]
+    assert F.pivots.tobytes() == pivots
 
 
 def test_dense_factor_singular_names_row():
