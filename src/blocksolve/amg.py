@@ -7,11 +7,12 @@ against a filtered operator, and Galerkin coarsening. The V-cycle applies a
 Chebyshev smoother before and after each coarse-grid correction and finishes
 with a pivoted dense solve on the coarsest level.
 
-Filtering detail: entries failing the drop test are removed from the
-operator used to smooth the prolongator, and their absolute values are
-lumped onto the diagonal (with the diagonal's sign). That compensation rule
-is the single most interpretation-sensitive choice in the setup and is kept
-in one function, ``filtered_matrix``, so it can be swapped out.
+Filtering detail: the entries the strength graph calls weak (one drop rule,
+``_drop_rule``, serves both) are removed from the operator used to smooth
+the prolongator, and their absolute values are lumped onto the diagonal
+(with the diagonal's sign). That compensation rule is the single most
+interpretation-sensitive choice in the setup and is kept in one function,
+``filtered_matrix``, so it can be swapped out.
 """
 
 from dataclasses import dataclass, replace
@@ -94,30 +95,38 @@ class AmgHierarchy:
 def strength_graph(A, theta):
     """Strength-of-connection pattern of a square matrix.
 
-    Off-diagonal (i, j) is strong iff |a_ij| > theta * sqrt(|a_ii a_jj|);
+    Off-diagonal (i, j) is strong iff |a_ij| / sqrt(|a_ii a_jj|) > theta;
     the pattern is symmetrized by union and the diagonal is always present.
     Stored values are the (summed) strength ratios used for tie-breaking
     during aggregation; the pattern itself is the contract. ``A`` must be
     canonical CSR.
     """
     n = A.shape[0]
-    diag = np.abs(A.diagonal())
-    if np.any(diag == 0.0):
-        raise ValueError("strength_graph: zero diagonal entry")
-    indptr, indices, data = A.indptr, A.indices, A.data
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    ratio = np.abs(data) / np.sqrt(diag[rows] * diag[indices])
-    offdiag = rows != indices
-    weak = offdiag & ~(ratio > theta)
+    rows, offdiag, _, ratio, weak = _drop_rule(A, theta, "strength_graph")
     # the diagonal rides through the union as NaN, which no strong ratio is,
     # and ends as the explicit zero; masking a canonical A leaves K
     # canonical, and the union adds ratio_ij + ratio_ji, which commutes
     ratio[~offdiag] = np.nan
-    K = sp.csr_matrix(_without(weak, rows, indptr, ratio.astype(np.float64, copy=False), indices),
-                      shape=(n, n))
+    K = sp.csr_matrix(_without(weak, rows, A.indptr, ratio.astype(np.float64, copy=False),
+                               A.indices), shape=(n, n))
     S = K + K.T
     S.data[np.isnan(S.data)] = 0.0
     return S
+
+
+def _drop_rule(A, theta, owner):
+    """The drop test of the strength graph and the filter, on canonical CSR
+    ``A``: each entry's row, the off-diagonal mask, the diagonal, the
+    strength ratios |a_ij| / sqrt(|a_ii a_jj|) and the weak mask, the
+    off-diagonal entries whose ratio is not above ``theta``."""
+    diag = A.diagonal()
+    if np.any(diag == 0.0):
+        raise ValueError(f"{owner}: zero diagonal entry")
+    absd = np.abs(diag)
+    rows = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
+    ratio = np.abs(A.data) / np.sqrt(absd[rows] * absd[A.indices])
+    offdiag = rows != A.indices
+    return rows, offdiag, diag, ratio, offdiag & ~(ratio > theta)
 
 
 def _without(drop, rows, indptr, data, indices):
@@ -212,25 +221,17 @@ def tentative_prolongator(agg, nullspace):
 
 
 def filtered_matrix(A, theta):
-    """Drop entries failing the theta rule and lump their magnitudes onto the
-    diagonal with the diagonal's sign (absolute-row-sum compensation).
-    ``A`` must be canonical CSR."""
-    n = A.shape[0]
-    diag = A.diagonal()
-    if np.any(diag == 0.0):
-        raise ValueError("filtered_matrix: zero diagonal entry")
-    indptr, indices, data = A.indptr, A.indices, A.data
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    absd = np.abs(diag)
-    offdiag = rows != indices
-    weak = offdiag & (np.abs(data) <= theta * np.sqrt(absd[rows] * absd[indices]))
-    dropped = np.bincount(rows[weak], weights=np.abs(data[weak]), minlength=n)
-    compensated = np.sign(diag) * (absd + dropped)
+    """Drop the entries the strength graph calls weak and lump their
+    magnitudes onto the diagonal with the diagonal's sign (absolute-row-sum
+    compensation). ``A`` must be canonical CSR."""
+    rows, offdiag, diag, _, weak = _drop_rule(A, theta, "filtered_matrix")
+    dropped = np.bincount(rows[weak], weights=np.abs(A.data[weak]), minlength=A.shape[0])
+    compensated = np.sign(diag) * (np.abs(diag) + dropped)
 
     # a nonzero diagonal is stored once per row, so the kept entries hold
     # it in row order and stay canonical
-    Af = sp.csr_matrix(_without(weak, rows, indptr, data.astype(np.float64, copy=False), indices),
-                       shape=A.shape)
+    Af = sp.csr_matrix(_without(weak, rows, A.indptr, A.data.astype(np.float64, copy=False),
+                                A.indices), shape=A.shape)
     Af.data[~offdiag[~weak]] = compensated
     return Af
 

@@ -153,14 +153,12 @@ def _harmonic(a, b):
     return 2.0 * a * b / (a + b)
 
 
-def assemble_diffusion_operator(grid, coefficient, lumped_mass_scale=0.0,
-                                dirichlet_rows=None):
+def assemble_diffusion_operator(grid, coefficient, lumped_mass_scale=0.0):
     """Cell-centered 5-point operator with harmonic-mean face coefficients.
 
     Scaled so a unit-coefficient interior row reads (-1, -1, 4, -1, -1);
-    outer boundaries are homogeneous Neumann, ``lumped_mass_scale`` (scalar
-    or per-cell) is added to the diagonal, and rows listed in
-    ``dirichlet_rows`` are replaced by identity rows.
+    outer boundaries are homogeneous Neumann and ``lumped_mass_scale``
+    (scalar or per-cell) is added to the diagonal.
     """
     coefficient = np.asarray(coefficient, dtype=np.float64)
     if coefficient.shape != (grid.n,):
@@ -186,9 +184,6 @@ def assemble_diffusion_operator(grid, coefficient, lumped_mass_scale=0.0,
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(grid.n, grid.n),
     ).tocsr()
-
-    if dirichlet_rows is not None and len(dirichlet_rows):
-        return _set_dirichlet_rows(A, dirichlet_rows)
     return as_csr(A)
 
 

@@ -49,13 +49,6 @@ class ExperimentRecord:
     std_solve_seconds: float
     dofs: int
 
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
-
 
 COLUMNS = [f.name for f in fields(ExperimentRecord)]
 
@@ -274,19 +267,19 @@ def records_to_csv(records):
     writer = csv.DictWriter(buf, fieldnames=COLUMNS, lineterminator="\n")
     writer.writeheader()
     for rec in records:
-        writer.writerow(rec.to_dict())
+        writer.writerow(asdict(rec))
     return buf.getvalue()
 
 
 def records_to_json(records):
     if not records:
         raise ValueError("no records to emit")
-    return json.dumps([rec.to_dict() for rec in records], indent=2,
+    return json.dumps([asdict(rec) for rec in records], indent=2,
                       sort_keys=True) + "\n"
 
 
 def load_records_json(text):
-    return [ExperimentRecord.from_dict(d) for d in json.loads(text)]
+    return [ExperimentRecord(**d) for d in json.loads(text)]
 
 
 def records_to_markdown(records):
@@ -317,17 +310,3 @@ def records_to_markdown(records):
     lines.append("`*` did not reach the requested tolerance")
     return "\n".join(lines) + "\n"
 
-
-def emit_report(records, fmt, path):
-    """Write records in the requested format; returns the written text."""
-    if fmt == "csv":
-        text = records_to_csv(records)
-    elif fmt == "json":
-        text = records_to_json(records)
-    elif fmt == "md":
-        text = records_to_markdown(records)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    with open(path, "w") as fh:
-        fh.write(text)
-    return text

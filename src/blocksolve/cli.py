@@ -1,5 +1,5 @@
-"""Command-line harness: generate cases, run solves and suites, fit the
-scaling exponents of iteration series, and emit reports.
+"""Command-line harness: generate cases, run solves and suites, and fit the
+scaling exponents of iteration series.
 
 Exit codes: 0 full success, 1 a recorded solver failure, 2 configuration
 errors.
@@ -16,9 +16,11 @@ import numpy as np
 from .battery import build_case
 from .bench import (
     SuiteConfig,
-    emit_report,
     fit_exponent,
     load_records_json,
+    records_to_csv,
+    records_to_json,
+    records_to_markdown,
     run_experiment,
     run_suite,
     scaling_series,
@@ -121,9 +123,9 @@ def cmd_suite(args):
               f"{rec.iterations} iterations")
 
     records = run_suite(suite, progress=progress)
-    emit_report(records, "csv", out / "records.csv")
-    emit_report(records, "json", out / "records.json")
-    emit_report(records, "md", out / "table.md")
+    for name, write in (("records.csv", records_to_csv), ("records.json", records_to_json),
+                        ("table.md", records_to_markdown)):
+        (out / name).write_text(write(records))
     print(f"wrote {out}/records.csv, {out}/records.json, {out}/table.md")
     failed = [r for r in records if not r.converged]
     return EXIT_SOLVER_FAILURE if failed else EXIT_OK
@@ -154,18 +156,6 @@ def cmd_fit(args):
     except ValueError as err:
         raise ConfigError(str(err)) from err
     _emit_json(result, args.out, f"fit_{args.system}.json")
-    return EXIT_OK
-
-
-def cmd_report(args):
-    records = _load_records(args.records)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        text = emit_report(records, args.format, out / f"report.{args.format}")
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    print(text)
     return EXIT_OK
 
 
@@ -203,12 +193,6 @@ def build_parser():
     fit.add_argument("--system", default="end_to_end")
     fit.add_argument("--out", default=None)
     fit.set_defaults(func=cmd_fit)
-
-    rep = sub.add_parser("report", help="format a records file")
-    rep.add_argument("--records", required=True)
-    rep.add_argument("--format", choices=["csv", "json", "md"], default="md")
-    rep.add_argument("--out", required=True)
-    rep.set_defaults(func=cmd_report)
     return parser
 
 

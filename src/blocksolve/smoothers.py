@@ -207,14 +207,20 @@ def ilu0_apply(F, r):
     return u[::-1].copy()
 
 
-def jacobi_setup(A):
-    """Checked diagonal of ``A``, the state of ``jacobi_apply``; raises
-    SingularMatrixError naming the first zero diagonal entry."""
+def _checked_diagonal(A, owner):
+    """Diagonal of ``A``; raises SingularMatrixError naming the first zero
+    diagonal entry and the setup ``owner``."""
     diag = A.diagonal()
     zero = np.flatnonzero(diag == 0.0)
     if zero.size:
-        raise SingularMatrixError(int(zero[0]), "zero diagonal entry in Jacobi setup")
+        raise SingularMatrixError(int(zero[0]), f"zero diagonal entry in {owner} setup")
     return diag
+
+
+def jacobi_setup(A):
+    """Checked diagonal of ``A``, the state of ``jacobi_apply``; raises
+    SingularMatrixError naming the first zero diagonal entry."""
+    return _checked_diagonal(A, "Jacobi")
 
 
 def jacobi_apply(diag, r):
@@ -291,11 +297,7 @@ class ChebyshevSmoother:
 
 def chebyshev_setup(A, degree=2, power_iterations=10, seed=0):
     """Estimate the spectral interval of D^{-1} A and build a smoother."""
-    diag = A.diagonal()
-    zero = np.flatnonzero(diag == 0.0)
-    if zero.size:
-        raise SingularMatrixError(int(zero[0]), "zero diagonal entry in Chebyshev setup")
-    dinv = 1.0 / diag
+    dinv = 1.0 / _checked_diagonal(A, "Chebyshev")
     lam = estimate_lambda_max(A, dinv, iterations=power_iterations, seed=seed)
     return ChebyshevSmoother(degree=degree, lambda_max_estimate=lam, inverse_diagonal=dinv)
 

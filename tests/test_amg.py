@@ -309,6 +309,16 @@ def test_filtered_matrix_lumps_dropped_magnitudes():
         np.testing.assert_allclose(fdense[i, i], expected_diag, rtol=1e-14)
 
 
+@pytest.mark.parametrize("a", [0.15183035513979368, np.nextafter(0.15183035513979368, 1)])
+def test_filter_keeps_exactly_the_strong_entries(a):
+    # |a| / sqrt(a_00 a_11) and |a| <= theta * sqrt(a_00 a_11) round apart
+    # here: one formula calls (0, 1) strong and the other drops it
+    A = as_csr(np.array([[3.9902347752622385, -a], [-a, 3.61076133990776]]))
+    S, Af = strength_graph(A, 0.04), filtered_matrix(A, 0.04)
+    for i, j in ((0, 1), (1, 0)):
+        assert (S[i, j] != 0.0) == (Af[i, j] != 0.0)
+
+
 def test_smooth_prolongator_dense_oracle_theta_zero():
     A = poisson_1d(4)
     from blocksolve.amg import AggregateMap

@@ -137,13 +137,18 @@ def test_pure_neumann_zero_row_sums():
 
 
 def test_dirichlet_rows_are_identity():
-    grid = build_grid(nr=4, refinement_level=0, n_cells=1)
-    rows = [grid.index(1, k) for k in range(3)]
-    A = assemble_diffusion_operator(grid, np.ones(grid.n), dirichlet_rows=rows)
+    case = build_case(CaseConfig(nr=4, refinement=1, n_cells=1))
+    grid, system = case.grid, case.system
+    # grounded: the cell row iz = 2**refinement of the bottom collector
+    rows = [i for i in grid.cells_of("collector") if grid.index(2, 0) <= i < grid.index(3, 0)]
+    assert rows and len(rows) == case.regime["dirichlet_rows"]
+    mono = system.monolithic()
     for i in rows:
-        r = A[i].toarray().ravel()
-        assert r[i] == 1.0
+        r = mono[system.offset("phi_s") + i].toarray().ravel()
+        assert r[system.offset("phi_s") + i] == 1.0
         assert np.count_nonzero(r) == 1
+    for col in ("phi_l", "x"):
+        assert system.blocks[("phi_s", col)][rows].nnz == 0
 
 
 def test_rejects_nonpositive_coefficient():

@@ -187,17 +187,6 @@ def test_suite_then_fit_reports_the_suite_iterations(tmp_path, capsys):
         (r, [[1, its[r, 1]], [4, its[r, 4]]]) for r in (0, 1)]
 
 
-def test_report_roundtrip(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    out = tmp_path / "suite"
-    main(["suite", "--config", cfg, "--out", str(out)])
-    capsys.readouterr()
-    assert main(["report", "--records", str(out / "records.json"),
-                 "--format", "csv", "--out", str(tmp_path / "rep")]) == 0
-    text = (tmp_path / "rep" / "report.csv").read_text()
-    assert text == (out / "records.csv").read_text()
-
-
 def test_bad_config_json_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -270,13 +259,21 @@ def test_suite_takes_no_format(tmp_path):
     assert exc.value.code == 2
 
 
+def test_report_is_gone(tmp_path):
+    # the suite writes records.csv, records.json and table.md itself
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--records", str(tmp_path / "records.json"),
+              "--format", "csv", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 def test_readme_cli_lines_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("blocksolve ")]
     parser = build_parser()
     assert {shlex.split(line)[1] for line in lines} == {
-        "generate", "solve", "suite", "fit", "report"}
+        "generate", "solve", "suite", "fit"}
     for line in lines:
         try:
             parser.parse_args(shlex.split(line)[1:])
