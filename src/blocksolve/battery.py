@@ -447,15 +447,12 @@ def build_case(config=None):
         ("x", "p"): A_xp,
         ("p", "x"): A_px,
     }
-    # voltage cross-coupling and voltage/species coupling, electrode cells only
+    # voltage cross-coupling and voltage/species coupling, electrode cells only;
+    # the grounded cells are collector cells, so their rows hold no coupling
+    # entry and stay identity rows across the whole monolithic system
     for pair, block in coupling.items():
         if block.nnz:
             blocks[pair] = as_csr(block)
-    # a grounded row must be an identity row across the whole monolithic system
-    if ("phi_s", "phi_l") in blocks:
-        blocks[("phi_s", "phi_l")] = _zero_rows(blocks[("phi_s", "phi_l")], bottom_collector)
-    if ("phi_s", "x") in blocks:
-        blocks[("phi_s", "x")] = _zero_rows(blocks[("phi_s", "x")], bottom_collector)
 
     system = BlockSystem(fields=FIELDS, dims=dims, blocks=blocks)
     solution = np.concatenate([manufactured_field(grid, f) for f in FIELDS])

@@ -136,17 +136,27 @@ def test_pure_neumann_zero_row_sums():
     assert np.all(np.abs(row_sums) <= 1e-12 * row_norms)
 
 
-def test_dirichlet_rows_are_identity():
-    case = build_case(CaseConfig(nr=4, refinement=1, n_cells=1))
+# a one-cell stack and the default case (nr = 6, two cells) at r = 0..5
+DIRICHLET_CONFIGS = ([CaseConfig(nr=4, refinement=1, n_cells=1)]
+                     + [CaseConfig(refinement=r) for r in range(6)])
+
+
+@pytest.mark.parametrize("cfg", DIRICHLET_CONFIGS,
+                         ids=lambda c: f"nr{c.nr}-cells{c.n_cells}-r{c.refinement}")
+def test_dirichlet_rows_are_identity(cfg):
+    case = build_case(cfg)
     grid, system = case.grid, case.system
     # grounded: the cell row iz = 2**refinement of the bottom collector
-    rows = [i for i in grid.cells_of("collector") if grid.index(2, 0) <= i < grid.index(3, 0)]
-    assert rows and len(rows) == case.regime["dirichlet_rows"]
-    mono = system.monolithic()
-    for i in rows:
-        r = mono[system.offset("phi_s") + i].toarray().ravel()
-        assert r[system.offset("phi_s") + i] == 1.0
-        assert np.count_nonzero(r) == 1
+    iz = 2 ** cfg.refinement
+    rows = np.array([i for i in grid.cells_of("collector")
+                     if grid.index(iz, 0) <= i < grid.index(iz + 1, 0)])
+    assert rows.size and rows.size == case.regime["dirichlet_rows"]
+    grounded = system.monolithic()[system.offset("phi_s") + rows]
+    # one entry per row, a 1 on the diagonal
+    assert np.array_equal(np.diff(grounded.indptr), np.ones(rows.size))
+    assert np.array_equal(grounded.indices, system.offset("phi_s") + rows)
+    assert np.all(grounded.data == 1.0)
+    # the coupling blocks hold nothing on the grounded rows
     for col in ("phi_l", "x"):
         assert system.blocks[("phi_s", col)][rows].nnz == 0
 

@@ -144,19 +144,51 @@ def test_roundtrip_preserves_explicit_zeros(tmp_path):
 
 
 def test_store_matches_per_entry_writer(tmp_path):
+    chunk = mmio._STORE_CHUNK_ENTRIES
     # extreme and signed-zero values, explicit zeros and an empty row (row 2)
     values = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.0, -2.5, 0.1, 0.0])
     A = sp.csr_matrix((values, np.array([0, 2, 1, 0, 2, 1, 2]), np.array([0, 3, 4, 4, 7])),
                       shape=(4, 3))
-    # and enough rows to span several write chunks
-    B = as_csr(sp.random(9000, 40, density=0.01, format="csr",
-                         random_state=np.random.default_rng(4)))
-    for M, comment in ((A, None), (B, "two\nlines")):
+    # -0.0 and 0.0 share A's one chunk and must keep their own text
+    assert A.nnz < chunk
+    # at least three chunks with rows that cross chunk boundaries, empty rows,
+    # and values drawn from a few distinct bit patterns (signed zeros among
+    # them) beside values that are all distinct
+    rng = np.random.default_rng(4)
+    R = sp.random(chunk // 3, 40, density=0.25, format="csr", random_state=rng)
+    B = as_csr(sp.vstack([R[:1000], sp.csr_matrix((3, 40)), R[1000:]]))
+    B.data[::2] = rng.choice([-0.0, 0.0, 1.0, -1.0, 0.1, 1e-300], size=B.data[::2].size)
+    assert B.nnz >= 3 * chunk and np.any(np.diff(B.indptr) == 0)
+    first, last = B.indptr[:-1] // chunk, (B.indptr[1:] - 1) // chunk
+    assert np.any((np.diff(B.indptr) > 0) & (first != last))
+    # a column vector whose values are all distinct
+    x = as_csr(rng.standard_normal(2 * chunk + 1).reshape(-1, 1))
+    assert np.unique(x.data.view(np.int64)).size == x.nnz
+    # no entries at all
+    E = sp.csr_matrix((5, 3))
+    for M, comment in ((A, None), (B, "two\nlines"), (x, None), (E, "empty")):
         store_matrix_market(M, tmp_path / "chunked.mtx", comment=comment)
         reference_store(M, tmp_path / "reference.mtx", comment=comment)
         assert (tmp_path / "chunked.mtx").read_bytes() == (tmp_path / "reference.mtx").read_bytes()
-    C = load_matrix_market(tmp_path / "chunked.mtx")
-    assert C.nnz == B.nnz and C.data.tobytes() == B.data.tobytes()
+        C = load_matrix_market(tmp_path / "chunked.mtx")
+        M = as_csr(M)
+        assert C.shape == M.shape and C.nnz == M.nnz
+        assert np.array_equal(C.indptr, M.indptr) and np.array_equal(C.indices, M.indices)
+        assert C.data.tobytes() == M.data.tobytes()
+
+
+def test_store_rejects_non_ascii_comment(tmp_path):
+    A = sp.identity(3, format="csr")
+    existing = tmp_path / "existing.mtx"
+    store_matrix_market(A, existing)
+    before = existing.read_bytes()
+    fresh = tmp_path / "fresh.mtx"
+    for path in (existing, fresh):
+        with pytest.raises(ValueError, match="'°' at position 4"):
+            store_matrix_market(A, path, comment="600 °C")
+    # neither truncated nor created
+    assert existing.read_bytes() == before
+    assert not fresh.exists()
 
 
 def test_symmetric_expansion(tmp_path):
