@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .smoothers import ChebyshevSmoother, chebyshev_setup, chebyshev_apply, estimate_lambda_max
-from .sparse import (DenseFactorization, dense_factor, fit_index_dtype, matvec,
+from .sparse import (DenseFactorization, dense_factor, fit_index_dtype, matvec, matvec_add,
                      require_canonical, require_finite, triple_product)
 
 
@@ -320,17 +320,23 @@ def build_hierarchy(A, params=None):
 
 def vcycle(H, b, x=None, level=0):
     """One V(pre, post) cycle from iterate ``x`` (None: the zero vector);
-    linear in the residual b - A x. Neither ``b`` nor ``x`` is written."""
+    linear in the residual b - A x. Neither ``b`` nor ``x`` is written.
+
+    The residual is formed as s = A x - b by adding A x into -b, and the
+    restricted s is negated on the coarse level; the correction P e_c is
+    added into the smoothed iterate in place.
+    """
     lvl = H.levels[level]
     b = np.asarray(b, dtype=np.float64)
     if lvl.prolongator is None:
         return H.coarse_solver.solve(b)
     A = lvl.operator
     x = chebyshev_apply(lvl.smoother, A, b, x)
-    r = matvec(A, x)
-    np.subtract(b, r, out=r)
-    ec = vcycle(H, matvec(lvl.restrictor, r), None, level + 1)
-    x += matvec(lvl.prolongator, ec)
+    s = matvec_add(A, x, np.negative(b))
+    rc = matvec(lvl.restrictor, s)
+    np.negative(rc, out=rc)
+    ec = vcycle(H, rc, None, level + 1)
+    matvec_add(lvl.prolongator, ec, x)
     return chebyshev_apply(lvl.smoother, A, b, x)
 
 

@@ -4,9 +4,10 @@ Both solvers start from a zero initial guess, orthogonalize with single-pass
 modified Gram-Schmidt, and measure convergence on the unpreconditioned
 relative residual. Each restart cycle ends by forming the true residual
 b - A x once: it decides convergence (the recurrence residual is never
-trusted on its own) and seeds the next cycle, so a solve with k restarts
-applies the operator iterations + k + 1 times. Solve statistics hold counts
-and residuals only; callers time the solves they run.
+trusted on its own), is recorded in ``SolveStats.cycle_residuals`` and
+seeds the next cycle, so a solve with k restarts applies the operator
+iterations + k + 1 times. Solve statistics hold counts and residuals only;
+callers time the solves they run.
 """
 
 import math
@@ -16,6 +17,7 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import daxpy as _daxpy
 
 from .sparse import matvec
 
@@ -47,6 +49,9 @@ class SolveStats:
     converged: bool = False
     precond_applications: int = 0
     residual_history: list = field(default_factory=list)
+    # true relative residual at the end of each restart cycle: equal
+    # entries show a stalled solve
+    cycle_residuals: list = field(default_factory=list)
 
     def to_dict(self):
         return {
@@ -55,6 +60,7 @@ class SolveStats:
             "final_relative_residual": self.final_relative_residual,
             "converged": self.converged,
             "precond_applications": self.precond_applications,
+            "cycle_residuals": self.cycle_residuals,
         }
 
 
@@ -104,10 +110,14 @@ def _gmres(operator, b, preconditioner, config, flexible):
     Each step applies the preconditioner and the operator (a CSR operator
     through ``sparse.matvec``), orthogonalizes by modified Gram-Schmidt into
     column j of the Hessenberg matrix ``H``, and reduces that column with
-    the cycle's Givens rotations. The rotations run on the column as a list
-    of Python floats, with the stored cosines and sines as lists: the same
-    expressions in the same order round exactly as float64 array scalars,
-    at a fraction of their per-operation cost.
+    the cycle's Givens rotations. Each Gram-Schmidt step is one dot product
+    and one BLAS ``daxpy`` on the operator's output. The basis ``V`` and the
+    flexible basis ``Z`` are allocated once per solve, and a cycle's
+    correction is assembled in the row of ``V`` after the cycle's last basis
+    vector, which no later step reads. The rotations run on the column as a
+    list of Python floats, with the stored cosines and sines as lists: the
+    same expressions in the same order round exactly as float64 array
+    scalars, at a fraction of their per-operation cost.
     """
     apply_a = as_apply(operator, "operator")
     has_precond = preconditioner is not None
@@ -127,24 +137,26 @@ def _gmres(operator, b, preconditioner, config, flexible):
                 f"gmres: rhs length {n} does not match operator dimension {shape[0]}"
             )
     stats = SolveStats()
-    bnorm = np.linalg.norm(b)
+    bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         stats.converged = True
         return np.zeros(n), stats
 
     m = config.restart
     x = np.zeros(n)
+    # rows are written before they are read: V[0] at the start of a cycle,
+    # V[j + 1] and Z[j] in step j, V[k] when a cycle of k steps ends
+    V = np.empty((m + 1, n))
+    Z = np.empty((m, n)) if flexible else None
+    rows = list(V)  # views of V's rows, made once
     # the true residual of the zero initial guess; each cycle ends on a new one
     r, rnorm = b, bnorm
 
     while True:
-        V = np.zeros((m + 1, n))
-        Z = np.zeros((m, n)) if flexible else None
         H = np.zeros((m + 1, m))
         cs, sn = [], []  # the cycle's rotations, as Python floats
-        g = np.zeros(m + 1)
-        V[0] = r / rnorm
-        g[0] = rnorm
+        g = [float(rnorm)]  # the rotated right-hand side, as Python floats
+        np.divide(r, rnorm, out=V[0])
 
         j = -1
         breakdown = False
@@ -157,20 +169,22 @@ def _gmres(operator, b, preconditioner, config, flexible):
             if has_precond:
                 stats.precond_applications += 1
             w = apply_a(z)
-            for i in range(j + 1):
-                H[i, j] = V[i] @ w
-                w -= H[i, j] * V[i]
-            H[j + 1, j] = np.linalg.norm(w)
-            if not math.isfinite(H[j + 1, j]):
+            h = []
+            for v in rows[:j + 1]:
+                hij = float(v.dot(w))
+                h.append(hij)
+                w = _daxpy(v, w, a=-hij)
+            hnorm = math.sqrt(w @ w)
+            if not math.isfinite(hnorm):
                 raise ValueError(
                     f"gmres: Arnoldi vector is not finite at iteration {stats.iterations}"
                     " (NaN or Inf from the operator or the preconditioner)")
-            if H[j + 1, j] == 0.0:
+            h.append(hnorm)
+            if hnorm == 0.0:
                 breakdown = True
             else:
-                V[j + 1] = w / H[j + 1, j]
+                np.divide(w, hnorm, out=V[j + 1])
             # apply stored Givens rotations, then a new one to annihilate H[j+1,j]
-            h = H[:j + 2, j].tolist()
             for i in range(j):
                 hij = cs[i] * h[i] + sn[i] * h[i + 1]
                 h[i + 1] = -sn[i] * h[i] + cs[i] * h[i + 1]
@@ -184,10 +198,10 @@ def _gmres(operator, b, preconditioner, config, flexible):
                 sn.append(h[j + 1] / denom)
             h[j], h[j + 1] = denom, 0.0
             H[:j + 2, j] = h
-            g[j + 1] = -sn[j] * g[j]
+            g.append(-sn[j] * g[j])
             g[j] = cs[j] * g[j]
             stats.residual_history.append(abs(g[j + 1]) / bnorm)
-            if breakdown or abs(g[j + 1]) / bnorm <= config.tol:
+            if breakdown or stats.residual_history[-1] <= config.tol:
                 break
 
         # assemble the cycle's correction from the least-squares coefficients
@@ -195,21 +209,20 @@ def _gmres(operator, b, preconditioner, config, flexible):
         if breakdown and H[k - 1, k - 1] == 0.0:
             # singular leading block after an exact breakdown: fall back to a
             # minimum-norm least-squares coefficient vector
-            y = np.linalg.lstsq(H[:k, :k], g[:k], rcond=None)[0]
+            y = np.linalg.lstsq(H[:k, :k], np.array(g[:k]), rcond=None)[0]
         else:
-            y = _solve_upper_triangular(H[:k, :k], g[:k])
+            y = _solve_upper_triangular(H[:k, :k], np.array(g[:k]))
         if flexible:
-            dx = Z[:k].T @ y
+            x += np.matmul(Z[:k].T, y, out=V[k])
         else:
-            u = V[:k].T @ y
-            dx = apply_m(u)
+            x += apply_m(np.matmul(V[:k].T, y, out=V[k]))
             if has_precond:
                 stats.precond_applications += 1
-        x = x + dx
 
         r = b - apply_a(x)
         rnorm = np.linalg.norm(r)
         stats.final_relative_residual = rnorm / bnorm
+        stats.cycle_residuals.append(stats.final_relative_residual)
         if stats.final_relative_residual <= config.tol:
             stats.converged = True
             break

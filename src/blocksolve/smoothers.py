@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
-from .sparse import SingularMatrixError, matvec, require_canonical, require_finite
+from .sparse import SingularMatrixError, matvec, matvec_add, require_canonical, require_finite
 
 PIVOT_FLOOR = 1e-14
 # the Chebyshev interval of D^{-1} A is [lambda_max / RATIO, BOOST * lambda_max]
@@ -307,32 +307,33 @@ def chebyshev_apply(S, A, b, x=None):
     zero vector); returns the new iterate. A solves-exactly fixed point is
     returned unchanged; neither ``b`` nor ``x`` is written.
 
-    The steps update buffers of this call in place, in the operation order
-    of d <- (c1 * d) + (c2 * (D^{-1} r)), so every entry is rounded as in
-    that expression. From a zero guess the residual is ``b`` itself, which
-    saves one operator product: a finite A gives b - A @ 0 == b bit for bit.
+    The call keeps the negated residual s = A x - b of its iterate: s starts
+    at -b and each operator product is added into it by ``matvec_add`` (from
+    a zero guess there is none to add). A step is then that one product and
+    five vector passes on buffers of the call, with no allocation:
+    d <- (c1 * d) - (c2 * (D^{-1} s)), x <- x + d.
     """
     b = np.asarray(b, dtype=np.float64)
     if x is not None:
         x = np.array(x, dtype=np.float64, copy=True)
     if b.shape[0] != A.shape[0] or (x is not None and x.shape[0] != A.shape[0]):
         raise ValueError("chebyshev_apply: dimension mismatch")
-    # r is never written: each step stores r - A d in the buffer of A d
-    r = b if x is None else b - matvec(A, x)
+    s = np.negative(b)
+    if x is not None:
+        matvec_add(A, x, s)
     dinv = S.inverse_diagonal
-    d = dinv * r
-    d /= S.theta
+    d = dinv * s
+    d /= -S.theta
     if x is None:
         x = d + 0.0  # as 0 + d: a -0.0 entry becomes +0.0
     else:
         x += d
     t = np.empty_like(d)
     for c1, c2 in S.steps:
-        Ad = matvec(A, d)
-        r = np.subtract(r, Ad, out=Ad)
+        matvec_add(A, d, s)
         d *= c1
-        np.multiply(dinv, r, out=t)
+        np.multiply(dinv, s, out=t)
         t *= c2
-        d += t
+        d -= t
         x += d
     return x

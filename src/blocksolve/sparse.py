@@ -5,7 +5,8 @@ Every operator in this library is a scipy CSR matrix kept in canonical form
 (sorted column indices, no duplicates). Explicit zeros are legal stored
 entries and are never silently dropped, so sparsity patterns stay
 deterministic across runs. The solve path applies operators with
-``matvec``, the kernel ``A @ x`` ends in, without its dispatch.
+``matvec``, the kernel ``A @ x`` ends in, without its dispatch, and
+accumulates products into its own vectors with ``matvec_add``.
 """
 
 from dataclasses import dataclass
@@ -38,7 +39,10 @@ def as_csr(A):
     Duplicate entries are summed; explicit zeros are retained.
     """
     if sp.issparse(A):
-        M = A.tocsr().copy()
+        # the conversion from another format is already a new matrix; only a
+        # CSR input needs the copy that keeps the in-place canonicalization
+        # below off the caller's arrays
+        M = A.tocsr(copy=True)
     else:
         M = sp.csr_matrix(np.asarray(A, dtype=np.float64))
     M.sum_duplicates()
@@ -66,6 +70,33 @@ def matvec(A, x):
                          f"with {n} columns (want length {n})")
     y = np.zeros(m)
     _csr_matvec(m, n, A.indptr, A.indices, A.data, x, y)
+    return y
+
+
+def matvec_add(A, x, y):
+    """y += A @ x in place; returns ``y``.
+
+    For a float64 CSR matrix scipy's ``csr_matvec`` kernel adds row i's
+    products to y[i] in row order, starting from the stored y[i], with no
+    temporary; anything else, such as a duck-typed operator, adds ``A @ x``.
+    Raises ValueError before any product when ``x`` is not a contiguous
+    float64 vector, when a length does not match, or when ``x`` and ``y``
+    share memory: the kernel would then read entries it has already written.
+    """
+    m, n = A.shape
+    if not (isinstance(x, np.ndarray) and x.dtype == _FLOAT64 and x.ndim == 1
+            and x.flags.c_contiguous):
+        raise ValueError(f"matvec_add: x must be a contiguous float64 vector, got "
+                         f"{getattr(x, 'dtype', type(x).__name__)} {np.shape(x)}")
+    if x.shape[0] != n or not isinstance(y, np.ndarray) or y.shape != (m,):
+        raise ValueError(f"matvec_add: x of length {x.shape[0]} and y of shape "
+                         f"{np.shape(y)} for a {m} x {n} matrix")
+    if np.shares_memory(x, y):
+        raise ValueError("matvec_add: x and y share memory")
+    if isinstance(A, _CSR) and A.data.dtype == _FLOAT64:
+        _csr_matvec(m, n, A.indptr, A.indices, A.data, x, y)
+    else:
+        y += A @ x
     return y
 
 

@@ -20,7 +20,7 @@ from blocksolve.battery import CaseConfig, build_case
 from blocksolve.krylov import SolverConfig, gmres
 from blocksolve.smoothers import estimate_lambda_max
 from blocksolve.sparse import as_csr, triple_product
-from test_smoothers import reference_chebyshev_apply
+from test_smoothers import add_row_products, reference_chebyshev_apply
 from test_sparse import count_structural_patterns, csr_bytes, reference_triple_product
 
 
@@ -710,9 +710,11 @@ def test_vcycle_linear_in_residual():
 
 
 def reference_vcycle(H, b, x=None, level=0):
-    """The V-cycle before its zero-guess pre-smoothing and in-place
-    correction, verbatim but for the reference smoother: the oracle
-    ``vcycle`` must match bit for bit."""
+    """The V-cycle as loops over Python floats around the reference
+    smoother, in the rounding order ``vcycle`` must match bit for bit: the
+    residual s = A x - b starts at -b_i and adds a_ij x_j in row order, is
+    restricted and negated, and the correction adds p_ij e_j into x_i in row
+    order."""
     lvl = H.levels[level]
     b = np.asarray(b, dtype=np.float64)
     if x is None:
@@ -721,12 +723,11 @@ def reference_vcycle(H, b, x=None, level=0):
         return H.coarse_solver.solve(b)
     A = lvl.operator
     x = reference_chebyshev_apply(lvl.smoother, A, b, x)
-    r = b - A @ x
-    rc = lvl.restrictor @ r
+    s = add_row_products(A, x, [-bi for bi in b.tolist()])
+    rc = -(lvl.restrictor @ np.array(s))
     ec = reference_vcycle(H, rc, None, level + 1)
-    x = x + lvl.prolongator @ ec
-    x = reference_chebyshev_apply(lvl.smoother, A, b, x)
-    return x
+    x = np.array(add_row_products(lvl.prolongator, ec, x.tolist()))
+    return reference_chebyshev_apply(lvl.smoother, A, b, x)
 
 
 @pytest.mark.parametrize("degree", [2, 4])

@@ -51,6 +51,7 @@ def test_solve_success_exit_code(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["converged"] is True
     assert payload["iterations"] >= 1
+    assert payload["cycle_residuals"][-1] == payload["final_relative_residual"]
     saved = json.loads((tmp_path / "res" / "solve_solid_voltage_r0.json").read_text())
     assert saved == payload
 

@@ -263,6 +263,21 @@ def test_one_true_residual_per_restart_cycle(solve):
     assert stats.restarts == 16  # stops at maxiter
     assert len(applications) == stats.iterations + stats.restarts + 1
     assert "solve_seconds" not in stats.to_dict()
+    assert len(stats.cycle_residuals) == stats.restarts + 1
+    assert stats.cycle_residuals[-1] == stats.final_relative_residual
+
+
+@pytest.mark.parametrize("solve", [gmres, fgmres])
+def test_cycle_residuals_show_a_stall(solve):
+    # GMRES(1) on a rotation stagnates: A b is orthogonal to b, so every
+    # cycle's correction is zero and its true residual is b again
+    A = as_csr(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    x, stats = solve(A, np.array([1.0, 0.0]),
+                     config=SolverConfig(restart=1, tol=1e-8, maxiter=6))
+    assert not stats.converged and stats.iterations == 6 and stats.restarts == 5
+    assert stats.cycle_residuals == [1.0] * 6
+    assert stats.to_dict()["cycle_residuals"] == stats.cycle_residuals
+    assert not x.any()
 
 
 def test_config_validation():

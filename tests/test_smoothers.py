@@ -487,9 +487,28 @@ def test_chebyshev_never_increases_a_norm_spd(seed):
 
 # ------------------------------------------------- chebyshev: differential
 
+def add_row_products(A, v, s):
+    """s[i] += a_ij * v[j] over row i's stored entries in order, one Python
+    float at a time; returns the list ``s``. A ``CountingOperator`` counts
+    the product."""
+    if isinstance(A, CountingOperator):
+        A.products += 1
+        A = A.A
+    indptr, indices, data = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+    v = list(v)
+    for i in range(len(s)):
+        acc = s[i]
+        for k in range(indptr[i], indptr[i + 1]):
+            acc += data[k] * v[indices[k]]
+        s[i] = acc
+    return s
+
+
 def reference_chebyshev_apply(S, A, b, x):
-    """The Chebyshev apply before its in-place, zero-guess form, verbatim:
-    the oracle ``chebyshev_apply`` must match bit for bit."""
+    """The Chebyshev apply as loops over Python floats, in the rounding
+    order ``chebyshev_apply`` must match bit for bit: the negated residual
+    s_i starts at -b_i and adds a_ij x_j in row order, and every later
+    product a_ij d_j is added to it the same way."""
     b = np.asarray(b, dtype=np.float64)
     x = np.array(x, dtype=np.float64, copy=True)
     if b.shape[0] != A.shape[0] or x.shape[0] != A.shape[0]:
@@ -501,17 +520,20 @@ def reference_chebyshev_apply(S, A, b, x):
     sigma = theta / delta
     rho = 1.0 / sigma
 
-    r = b - A @ x
-    d = (S.inverse_diagonal * r) / theta
+    dinv = S.inverse_diagonal.tolist()
+    x = x.tolist()
+    s = add_row_products(A, x, [-bi for bi in b.tolist()])
+    d = [(vi * si) / -theta for vi, si in zip(dinv, s)]
     for k in range(S.degree):
-        x += d
+        x = [xi + di for xi, di in zip(x, d)]
         if k == S.degree - 1:
             break
-        r -= A @ d
+        add_row_products(A, d, s)
         rho_next = 1.0 / (2.0 * sigma - rho)
-        d = (rho_next * rho) * d + (2.0 * rho_next / delta) * (S.inverse_diagonal * r)
+        c1, c2 = rho_next * rho, 2.0 * rho_next / delta
+        d = [c1 * di - c2 * (vi * si) for di, vi, si in zip(d, dinv, s)]
         rho = rho_next
-    return x
+    return np.array(x)
 
 
 class CountingOperator:
