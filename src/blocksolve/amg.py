@@ -15,14 +15,14 @@ interpretation-sensitive choice in the setup and is kept in one function,
 ``filtered_matrix``, so it can be swapped out.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .smoothers import ChebyshevSmoother, chebyshev_setup, chebyshev_apply, estimate_lambda_max
 from .sparse import (DenseFactorization, dense_factor, fit_index_dtype, matvec, matvec_add,
-                     require_canonical, require_finite, triple_product)
+                     require_canonical, require_fields, require_finite, triple_product)
 
 
 MAX_LEVELS = 20
@@ -39,21 +39,13 @@ class CoarseningError(RuntimeError):
 
 @dataclass
 class AmgParams:
-    drop_tolerance: float = 0.04
-    max_coarse_size: int = 64
-    smoother_degree: int = 2
-    seed: int = 0
+    drop_tolerance: float = field(default=0.04, metadata={"least": 0})
+    max_coarse_size: int = field(default=64, metadata={"least": 1})
+    smoother_degree: int = field(default=2, metadata={"least": 1})
+    seed: int = field(default=0, metadata={"least": 0})
 
     def __post_init__(self):
-        if self.drop_tolerance < 0.0:
-            raise ValueError("drop tolerance must be >= 0")
-        size = self.max_coarse_size
-        if not isinstance(size, (int, np.integer)) or size < 1:
-            raise ValueError(f"max_coarse_size must be >= 1 and an integer, got {size!r}")
-        for name, least in (("smoother_degree", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name}: want an integer >= {least}, got {value!r}")
+        require_fields(self)
 
 
 @dataclass

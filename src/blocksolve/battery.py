@@ -14,14 +14,13 @@ normalized by their maximum (a units choice) so the monolithic system is
 numerically balanced while every contrast survives.
 """
 
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .blockprec import FIELDS, BlockSystem
-from .sparse import as_csr
+from .sparse import as_csr, require_fields
 
 FARADAY = 96485.33212      # C/mol
 GAS_CONSTANT = 8.31446     # J/(mol K)
@@ -45,12 +44,15 @@ _CAN_FRACTION = 0.90
 
 @dataclass
 class Material:
-    sigma: float                 # solid electrical conductivity (S/m)
-    liquid_conductivity: float   # effective ionic conductivity scale
-    liquid_diffusivity: float    # species diffusivity scale
-    porosity: float
-    particle_diameter: float
-    electrode: bool = False      # carries Butler-Volmer reactions
+    sigma: float = field(metadata={"above": 0})  # solid electrical conductivity (S/m)
+    liquid_conductivity: float = field(metadata={"above": 0})  # ionic conductivity scale
+    liquid_diffusivity: float = field(metadata={"above": 0})  # species diffusivity scale
+    porosity: float = field(metadata={"above": 0, "below": 1})
+    particle_diameter: float = field(metadata={"above": 0})
+    electrode: bool = False  # carries Butler-Volmer reactions
+
+    def __post_init__(self):
+        require_fields(self)
 
 
 def default_materials():
@@ -280,57 +282,46 @@ def assemble_coupling_blocks(grid, config):
 class CaseConfig:
     """Everything needed to build a case deterministically."""
 
-    nr: int = 6
-    refinement: int = 0
-    n_cells: int = 2
-    h0: float = 1e-3
-    dt: float = 1e-6
-    temperature: float = 800.0
+    nr: int = field(default=6, metadata={"least": 1})
+    refinement: int = field(default=0, metadata={"least": 0})
+    n_cells: int = field(default=2, metadata={"least": 1})
+    h0: float = field(default=1e-3, metadata={"above": 0})
+    dt: float = field(default=1e-6, metadata={"above": 0})
+    temperature: float = field(default=800.0, metadata={"above": 0})
     melt_temperature: float = 625.0
-    melt_width: float = 50.0
-    exchange_current: float = 10.0
-    valence: float = 1.0
+    melt_width: float = field(default=50.0, metadata={"above": 0})
+    exchange_current: float = field(default=10.0, metadata={"least": 0})
+    valence: float = field(default=1.0, metadata={"least": 0})
     overpotential: float = 2.0
-    symmetry_factor: float = 0.5
+    symmetry_factor: float = field(default=0.5, metadata={"least": 0, "most": 1})
     species_sensitivity: float = 0.05
     species_feedback: float = 0.01
     pressure_species_coupling: float = 0.1
     capillary_gradient: float = 1.0
     advection_scale: float = 1.0
-    molar_concentration: float = 1.0
-    viscosity: float = 1.0
-    melt_viscosity_factor: float = 1e14
-    liquid_saturation: float = 0.9
-    reference_mole_fraction: float = 0.3
-    liquid_voltage_mass_fraction: float = 1e-3
-    pressure_mass_fraction: float = 1e-3
-    material_overrides: dict = field(default_factory=dict)
+    molar_concentration: float = field(default=1.0, metadata={"above": 0})
+    viscosity: float = field(default=1.0, metadata={"above": 0})
+    melt_viscosity_factor: float = field(default=1e14, metadata={"above": 0})
+    liquid_saturation: float = field(default=0.9, metadata={"least": 0, "most": 1})
+    reference_mole_fraction: float = field(default=0.3, metadata={"above": 0, "most": 1})
+    liquid_voltage_mass_fraction: float = field(default=1e-3, metadata={"above": 0})
+    pressure_mass_fraction: float = field(default=1e-3, metadata={"above": 0})
+    material_overrides: dict[str, dict] = field(default_factory=dict)
     case_id: str = "case"
 
     def __post_init__(self):
-        for name, least in (("nr", 1), ("n_cells", 1), ("refinement", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name}: want an integer >= {least}, got {value!r}")
+        require_fields(self)
+        self.materials()  # a bad override fails on construction
 
     def materials(self):
+        """The default material table with ``material_overrides`` applied."""
         table = default_materials()
-        for name, fields_ in self.material_overrides.items():
-            for key, value in fields_.items():
-                setattr(table[name], key, value)
+        for name, values in self.material_overrides.items():
+            if name not in table:
+                raise ValueError(f"material_overrides: want a material of "
+                                 f"{', '.join(MATERIALS)}, got {name!r}")
+            table[name] = replace(table[name], **values)
         return table
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass
@@ -340,10 +331,6 @@ class BatteryCase:
     system: BlockSystem
     solution: np.ndarray      # manufactured monolithic solution
     regime: dict              # derived scalars worth reporting
-
-    @property
-    def total_dim(self):
-        return self.system.total_dim
 
 
 _FIELD_WAVES = {

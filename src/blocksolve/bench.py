@@ -30,6 +30,7 @@ from .blockprec import (
     ras_preconditioner,
 )
 from .krylov import SolverConfig, gmres
+from .sparse import require_fields
 
 
 @dataclass
@@ -149,23 +150,17 @@ class SuiteConfig:
     """
 
     case: CaseConfig = field(default_factory=CaseConfig)
-    refinements: list = field(default_factory=lambda: [0, 1, 2])
+    refinements: list[int] = field(default_factory=lambda: [0, 1, 2], metadata={"least": 0})
     # monolithic RAS stalls for its full iteration budget from r = 1 on
     systems: list = field(
         default_factory=lambda: [s for s in SYSTEMS if s != "monolithic_ras"])
-    subdomains: list = field(default_factory=lambda: [4])
-    repetitions: int = 3
-    seed: int = 0
+    subdomains: list[int] = field(default_factory=lambda: [4], metadata={"least": 1})
+    repetitions: int = field(default=3, metadata={"least": 1})
+    seed: int = field(default=0, metadata={"least": 0})
     precon: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, values, least in (("refinements", self.refinements, 0),
-                                    ("subdomains", self.subdomains, 1),
-                                    ("repetitions", [self.repetitions], 1),
-                                    ("seed", [self.seed], 0)):
-            if not values or not all(isinstance(v, int) and v >= least for v in values):
-                raise ValueError(f"{name}: want integers >= {least}, "
-                                 f"got {getattr(self, name)!r}")
+        require_fields(self)
         if not self.systems or not set(self.systems) <= SYSTEMS.keys():
             raise ValueError(f"systems must be a non-empty list of "
                              f"{', '.join(SYSTEMS)}; got {self.systems!r}")
@@ -190,7 +185,7 @@ class SuiteConfig:
     def from_dict(cls, data):
         data = dict(data)
         if "case" in data:
-            data["case"] = CaseConfig.from_dict(data["case"])
+            data["case"] = CaseConfig(**data["case"])
         return cls(**data)
 
     @classmethod
@@ -250,7 +245,7 @@ def run_suite(suite, progress=None):
                     std_setup_seconds=float(np.std(setups)),
                     mean_solve_seconds=float(np.mean(solves)),
                     std_solve_seconds=float(np.std(solves)),
-                    dofs=case.total_dim,
+                    dofs=case.system.total_dim,
                 )
                 records.append(record)
                 if progress:

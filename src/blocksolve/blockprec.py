@@ -21,7 +21,7 @@ from .amg import AmgParams, as_preconditioner, build_hierarchy
 from .krylov import SolverConfig, fgmres
 from .schwarz import extend_overlap, partition_nodes, ras_apply, ras_setup
 from .smoothers import jacobi_apply, jacobi_setup
-from .sparse import matvec
+from .sparse import matvec, require_fields
 
 FIELDS = ("phi_s", "phi_l", "s", "x", "p")
 VOLTAGE_FIELDS = ("phi_s", "phi_l")
@@ -216,50 +216,33 @@ class ElectrochemOptions:
     ("phi_s", "phi_l", "p").
     """
 
-    inner_tol: float = 1e-6
-    inner_restart: int = 30
-    inner_maxiter: int = 100
-    voltage_smoother_degree: int = 4
-    pressure_smoother_degree: int = 2
-    drop_tolerance: float = 0.04
-    drop_tolerances: dict = field(default_factory=dict)
-    max_coarse_size: int = 64
-    ras_subdomains: int = 4
-    ras_overlap: int = 0
+    inner_tol: float = field(default=1e-6, metadata={"above": 0, "below": 1})
+    inner_restart: int = field(default=30, metadata={"least": 1})
+    inner_maxiter: int = field(default=100, metadata={"least": 1})
+    voltage_smoother_degree: int = field(default=4, metadata={"least": 1})
+    pressure_smoother_degree: int = field(default=2, metadata={"least": 1})
+    drop_tolerance: float = field(default=0.04, metadata={"least": 0})
+    drop_tolerances: dict[str, float] = field(default_factory=dict, metadata={"least": 0})
+    max_coarse_size: int = field(default=64, metadata={"least": 1})
+    ras_subdomains: int = field(default=4, metadata={"least": 1})
+    ras_overlap: int = field(default=0, metadata={"least": 0})
     inner_mode: str = "iterative"  # or "direct"
-    seed: int = 0
+    seed: int = field(default=0, metadata={"least": 0})
 
     def __post_init__(self):
         if self.inner_mode not in ("iterative", "direct"):
             raise ValueError(f"unknown inner mode {self.inner_mode!r}")
-        for name, least in (("ras_subdomains", 1), ("ras_overlap", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name}: want an integer >= {least}, got {value!r}")
+        require_fields(self)
         unknown = set(self.drop_tolerances) - {"phi_s", "phi_l", "p"}
         if unknown:
             raise ValueError(f"drop_tolerances: unknown fields {sorted(unknown)}; "
                              "want phi_s, phi_l or p")
-        # built here only to check the values they take
-        self.inner_config
-        for fieldname, degree in (("phi_s", self.voltage_smoother_degree),
-                                  ("phi_l", self.voltage_smoother_degree),
-                                  ("p", self.pressure_smoother_degree)):
-            try:
-                self.amg_params(fieldname, degree)
-            except ValueError as err:
-                raise ValueError(f"AMG options of {fieldname!r}: {err}") from err
 
     @property
     def inner_config(self):
-        """The inner group solves' Krylov config, from the inner_* fields;
-        a bad value raises ValueError."""
-        try:
-            return SolverConfig(restart=self.inner_restart, tol=self.inner_tol,
-                                maxiter=self.inner_maxiter, flexible=True)
-        except ValueError as err:
-            raise ValueError("inner_tol, inner_restart and inner_maxiter must be "
-                             f"numbers that SolverConfig takes: {err}") from err
+        """The inner group solves' Krylov config, from the inner_* fields."""
+        return SolverConfig(restart=self.inner_restart, tol=self.inner_tol,
+                            maxiter=self.inner_maxiter, flexible=True)
 
     def theta(self, fieldname):
         return self.drop_tolerances.get(fieldname, self.drop_tolerance)

@@ -8,7 +8,7 @@ errors.
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,12 +84,12 @@ def cmd_generate(args):
                             f"{prefix}_rhs.mtx")
         store_matrix_market(_vector_as_column(case.solution),
                             f"{prefix}_solution.mtx")
-        meta = {"config": cfg.to_dict(), "regime": case.regime,
+        meta = {"config": asdict(cfg), "regime": case.regime,
                 "fields": list(FIELDS),
                 "dims": {f: case.system.dims[f] for f in case.system.fields}}
         with open(f"{prefix}_meta.json", "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
-        print(f"wrote {prefix}_* ({case.total_dim} dofs)")
+        print(f"wrote {prefix}_* ({case.system.total_dim} dofs)")
     return EXIT_OK
 
 
@@ -103,7 +103,7 @@ def cmd_solve(args):
         "system": args.system,
         "refinement": args.refinement,
         "p": args.p,
-        "dofs": case.total_dim,
+        "dofs": case.system.total_dim,
         "setup_seconds": setup_s,
         "solve_seconds": solve_s,
         **stats.to_dict(),

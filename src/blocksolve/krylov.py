@@ -11,7 +11,6 @@ callers time the solves they run.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -19,26 +18,20 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import daxpy as _daxpy
 
-from .sparse import matvec
+from .sparse import matvec, require_fields
 
 
 @dataclass
 class SolverConfig:
     """Restart length, relative tolerance, iteration cap, flexible flag."""
 
-    restart: int = 30
-    tol: float = 1e-8
-    maxiter: int = 500
+    restart: int = field(default=30, metadata={"least": 1})
+    tol: float = field(default=1e-8, metadata={"above": 0, "below": 1})
+    maxiter: int = field(default=500, metadata={"least": 1})
     flexible: bool = False
 
     def __post_init__(self):
-        for name in ("restart", "maxiter"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name}: want an integer >= 1, got {value!r}")
-        if not isinstance(self.tol, numbers.Real) or not 0.0 < self.tol < 1.0:
-            raise ValueError(f"relative tolerance must be a real number in (0, 1), "
-                             f"got {self.tol!r}")
+        require_fields(self)
 
 
 @dataclass
@@ -148,6 +141,9 @@ def _gmres(operator, b, preconditioner, config, flexible):
     # V[j + 1] and Z[j] in step j, V[k] when a cycle of k steps ends
     V = np.empty((m + 1, n))
     Z = np.empty((m, n)) if flexible else None
+    # a callable or matvec object may return its input, a row of V, which the
+    # in-place Gram-Schmidt updates would then overwrite
+    may_return_v = not (sp.issparse(operator) or isinstance(operator, np.ndarray))
     rows = list(V)  # views of V's rows, made once
     # the true residual of the zero initial guess; each cycle ends on a new one
     r, rnorm = b, bnorm
@@ -169,6 +165,8 @@ def _gmres(operator, b, preconditioner, config, flexible):
             if has_precond:
                 stats.precond_applications += 1
             w = apply_a(z)
+            if may_return_v and np.may_share_memory(w, V):
+                w = w.copy()
             h = []
             for v in rows[:j + 1]:
                 hij = float(v.dot(w))

@@ -6,10 +6,14 @@ Every operator in this library is a scipy CSR matrix kept in canonical form
 entries and are never silently dropped, so sparsity patterns stay
 deterministic across runs. The solve path applies operators with
 ``matvec``, the kernel ``A @ x`` ends in, without its dispatch, and
-accumulates products into its own vectors with ``matvec_add``.
+accumulates products into its own vectors with ``matvec_add``. Every
+config class checks its fields with the one rule of ``require_fields``.
 """
 
-from dataclasses import dataclass
+import math
+import operator
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -20,6 +24,13 @@ from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 _CSR = (sp.csr_matrix, sp.csr_array)
 _FLOAT64 = np.dtype(np.float64)
 _INT32_MAX = np.iinfo(np.int32).max
+# what require_fields calls each field kind, and the types it takes
+_KINDS = {int: ("an integer", (int, np.integer)),
+          float: ("a finite real", (int, float, np.integer, np.floating)),
+          bool: ("a bool", (bool, np.bool_))}
+_CONTAINERS = {list: Sequence, dict: Mapping}
+_BOUNDS = {"least": (operator.ge, ">="), "above": (operator.gt, ">"),
+           "most": (operator.le, "<="), "below": (operator.lt, "<")}
 
 
 class SingularMatrixError(RuntimeError):
@@ -142,6 +153,39 @@ def require_canonical(A, name="matrix"):
     if bad.size:
         raise ValueError(f"{name}: row {row_of[bad[0]]} has unsorted or duplicate columns")
     return A
+
+
+def require_fields(obj):
+    """Check each int, float and bool field of the dataclass ``obj``, and each
+    entry of a ``list[...]`` or ``dict[str, ...]`` field of them: an int takes
+    an integer, a float a finite real and a bool a bool (a bool is no number),
+    within the field's metadata bounds "least" (>=), "above" (>), "most" (<=)
+    and "below" (<); a list must not be empty. The first bad value raises
+    ValueError ``<field>: want ..., got ...``."""
+    for f in fields(obj):
+        # list[int] and dict[str, float] carry their container and kind
+        container = _CONTAINERS.get(getattr(f.type, "__origin__", None))
+        kind = f.type.__args__[-1] if container else f.type
+        value = getattr(obj, f.name)
+        if container and not (isinstance(value, container)
+                              and (value or container is Mapping)):
+            want = "a dict" if container is Mapping else "a non-empty list"
+            raise ValueError(f"{f.name}: want {want}, got {value!r}")
+        if kind not in _KINDS:
+            continue
+        entries = (((f.name, value),) if container is None else
+                   ((f"{f.name}[{key!r}]", v) for key, v in
+                    (value.items() if container is Mapping else enumerate(value))))
+        text, types = _KINDS[kind]
+        for label, v in entries:
+            ok = ((kind is bool or not isinstance(v, bool)) and isinstance(v, types)
+                  and (kind is not float or math.isfinite(v)))
+            for key, limit in f.metadata.items():
+                ok = ok and _BOUNDS[key][0](v, limit)
+            if not ok:
+                want = " and ".join(f"{_BOUNDS[key][1]} {limit}"
+                                    for key, limit in f.metadata.items())
+                raise ValueError(f"{label}: want {text} {want}".rstrip() + f", got {v!r}")
 
 
 def _structural_pattern(R, A, P):

@@ -261,7 +261,7 @@ def test_criterion_7_scaling_model_fits():
         for system in points:
             stats = run_experiment(case, system, suite, p=4 * 4**r)[2]
             assert stats.converged
-            points[system].append((case.total_dim, stats.iterations))
+            points[system].append((case.system.total_dim, stats.iterations))
     assert levels == WAVEFRONT_LEVELS
     fitted = {}
     for system, (iterations, exponent) in WEAK_SERIES.items():

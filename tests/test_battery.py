@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -253,7 +256,7 @@ def test_separator_cells_carry_no_coupling():
 
 def test_minimal_case_smoke():
     case = build_case(CaseConfig(nr=2, refinement=0, n_cells=1))
-    assert case.total_dim == 5 * case.grid.n
+    assert case.system.total_dim == 5 * case.grid.n
     assert case.regime["sigma_contrast"] >= 1e9
 
 
@@ -268,7 +271,7 @@ def test_dof_scaling_and_field_proportions():
     dofs = []
     for r in (0, 1):
         case = build_case(CaseConfig(nr=6, refinement=r, n_cells=2))
-        dofs.append(case.total_dim)
+        dofs.append(case.system.total_dim)
         # all five fields share the cell count
         assert all(case.system.dims[f] == case.grid.n for f in case.system.fields)
     assert dofs[1] == 4 * dofs[0]
@@ -339,13 +342,12 @@ def test_config_roundtrip(tmp_path):
     cfg = CaseConfig(nr=4, refinement=1, n_cells=2, overpotential=1.5,
                      material_overrides={"anode": {"sigma": 5e5}})
     path = tmp_path / "case.json"
-    import json
-    path.write_text(json.dumps(cfg.to_dict()))
-    loaded = CaseConfig.from_json(path)
+    path.write_text(json.dumps(asdict(cfg)))
+    loaded = CaseConfig(**json.loads(path.read_text()))
     assert loaded == cfg
     assert loaded.materials()["anode"].sigma == 5e5
     case = build_case(loaded)
-    assert case.total_dim == 5 * case.grid.n
+    assert case.system.total_dim == 5 * case.grid.n
 
 
 @pytest.mark.parametrize("field, value", [
@@ -354,3 +356,15 @@ def test_config_roundtrip(tmp_path):
 def test_case_config_checked_on_construction(field, value):
     with pytest.raises(ValueError, match=f"{field}: want an integer"):
         CaseConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("symmetry_factor", 1.5, "symmetry_factor: want a finite real >= 0 and <= 1, got 1.5"),
+    ("material_overrides", {"anode": {"porosity": 1.0}},
+     "porosity: want a finite real > 0 and < 1, got 1.0"),
+    ("material_overrides", {"anode": {"electrode": 1}}, "electrode: want a bool, got 1"),
+])
+def test_case_config_bounds_checked_on_construction(field, value, message):
+    with pytest.raises(ValueError) as err:
+        CaseConfig(**{field: value})
+    assert str(err.value) == message

@@ -242,7 +242,8 @@ TABLE_ITERATIONS = {
 @pytest.mark.parametrize("refinement", sorted(TABLE_ITERATIONS))
 def test_run_experiment_pins_table_iterations(refinement):
     suite = SuiteConfig()
-    case = build_case(CaseConfig(**{**suite.case.to_dict(), "refinement": refinement}))
+    case = build_case(CaseConfig(**{**dataclasses.asdict(suite.case),
+                                    "refinement": refinement}))
     stats = {system: run_experiment(case, system, suite, p=4)[2]
              for system in TABLE_ITERATIONS[refinement]}
     assert {s: st.iterations for s, st in stats.items()} == TABLE_ITERATIONS[refinement]

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 import threading
 from functools import partial
 
@@ -271,7 +272,7 @@ def test_hierarchical_linear_with_exact_inner():
     M = build_electrochem_preconditioner(
         case.system, case.grid.centers, ElectrochemOptions(inner_mode="direct"))
     rng = np.random.default_rng(30)
-    n = case.total_dim
+    n = case.system.total_dim
     r1, r2 = rng.standard_normal(n), rng.standard_normal(n)
     z = M(1.5 * r1 - 2.0 * r2)
     z_lin = 1.5 * M(r1) - 2.0 * M(r2)
@@ -406,7 +407,7 @@ def test_preconditioner_apply_is_thread_safe():
     # sharper check of the coarse solve
     case = build_case(CaseConfig(nr=6, refinement=1, n_cells=2))
     M = build_electrochem_preconditioner(case.system, case.grid.centers)
-    residuals = [np.random.default_rng(seed).standard_normal(case.total_dim)
+    residuals = [np.random.default_rng(seed).standard_normal(case.system.total_dim)
                  for seed in (40, 41)]
     serial = [M(r).tobytes() for r in residuals]
     mismatches = [0, 0]
@@ -432,13 +433,13 @@ def test_unknown_inner_mode_rejected_on_construction():
 
 
 @pytest.mark.parametrize("options, message", [
-    ({"inner_tol": "abc"}, "must be numbers"),
-    ({"inner_restart": None}, "must be numbers"),
-    ({"inner_tol": 1.5}, "relative tolerance"),
+    ({"inner_tol": "abc"}, "inner_tol: want a finite real > 0 and < 1, got 'abc'"),
+    ({"inner_restart": None}, "inner_restart: want an integer >= 1, got None"),
+    ({"inner_tol": 1.5}, "inner_tol: want a finite real > 0 and < 1, got 1.5"),
     ({"inner_maxiter": 0}, "maxiter"),
 ])
 def test_inner_solve_options_checked_on_construction(options, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         ElectrochemOptions(**options)
 
 

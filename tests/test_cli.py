@@ -205,22 +205,37 @@ def test_bad_config_json_exit_code(tmp_path):
     ({"precon": {"seed": 1}}, "set the suite's 'seed'"),
     ({"precon": {"ras_subdomains": 2}}, "set the suite's 'subdomains'"),
     ({"precon": {"inner_tol": "abc"}}, "inner_tol"),
-    ({"precon": {"inner_tol": 2.0}}, "relative tolerance"),
+    ({"precon": {"inner_tol": 2.0}}, "inner_tol: want a finite real > 0 and < 1, got 2.0"),
     ({"case": {"nr": 0}}, "nr: want an integer >= 1"),
     ({"case": {"refinement": -1}}, "refinement: want an integer >= 0"),
     ({"precon": {"ras_overlap": -1}}, "ras_overlap: want an integer >= 0"),
     ({"precon": {"ras_overlap": 1.5}}, "ras_overlap: want an integer >= 0"),
     ({"precon": {"voltage_smoother_degree": 0}}, "smoother_degree: want an integer >= 1"),
-    ({"precon": {"pressure_smoother_degree": 2.5}}, "AMG options of 'p'"),
-    ({"precon": {"drop_tolerances": {"phi_s": -1}}}, "drop tolerance must be >= 0"),
+    ({"precon": {"pressure_smoother_degree": 2.5}},
+     "pressure_smoother_degree: want an integer >= 1, got 2.5"),
+    ({"precon": {"drop_tolerances": {"phi_s": -1}}},
+     "drop_tolerances['phi_s']: want a finite real >= 0, got -1"),
     ({"precon": {"drop_tolerances": {"q": 0.1}}}, "unknown fields ['q']"),
-    ({"precon": {"max_coarse_size": 0}}, "max_coarse_size must be >= 1"),
+    ({"precon": {"max_coarse_size": 0}}, "max_coarse_size: want an integer >= 1, got 0"),
     ({"systems": ["liquid_pressure", "liquid_species"], "subdomains": [256]},
      "P = 256 exceeds the 28 cells at refinement 0"),
     ({"precon": {"inner_restart": 2.5}}, "restart: want an integer >= 1"),
     ({"precon": {"inner_maxiter": 2.5}}, "maxiter: want an integer >= 1"),
-    ({"precon": {"max_coarse_size": 10.5}}, "max_coarse_size must be >= 1 and an integer"),
-    ({"seed": 0.5}, "seed: want integers >= 0"),
+    ({"precon": {"max_coarse_size": 10.5}}, "max_coarse_size: want an integer >= 1, got 10.5"),
+    ({"seed": 0.5}, "seed: want an integer >= 0, got 0.5"),
+    ({"case": {"dt": 0}}, "dt: want a finite real > 0, got 0"),
+    ({"case": {"temperature": float("nan")}}, "temperature: want a finite real > 0, got nan"),
+    ({"precon": {"drop_tolerance": float("nan")}},
+     "drop_tolerance: want a finite real >= 0, got nan"),
+    ({"repetitions": True}, "repetitions: want an integer >= 1, got True"),
+    ({"case": {"nr": True}}, "nr: want an integer >= 1, got True"),
+    ({"case": {"material_overrides": {"anode": {"sigmaa": 1.0}}}},
+     "unexpected keyword argument 'sigmaa'"),
+    ({"case": {"material_overrides": {"anodee": {"sigma": 1.0}}}},
+     "material_overrides: want a material of heat_pellet, collector, anode, separator, "
+     "cathode, insulation, can, got 'anodee'"),
+    ({"case": {"material_overrides": {"anode": {"sigma": -1.0}}}},
+     "sigma: want a finite real > 0, got -1.0"),
 ])
 def test_bad_suite_config_fails_before_any_solve(tmp_path, monkeypatch, capsys,
                                                  suite_fields, message):

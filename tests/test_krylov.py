@@ -57,6 +57,23 @@ def test_identity_converges_in_one_iteration():
     np.testing.assert_allclose(x, b, atol=1e-14)
 
 
+class ViewMatvec:
+    def matvec(self, v):
+        return v.view()
+
+
+@pytest.mark.parametrize("solve", [gmres, fgmres])
+@pytest.mark.parametrize("operator", [lambda v: v, lambda v: v[:], ViewMatvec()],
+                         ids=["identity", "view", "matvec-view"])
+def test_identity_returning_a_view_of_its_input_converges(solve, operator):
+    # the operator's output is then a row of the Arnoldi basis, which the
+    # Gram-Schmidt update must not overwrite
+    b = np.array([1.0, 2.0, 3.0])
+    x, stats = solve(operator, b)
+    assert stats.converged and stats.iterations == 1
+    np.testing.assert_allclose(x, b, rtol=1e-14)
+
+
 def test_rotation_full_krylov_space():
     A = as_csr(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     b = np.array([1.0, 0.0])

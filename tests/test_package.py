@@ -1,7 +1,12 @@
 import ast
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_args, get_origin
+
+import pytest
 
 import blocksolve
+from blocksolve.battery import default_materials
 
 PUBLIC = [
     "AmgParams", "as_preconditioner", "build_hierarchy", "vcycle",
@@ -62,3 +67,43 @@ def test_no_unused_imports_in_library_modules():
         for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
     }
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+# every config class with its defaults; Material has none, so the anode's
+CONFIGS = [blocksolve.SolverConfig(), blocksolve.AmgParams(), blocksolve.ElectrochemOptions(),
+           blocksolve.CaseConfig(), blocksolve.SuiteConfig(), default_materials()["anode"]]
+BAD = {int: [True], float: [float("nan"), float("inf")], bool: [1]}
+
+
+def bad_fields():
+    """(config, field name, value to set, bad entry, the name its error
+    starts with) for each value a field's kind rejects, also as the entry of
+    a list or dict field."""
+    for cfg in CONFIGS:
+        for f in fields(cfg):
+            container, kind = get_origin(f.type), f.type
+            if container in (list, dict):
+                kind = get_args(f.type)[-1]
+            for bad in BAD.get(kind, []):
+                if container is list:
+                    yield cfg, f.name, [bad], bad, f"{f.name}[0]"
+                elif container is dict:
+                    yield cfg, f.name, {"p": bad}, bad, f"{f.name}['p']"
+                else:
+                    yield cfg, f.name, bad, bad, f.name
+
+
+BAD_FIELDS = list(bad_fields())
+
+
+def test_every_config_class_has_checked_fields():
+    assert {type(cfg) for cfg, *_ in BAD_FIELDS} == {type(cfg) for cfg in CONFIGS}
+
+
+@pytest.mark.parametrize("cfg, name, value, bad, label", BAD_FIELDS,
+                         ids=[f"{type(c).__name__}.{n}={v!r}" for c, n, v, *_ in BAD_FIELDS])
+def test_every_number_field_rejects_bools_and_non_finite_values(cfg, name, value, bad, label):
+    with pytest.raises(ValueError) as err:
+        replace(cfg, **{name: value})
+    assert str(err.value).startswith(f"{label}: want ")
+    assert str(err.value).endswith(f", got {bad!r}")
