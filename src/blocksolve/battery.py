@@ -14,6 +14,7 @@ normalized by their maximum (a units choice) so the monolithic system is
 numerically balanced while every contrast survives.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -256,11 +257,7 @@ def assemble_coupling_blocks(grid, config):
     """
     materials = config.materials()
     electrode = np.array([materials[m].electrode for m in MATERIALS])[grid.labels]
-    g_cell = butler_volmer_slope(
-        config.exchange_current, config.valence, config.overpotential,
-        config.temperature, config.symmetry_factor,
-    )
-    slope = np.where(electrode, g_cell * grid.h**2, 0.0)
+    slope = np.where(electrode, config.reaction_slope() * grid.h**2, 0.0)
     cells = np.flatnonzero(slope != 0.0)
 
     def electrode_diag(scale):
@@ -312,6 +309,15 @@ class CaseConfig:
     def __post_init__(self):
         require_fields(self)
         self.materials()  # a bad override fails on construction
+        # each field may pass its own bound while the exponentials overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = self.reaction_slope()
+        if not np.isfinite(slope):
+            raise ValueError(
+                f"overpotential {self.overpotential!r}, temperature {self.temperature!r}, "
+                f"valence {self.valence!r}, exchange_current {self.exchange_current!r} "
+                f"and symmetry_factor {self.symmetry_factor!r} make the Butler-Volmer "
+                f"slope {slope}; lower |overpotential| or valence, or raise temperature")
 
     def materials(self):
         """The default material table with ``material_overrides`` applied."""
@@ -320,8 +326,16 @@ class CaseConfig:
             if name not in table:
                 raise ValueError(f"material_overrides: want a material of "
                                  f"{', '.join(MATERIALS)}, got {name!r}")
+            if not isinstance(values, Mapping):
+                raise ValueError(f"material_overrides[{name!r}]: want a mapping of "
+                                 f"Material fields, got {values!r}")
             table[name] = replace(table[name], **values)
         return table
+
+    def reaction_slope(self):
+        """Butler-Volmer slope per unit area, before the cell area h^2."""
+        return butler_volmer_slope(self.exchange_current, self.valence, self.overpotential,
+                                   self.temperature, self.symmetry_factor)
 
 
 @dataclass

@@ -8,15 +8,25 @@ trusted on its own), is recorded in ``SolveStats.cycle_residuals`` and
 seeds the next cycle, so a solve with k restarts applies the operator
 iterations + k + 1 times. Solve statistics hold counts and residuals only;
 callers time the solves they run.
+
+Every BLAS call of a solve goes through scipy's BLAS (``scipy.linalg.blas``):
+numpy links its own OpenBLAS, and a loop that alternates the two libraries
+wakes both thread pools, whose idle threads spin against each other. Under
+default thread settings on a 2-core box that made the r = 3 coupled solve
+about 100 times slower.
 """
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg.blas import daxpy as _daxpy
+from scipy.linalg.blas import ddot as _ddot
+from scipy.linalg.blas import dgemv as _dgemv
 
 from .sparse import matvec, require_fields
 
@@ -82,6 +92,31 @@ def as_apply(obj, what="operator"):
     raise TypeError(f"cannot interpret {what} of type {type(obj)!r}")
 
 
+# Basis buffers of finished solves, for later solves to reuse: a solve takes
+# the smallest one that fits, or, when none fits, drops the largest one and
+# allocates. So the list never holds more buffers than the most solves that
+# ran at once (nested solves included), and repeated solves fault no fresh
+# pages in.
+_free_bases = []
+_free_lock = threading.Lock()
+
+
+def _take_basis(size):
+    """A float64 buffer of at least ``size`` entries, from the free list if one fits."""
+    with _free_lock:
+        fits = [i for i, buf in enumerate(_free_bases) if buf.size >= size]
+        if fits:
+            return _free_bases.pop(min(fits, key=lambda i: _free_bases[i].size))
+        if _free_bases:
+            _free_bases.pop(max(range(len(_free_bases)), key=lambda i: _free_bases[i].size))
+    return np.empty(size)
+
+
+def _give_basis(buf):
+    with _free_lock:
+        _free_bases.append(buf)
+
+
 def gmres(operator, b, preconditioner=None, config=None):
     """Right-preconditioned restarted GMRES; returns (x, SolveStats)."""
     config = config or SolverConfig()
@@ -103,14 +138,15 @@ def _gmres(operator, b, preconditioner, config, flexible):
     Each step applies the preconditioner and the operator (a CSR operator
     through ``sparse.matvec``), orthogonalizes by modified Gram-Schmidt into
     column j of the Hessenberg matrix ``H``, and reduces that column with
-    the cycle's Givens rotations. Each Gram-Schmidt step is one dot product
-    and one BLAS ``daxpy`` on the operator's output. The basis ``V`` and the
-    flexible basis ``Z`` are allocated once per solve, and a cycle's
-    correction is assembled in the row of ``V`` after the cycle's last basis
-    vector, which no later step reads. The rotations run on the column as a
-    list of Python floats, with the stored cosines and sines as lists: the
-    same expressions in the same order round exactly as float64 array
-    scalars, at a fraction of their per-operation cost.
+    the cycle's Givens rotations. Each Gram-Schmidt step is one BLAS ``ddot``
+    and one ``daxpy`` on the operator's output. The basis ``V`` and the
+    flexible basis ``Z`` are the rows of one buffer from the free list, held
+    for the whole solve and given back when it returns or raises; a cycle's
+    correction is assembled by ``dgemv`` in the row of ``V`` after the
+    cycle's last basis vector, which no later step reads. The rotations run
+    on the column as a list of Python floats, with the stored cosines and
+    sines as lists: the same expressions in the same order round exactly as
+    float64 array scalars, at a fraction of their per-operation cost.
     """
     apply_a = as_apply(operator, "operator")
     has_precond = preconditioner is not None
@@ -130,113 +166,126 @@ def _gmres(operator, b, preconditioner, config, flexible):
                 f"gmres: rhs length {n} does not match operator dimension {shape[0]}"
             )
     stats = SolveStats()
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(_ddot(b, b)) if n else 0.0
     if bnorm == 0.0:
         stats.converged = True
         return np.zeros(n), stats
 
     m = config.restart
     x = np.zeros(n)
-    # rows are written before they are read: V[0] at the start of a cycle,
+    # V and Z share one buffer that holds whatever an earlier solve left, so
+    # every row is written before it is read: V[0] at the start of a cycle,
     # V[j + 1] and Z[j] in step j, V[k] when a cycle of k steps ends
-    V = np.empty((m + 1, n))
-    Z = np.empty((m, n)) if flexible else None
-    # a callable or matvec object may return its input, a row of V, which the
-    # in-place Gram-Schmidt updates would then overwrite
+    basis_rows = 2 * m + 1 if flexible else m + 1
+    buf = _take_basis(basis_rows * n)
+    basis = buf[:basis_rows * n].reshape(basis_rows, n)
+    V, Z = basis[:m + 1], basis[m + 1:]
+    # a callable or matvec object may return its input, a row of V or Z,
+    # which the in-place Gram-Schmidt updates would then overwrite
     may_return_v = not (sp.issparse(operator) or isinstance(operator, np.ndarray))
     rows = list(V)  # views of V's rows, made once
     # the true residual of the zero initial guess; each cycle ends on a new one
     r, rnorm = b, bnorm
 
-    while True:
-        H = np.zeros((m + 1, m))
-        cs, sn = [], []  # the cycle's rotations, as Python floats
-        g = [float(rnorm)]  # the rotated right-hand side, as Python floats
-        np.divide(r, rnorm, out=V[0])
+    try:
+        while True:
+            H = np.zeros((m + 1, m))
+            cs, sn = [], []  # the cycle's rotations, as Python floats
+            g = [float(rnorm)]  # the rotated right-hand side, as Python floats
+            np.divide(r, rnorm, out=V[0])
 
-        j = -1
-        breakdown = False
-        while j + 1 < m and stats.iterations < config.maxiter:
-            j += 1
-            stats.iterations += 1
-            z = apply_m(V[j])
+            j = -1
+            breakdown = False
+            while j + 1 < m and stats.iterations < config.maxiter:
+                j += 1
+                stats.iterations += 1
+                z = apply_m(V[j])
+                if flexible:
+                    Z[j] = z
+                if has_precond:
+                    stats.precond_applications += 1
+                w = apply_a(z)
+                if may_return_v and np.may_share_memory(w, buf):
+                    w = w.copy()
+                h = []
+                for v in rows[:j + 1]:
+                    hij = _ddot(v, w)
+                    h.append(hij)
+                    w = _daxpy(v, w, a=-hij)
+                hnorm = math.sqrt(_ddot(w, w))
+                if not math.isfinite(hnorm):
+                    raise ValueError(
+                        f"gmres: Arnoldi vector is not finite at iteration {stats.iterations}"
+                        " (NaN or Inf from the operator or the preconditioner)")
+                h.append(hnorm)
+                if hnorm == 0.0:
+                    breakdown = True
+                else:
+                    np.divide(w, hnorm, out=V[j + 1])
+                # apply stored Givens rotations, then a new one to annihilate H[j+1,j]
+                for i in range(j):
+                    hij = cs[i] * h[i] + sn[i] * h[i + 1]
+                    h[i + 1] = -sn[i] * h[i] + cs[i] * h[i + 1]
+                    h[i] = hij
+                denom = float(np.hypot(h[j], h[j + 1]))
+                if denom == 0.0:
+                    cs.append(1.0)
+                    sn.append(0.0)
+                else:
+                    cs.append(h[j] / denom)
+                    sn.append(h[j + 1] / denom)
+                h[j], h[j + 1] = denom, 0.0
+                H[:j + 2, j] = h
+                g.append(-sn[j] * g[j])
+                g[j] = cs[j] * g[j]
+                stats.residual_history.append(abs(g[j + 1]) / bnorm)
+                if breakdown or stats.residual_history[-1] <= config.tol:
+                    break
+
+            # assemble the cycle's correction from the least-squares coefficients
+            k = j + 1
+            if breakdown and H[k - 1, k - 1] == 0.0:
+                # singular leading block after an exact breakdown: fall back to a
+                # minimum-norm least-squares coefficient vector
+                y = scipy.linalg.lstsq(H[:k, :k], np.array(g[:k]),
+                                       cond=k * np.finfo(np.float64).eps)[0]
+            else:
+                y = _solve_upper_triangular(H[:k, :k], np.array(g[:k]))
+            # (V or Z)[:k]^T y into V[k]; the transposed rows are a Fortran-order
+            # matrix, so dgemv reads them in place
             if flexible:
-                Z[j] = z
-            if has_precond:
-                stats.precond_applications += 1
-            w = apply_a(z)
-            if may_return_v and np.may_share_memory(w, V):
-                w = w.copy()
-            h = []
-            for v in rows[:j + 1]:
-                hij = float(v.dot(w))
-                h.append(hij)
-                w = _daxpy(v, w, a=-hij)
-            hnorm = math.sqrt(w @ w)
-            if not math.isfinite(hnorm):
-                raise ValueError(
-                    f"gmres: Arnoldi vector is not finite at iteration {stats.iterations}"
-                    " (NaN or Inf from the operator or the preconditioner)")
-            h.append(hnorm)
-            if hnorm == 0.0:
-                breakdown = True
+                x += _dgemv(1.0, Z[:k].T, y, y=V[k], overwrite_y=True)
             else:
-                np.divide(w, hnorm, out=V[j + 1])
-            # apply stored Givens rotations, then a new one to annihilate H[j+1,j]
-            for i in range(j):
-                hij = cs[i] * h[i] + sn[i] * h[i + 1]
-                h[i + 1] = -sn[i] * h[i] + cs[i] * h[i + 1]
-                h[i] = hij
-            denom = float(np.hypot(h[j], h[j + 1]))
-            if denom == 0.0:
-                cs.append(1.0)
-                sn.append(0.0)
-            else:
-                cs.append(h[j] / denom)
-                sn.append(h[j + 1] / denom)
-            h[j], h[j + 1] = denom, 0.0
-            H[:j + 2, j] = h
-            g.append(-sn[j] * g[j])
-            g[j] = cs[j] * g[j]
-            stats.residual_history.append(abs(g[j + 1]) / bnorm)
-            if breakdown or stats.residual_history[-1] <= config.tol:
+                x += apply_m(_dgemv(1.0, V[:k].T, y, y=V[k], overwrite_y=True))
+                if has_precond:
+                    stats.precond_applications += 1
+
+            r = b - apply_a(x)
+            rnorm = math.sqrt(_ddot(r, r))
+            stats.final_relative_residual = rnorm / bnorm
+            stats.cycle_residuals.append(stats.final_relative_residual)
+            if stats.final_relative_residual <= config.tol:
+                stats.converged = True
                 break
-
-        # assemble the cycle's correction from the least-squares coefficients
-        k = j + 1
-        if breakdown and H[k - 1, k - 1] == 0.0:
-            # singular leading block after an exact breakdown: fall back to a
-            # minimum-norm least-squares coefficient vector
-            y = np.linalg.lstsq(H[:k, :k], np.array(g[:k]), rcond=None)[0]
-        else:
-            y = _solve_upper_triangular(H[:k, :k], np.array(g[:k]))
-        if flexible:
-            x += np.matmul(Z[:k].T, y, out=V[k])
-        else:
-            x += apply_m(np.matmul(V[:k].T, y, out=V[k]))
-            if has_precond:
-                stats.precond_applications += 1
-
-        r = b - apply_a(x)
-        rnorm = np.linalg.norm(r)
-        stats.final_relative_residual = rnorm / bnorm
-        stats.cycle_residuals.append(stats.final_relative_residual)
-        if stats.final_relative_residual <= config.tol:
-            stats.converged = True
-            break
-        if breakdown:
-            raise GmresBreakdownError(stats.iterations, stats.final_relative_residual)
-        if stats.iterations >= config.maxiter:
-            break
-        stats.restarts += 1
+            if breakdown:
+                raise GmresBreakdownError(stats.iterations, stats.final_relative_residual)
+            if stats.iterations >= config.maxiter:
+                break
+            stats.restarts += 1
+    finally:
+        _give_basis(buf)
 
     return x, stats
 
 
 def _solve_upper_triangular(T, rhs):
-    # tiny (restart x restart) systems; plain back substitution
+    # tiny (restart x restart) systems; plain back substitution, its dot
+    # products by scipy's ddot (which takes no empty vector)
     k = T.shape[0]
     y = np.zeros(k)
     for i in range(k - 1, -1, -1):
-        y[i] = (rhs[i] - T[i, i + 1:] @ y[i + 1:]) / T[i, i]
+        s = rhs[i]
+        if i + 1 < k:
+            s = s - _ddot(T[i, i + 1:], y[i + 1:])
+        y[i] = s / T[i, i]
     return y

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -368,3 +369,20 @@ def test_case_config_bounds_checked_on_construction(field, value, message):
     with pytest.raises(ValueError) as err:
         CaseConfig(**{field: value})
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("values", [
+    {"overpotential": 1000.0},
+    {"overpotential": -1000.0},
+    {"valence": 1e3},
+    {"exchange_current": 0.0, "overpotential": 1e4},  # 0 * inf
+])
+def test_reaction_slope_overflow_rejected_on_construction(values):
+    # every field passes its own bound; together they overflow the exponentials
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="make the Butler-Volmer slope (inf|nan)") as err:
+            CaseConfig(nr=4, n_cells=1, **values)
+    for name in ("overpotential", "temperature", "valence", "exchange_current",
+                 "symmetry_factor"):
+        assert f"{name} " in str(err.value)

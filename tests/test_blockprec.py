@@ -404,12 +404,22 @@ def test_inner_nonconvergence_recorded_not_fatal():
 def test_preconditioner_apply_is_thread_safe():
     # one pair of concurrent applies can pass by luck, so run 30 rounds,
     # each started at a barrier; test_sparse's dense-solve test is the
-    # sharper check of the coarse solve
+    # sharper check of the coarse solve. Each round also runs one outer
+    # solve per thread, of different sizes (r = 0 and r = 1), whose Krylov
+    # bases come from the solvers' shared free list at the same time
     case = build_case(CaseConfig(nr=6, refinement=1, n_cells=2))
     M = build_electrochem_preconditioner(case.system, case.grid.centers)
     residuals = [np.random.default_rng(seed).standard_normal(case.system.total_dim)
                  for seed in (40, 41)]
     serial = [M(r).tobytes() for r in residuals]
+    solves = []
+    for refinement in (0, 1):
+        c = build_case(CaseConfig(nr=6, refinement=refinement, n_cells=2))
+        solves.append(partial(
+            fgmres, assemble_block_operator(c.system), c.system.rhs_vector(),
+            preconditioner=build_electrochem_preconditioner(c.system, c.grid.centers),
+            config=SolverConfig(restart=5, tol=1e-6)))
+    serial_solves = [solve()[0].tobytes() for solve in solves]
     mismatches = [0, 0]
     start = threading.Barrier(2, timeout=60)
 
@@ -417,6 +427,7 @@ def test_preconditioner_apply_is_thread_safe():
         for _ in range(30):
             start.wait()
             mismatches[k] += M(residuals[k]).tobytes() != serial[k]
+            mismatches[k] += solves[k]()[0].tobytes() != serial_solves[k]
 
     threads = [threading.Thread(target=apply, args=(k,)) for k in (0, 1)]
     for t in threads:

@@ -236,6 +236,11 @@ def test_bad_config_json_exit_code(tmp_path):
      "cathode, insulation, can, got 'anodee'"),
     ({"case": {"material_overrides": {"anode": {"sigma": -1.0}}}},
      "sigma: want a finite real > 0, got -1.0"),
+    ({"case": {"material_overrides": {"anode": 5}}},
+     "material_overrides['anode']: want a mapping of Material fields, got 5"),
+    ({"case": {"overpotential": 1000.0}},
+     "overpotential 1000.0, temperature 800.0, valence 1.0, exchange_current 10.0 "
+     "and symmetry_factor 0.5 make the Butler-Volmer slope inf"),
 ])
 def test_bad_suite_config_fails_before_any_solve(tmp_path, monkeypatch, capsys,
                                                  suite_fields, message):

@@ -1,7 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import blocksolve
+from blocksolve import krylov
 from blocksolve.krylov import (
     GmresBreakdownError,
     SolverConfig,
@@ -135,10 +144,12 @@ def test_nonfinite_arnoldi_vector_fails_at_its_iteration(solve, nan_in):
     A = poisson_2d(16)
     operator = NanOnCall(lambda v: A @ v, 3 if nan_in == "operator" else 0)
     preconditioner = NanOnCall(lambda v: v, 3 if nan_in == "preconditioner" else 0)
+    krylov._free_bases.clear()
     with pytest.raises(ValueError, match="not finite at iteration 3 "):
         solve(operator, np.ones(A.shape[0]), preconditioner=preconditioner,
               config=SolverConfig(tol=1e-12))
     assert operator.calls == 3 and preconditioner.calls == 3
+    assert len(krylov._free_bases) == 1  # the failed solve gave its basis back
 
 
 def test_nonconvergence_returns_stats_not_exception():
@@ -162,8 +173,11 @@ def test_breakdown_on_consistent_singularlike_system():
 def test_breakdown_failure_is_structured():
     A = as_csr(np.diag([1.0, 0.0]))
     b = np.array([0.0, 1.0])
-    with pytest.raises(GmresBreakdownError):
-        gmres(A, b, config=SolverConfig(restart=2, tol=1e-10))
+    for solve in (gmres, fgmres):
+        krylov._free_bases.clear()
+        with pytest.raises(GmresBreakdownError):
+            solve(A, b, config=SolverConfig(restart=2, tol=1e-10))
+        assert len(krylov._free_bases) == 1  # the failed solve gave its basis back
 
 
 # ---------------------------------------------------------------- properties
@@ -295,6 +309,133 @@ def test_cycle_residuals_show_a_stall(solve):
     assert stats.cycle_residuals == [1.0] * 6
     assert stats.to_dict()["cycle_residuals"] == stats.cycle_residuals
     assert not x.any()
+
+
+# ---------------------------------------------------------------- basis free list
+
+@pytest.mark.parametrize("solve", [gmres, fgmres])
+@pytest.mark.parametrize("restart", [5, 30])
+def test_reused_basis_gives_bit_identical_results(solve, restart):
+    # every basis row is written before it is read, so what an earlier solve
+    # left in the buffer (here NaN) cannot reach the result
+    A = poisson_2d(16)
+    b = A @ np.linspace(1.0, 2.0, A.shape[0])
+    cfg = SolverConfig(restart=restart, tol=1e-10, maxiter=400)
+
+    def run():
+        x, stats = solve(A, b, preconditioner=lambda r: 0.25 * r, config=cfg)
+        return x, stats.to_dict(), stats.residual_history
+
+    krylov._free_bases.clear()
+    fresh = run()
+    assert fresh[1]["restarts"] > 0
+    [buf] = krylov._free_bases
+    buf.fill(np.nan)
+    reused = run()
+    assert len(krylov._free_bases) == 1 and krylov._free_bases[0] is buf
+    assert reused[0].tobytes() == fresh[0].tobytes()
+    assert reused[1:] == fresh[1:]
+    # the solution is an array of its own, not a view of a buffer
+    assert not np.shares_memory(reused[0], buf)
+
+
+def test_free_list_keeps_one_buffer_for_serial_solves():
+    # a solve takes the smallest buffer that fits, or drops the largest one
+    # and allocates: serial solves settle on one buffer, the largest basis
+    krylov._free_bases.clear()
+    restart = 5
+    for n in (50, 200, 50, 100):
+        gmres(poisson_1d(n), np.ones(n), config=SolverConfig(restart=restart, maxiter=10))
+    [buf] = krylov._free_bases
+    assert buf.size == (restart + 1) * 200
+
+
+def test_free_list_under_concurrent_solves():
+    # more threads than cores, switching often, on solves so small that
+    # taking and giving back buffers is much of their work: no two running
+    # solves may share a buffer, and the list never holds more buffers than
+    # solves ran at once
+    sizes = (3, 5, 7, 9)
+    rounds = 1000
+    problems = [(poisson_1d(n), np.linspace(1.0, 2.0, n)) for n in sizes]
+    cfg = SolverConfig(restart=2, tol=1e-10, maxiter=4)
+    serial = [gmres(A, b, config=cfg)[0].tobytes() for A, b in problems]
+    krylov._free_bases.clear()
+    matches = [0] * len(sizes)
+    start = threading.Barrier(len(sizes), timeout=60)
+
+    def solve(k):
+        start.wait()
+        for _ in range(rounds):
+            matches[k] += gmres(*problems[k], config=cfg)[0].tobytes() == serial[k]
+
+    threads = [threading.Thread(target=solve, args=(k,)) for k in range(len(sizes))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert matches == [rounds] * len(sizes)  # a solve that raised counts as a miss
+    assert 1 <= len(krylov._free_bases) <= len(sizes)
+
+
+def coupled_solve_run(env):
+    """Run the r = 3 coupled solve in a fresh interpreter with ``env``: one
+    warm-up solve, then three timed ones; returns their times and the minor
+    page faults of the three."""
+    script = """
+import json, resource, time
+from blocksolve import (CaseConfig, SolverConfig, assemble_block_operator,
+                        build_case, build_electrochem_preconditioner, fgmres)
+case = build_case(CaseConfig(nr=6, n_cells=2, refinement=3))
+A, b = assemble_block_operator(case.system), case.system.rhs_vector()
+M = build_electrochem_preconditioner(case.system, case.grid.centers)
+cfg = SolverConfig(restart=5, tol=1e-6)
+assert fgmres(A, b, preconditioner=M, config=cfg)[1].converged
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+times = []
+for _ in range(3):
+    start = time.perf_counter()
+    fgmres(A, b, preconditioner=M, config=cfg)
+    times.append(time.perf_counter() - start)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+print(json.dumps({"times": times, "faults": faults}))
+"""
+    src = str(Path(blocksolve.__file__).resolve().parents[1])
+    env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=600, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def coupled_runs():
+    uncapped = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    capped = {**uncapped, **{k: "1" for k in
+                             ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}}
+    return {"capped": coupled_solve_run(capped), "uncapped": coupled_solve_run(uncapped)}
+
+
+def test_default_blas_threads_do_not_slow_the_solve(coupled_runs):
+    # a solve whose BLAS calls alternate between numpy's and scipy's
+    # libraries wakes both thread pools, and the r = 3 solve took about 100
+    # times longer without a thread cap than with one
+    capped = min(coupled_runs["capped"]["times"])
+    uncapped = min(coupled_runs["uncapped"]["times"])
+    assert uncapped < 3.0 * capped, (uncapped, capped)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor page faults as counted by Linux")
+def test_repeated_solves_fault_no_fresh_basis_pages(coupled_runs):
+    # with a fresh basis per solve these three solves faulted about 4,600 pages in
+    for run in coupled_runs.values():
+        assert run["faults"] < 1000, coupled_runs
 
 
 def test_config_validation():
