@@ -284,7 +284,6 @@ def records_to_markdown(records):
         raise ValueError("no records to emit")
     refinements = sorted({r.refinement for r in records})
     systems = [s for s in SYSTEMS if any(r.system == s for r in records)]
-    systems += [s for s in sorted({r.system for r in records}) if s not in systems]
     lines = ["| Subblock | " + " | ".join(f"r={n}" for n in refinements) + " |",
              "|---" * (len(refinements) + 1) + "|"]
     for system in systems:
@@ -298,9 +297,7 @@ def records_to_markdown(records):
             best = max(rows, key=lambda r: r.p)
             mark = "" if best.converged else "*"
             cells.append(f"{best.iterations}{mark}")
-        lines.append(
-            f"| {SYSTEMS[system].label if system in SYSTEMS else system} | "
-            + " | ".join(cells) + " |")
+        lines.append(f"| {SYSTEMS[system].label} | " + " | ".join(cells) + " |")
     lines.append("")
     lines.append("`*` did not reach the requested tolerance")
     return "\n".join(lines) + "\n"

@@ -106,8 +106,10 @@ def cmd_solve(args):
         "dofs": case.system.total_dim,
         "setup_seconds": setup_s,
         "solve_seconds": solve_s,
-        **stats.to_dict(),
+        **asdict(stats),
     }
+    # the per-iteration residuals are too long for a summary
+    del result["residual_history"]
     _emit_json(result, args.out, f"solve_{args.system}_r{args.refinement}.json")
     return EXIT_OK if stats.converged else EXIT_SOLVER_FAILURE
 

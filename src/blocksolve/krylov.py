@@ -56,16 +56,6 @@ class SolveStats:
     # entries show a stalled solve
     cycle_residuals: list = field(default_factory=list)
 
-    def to_dict(self):
-        return {
-            "iterations": self.iterations,
-            "restarts": self.restarts,
-            "final_relative_residual": self.final_relative_residual,
-            "converged": self.converged,
-            "precond_applications": self.precond_applications,
-            "cycle_residuals": self.cycle_residuals,
-        }
-
 
 class GmresBreakdownError(RuntimeError):
     """Exact Arnoldi breakdown whose candidate solution failed the residual check."""

@@ -4,11 +4,8 @@ The reader is strict: malformed headers, out-of-range indices, and duplicate
 entries are rejected with the offending 1-based line number. Entry lines are
 parsed by numpy's C text reader and checked as arrays; when that reader
 declines the input or a check fails, a per-line loop, the definition of a
-valid entry section, parses it again and names the first bad line. Values are
-written with shortest round-trip formatting, so store/load is bit-exact. The
-writer formats each distinct value of a fixed-size chunk of entries once
-(matrices of a case hold few distinct values) and writes each chunk's lines
-in one call.
+valid entry section, parses it again and names the first bad line. The
+writer is scipy's (``scipy.io.mmwrite``), whose values round-trip bit for bit.
 """
 
 import warnings
@@ -21,8 +18,6 @@ from .sparse import as_csr
 _HEADER = "%%MatrixMarket"
 # one entry line: 1-based row and column, value
 _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
-# entries whose lines are formatted and written at a time; a chunk may split a row
-_STORE_CHUNK_ENTRIES = 8192
 
 
 class MatrixMarketError(ValueError):
@@ -177,22 +172,11 @@ def store_matrix_market(A, path, comment=None):
     if comment and not comment.isascii():
         pos, char = next((k, c) for k, c in enumerate(comment) if not c.isascii())
         raise ValueError(f"comment must be ASCII: {char!r} at position {pos}")
+    # imported here so that the solver, which never writes, does not load it
+    import scipy.io
+
     A = as_csr(A)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{_HEADER} matrix coordinate real general\n")
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"% {line}\n")
-        fh.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
-        indptr, indices, data = A.indptr, A.indices, A.data
-        for lo in range(0, A.nnz, _STORE_CHUNK_ENTRIES):
-            hi = min(lo + _STORE_CHUNK_ENTRIES, A.nnz)
-            # entry k lies in row i where indptr[i] <= k < indptr[i + 1]
-            rows = np.searchsorted(indptr, np.arange(lo, hi), side="right").tolist()
-            cols = (indices[lo:hi] + 1).tolist()
-            # distinct by bits, so -0.0 and 0.0 keep their own text
-            bits, inverse = np.unique(data[lo:hi].view(np.int64), return_inverse=True)
-            # repr of a Python float is the shortest exact round-trip form
-            texts = [repr(v) for v in bits.view(np.float64).tolist()]
-            fh.write("".join([f"{i} {j} {texts[k]}\n"
-                              for i, j, k in zip(rows, cols, inverse.tolist())]))
+    # an open file, because scipy appends .mtx to a path that lacks it;
+    # "general", because scipy would write only one triangle of a symmetric matrix
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, A, comment=comment or "", symmetry="general")

@@ -49,6 +49,10 @@ def test_solve_success_exit_code(tmp_path, capsys):
                  "--refinement", "0", "--out", str(tmp_path / "res")])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {
+        "system", "refinement", "p", "dofs", "setup_seconds", "solve_seconds",
+        "iterations", "restarts", "final_relative_residual", "converged",
+        "precond_applications", "cycle_residuals"}
     assert payload["converged"] is True
     assert payload["iterations"] >= 1
     assert payload["cycle_residuals"][-1] == payload["final_relative_residual"]

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -293,7 +294,7 @@ def test_one_true_residual_per_restart_cycle(solve):
                      config=SolverConfig(restart=6, tol=1e-9, maxiter=100))
     assert stats.restarts == 16  # stops at maxiter
     assert len(applications) == stats.iterations + stats.restarts + 1
-    assert "solve_seconds" not in stats.to_dict()
+    assert "solve_seconds" not in asdict(stats)
     assert len(stats.cycle_residuals) == stats.restarts + 1
     assert stats.cycle_residuals[-1] == stats.final_relative_residual
 
@@ -307,7 +308,7 @@ def test_cycle_residuals_show_a_stall(solve):
                      config=SolverConfig(restart=1, tol=1e-8, maxiter=6))
     assert not stats.converged and stats.iterations == 6 and stats.restarts == 5
     assert stats.cycle_residuals == [1.0] * 6
-    assert stats.to_dict()["cycle_residuals"] == stats.cycle_residuals
+    assert asdict(stats)["cycle_residuals"] == stats.cycle_residuals
     assert not x.any()
 
 
@@ -324,7 +325,7 @@ def test_reused_basis_gives_bit_identical_results(solve, restart):
 
     def run():
         x, stats = solve(A, b, preconditioner=lambda r: 0.25 * r, config=cfg)
-        return x, stats.to_dict(), stats.residual_history
+        return x, asdict(stats), stats.residual_history
 
     krylov._free_bases.clear()
     fresh = run()

@@ -10,21 +10,6 @@ from blocksolve.sparse import as_csr
 _HEADER = "%%MatrixMarket"
 
 
-def reference_store(A, path, comment=None):
-    """Per-entry writer, the file the chunked writer must reproduce byte for byte."""
-    A = as_csr(A)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"% {line}\n")
-        fh.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
-        indptr, indices, data = A.indptr, A.indices, A.data
-        for i in range(A.shape[0]):
-            for k in range(indptr[i], indptr[i + 1]):
-                fh.write(f"{i + 1} {indices[k] + 1} {float(data[k])!r}\n")
-
-
 def reference_load(path):
     """Per-line reader, the definition of a valid file that the fast reader
     must match: the same CSR bytes, or the same error on the same line."""
@@ -143,38 +128,51 @@ def test_roundtrip_preserves_explicit_zeros(tmp_path):
     assert B.data[0] == 0.0
 
 
-def test_store_matches_per_entry_writer(tmp_path):
-    chunk = mmio._STORE_CHUNK_ENTRIES
+def test_store_round_trips_through_reader(tmp_path):
     # extreme and signed-zero values, explicit zeros and an empty row (row 2)
     values = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.0, -2.5, 0.1, 0.0])
     A = sp.csr_matrix((values, np.array([0, 2, 1, 0, 2, 1, 2]), np.array([0, 3, 4, 4, 7])),
                       shape=(4, 3))
-    # -0.0 and 0.0 share A's one chunk and must keep their own text
-    assert A.nnz < chunk
-    # at least three chunks with rows that cross chunk boundaries, empty rows,
-    # and values drawn from a few distinct bit patterns (signed zeros among
-    # them) beside values that are all distinct
+    # thousands of entries, empty rows, and values drawn from a few distinct
+    # bit patterns (signed zeros among them) beside values that are all distinct
     rng = np.random.default_rng(4)
-    R = sp.random(chunk // 3, 40, density=0.25, format="csr", random_state=rng)
+    R = sp.random(2730, 40, density=0.25, format="csr", random_state=rng)
     B = as_csr(sp.vstack([R[:1000], sp.csr_matrix((3, 40)), R[1000:]]))
     B.data[::2] = rng.choice([-0.0, 0.0, 1.0, -1.0, 0.1, 1e-300], size=B.data[::2].size)
-    assert B.nnz >= 3 * chunk and np.any(np.diff(B.indptr) == 0)
-    first, last = B.indptr[:-1] // chunk, (B.indptr[1:] - 1) // chunk
-    assert np.any((np.diff(B.indptr) > 0) & (first != last))
+    assert np.any(np.diff(B.indptr) == 0)
     # a column vector whose values are all distinct
-    x = as_csr(rng.standard_normal(2 * chunk + 1).reshape(-1, 1))
+    x = as_csr(rng.standard_normal(16385).reshape(-1, 1))
     assert np.unique(x.data.view(np.int64)).size == x.nnz
     # no entries at all
     E = sp.csr_matrix((5, 3))
-    for M, comment in ((A, None), (B, "two\nlines"), (x, None), (E, "empty")):
-        store_matrix_market(M, tmp_path / "chunked.mtx", comment=comment)
-        reference_store(M, tmp_path / "reference.mtx", comment=comment)
-        assert (tmp_path / "chunked.mtx").read_bytes() == (tmp_path / "reference.mtx").read_bytes()
-        C = load_matrix_market(tmp_path / "chunked.mtx")
+    # NaN and both infinities, the largest negative value among them
+    F = sp.csr_matrix((np.array([np.nan, np.inf, -np.inf, -1.7976931348623157e308]),
+                       np.array([1, 0, 1, 0]), np.array([0, 1, 3, 4])), shape=(3, 2))
+    # 64-bit index arrays
+    L = as_csr(sp.random(50, 60, density=0.1, format="csr", random_state=rng))
+    L.indices, L.indptr = L.indices.astype(np.int64), L.indptr.astype(np.int64)
+    assert L.indices.dtype == np.int64 and L.indptr.dtype == np.int64
+    # symmetric, so a writer that detects symmetry would keep one triangle
+    S = as_csr(sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(4, 4)))
+    cases = ((A, None, "a.mtx"), (B, "two\nlines", "b.mtx"), (x, None, "x.mtx"),
+             (E, "empty", "e.mtx"), (F, None, "f.mtx"), (L, None, "l.mtx"),
+             (S, "symmetric", "s.mtx"), (A, None, "no_extension"))
+    for M, comment, name in cases:
+        path = tmp_path / name
+        store_matrix_market(M, path, comment=comment)
+        lines = path.read_text(encoding="ascii").splitlines()
         M = as_csr(M)
+        assert lines[0] == "%%MatrixMarket matrix coordinate real general"
+        comments = [line[1:].strip() for line in lines[1:] if line.startswith("%")]
+        assert [c for c in comments if c] == (comment.splitlines() if comment else [])
+        assert lines[len(comments) + 1] == f"{M.shape[0]} {M.shape[1]} {M.nnz}"
+        assert len(lines) == len(comments) + 2 + M.nnz
+        C = load_matrix_market(path)
         assert C.shape == M.shape and C.nnz == M.nnz
         assert np.array_equal(C.indptr, M.indptr) and np.array_equal(C.indices, M.indices)
         assert C.data.tobytes() == M.data.tobytes()
+    # written exactly at the path given, with no suffix added
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(name for *_, name in cases)
 
 
 def test_store_rejects_non_ascii_comment(tmp_path):

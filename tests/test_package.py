@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_args, get_origin
@@ -38,6 +41,18 @@ def test_public_names_pinned_and_resolvable():
     assert BENCHMARK_NAMES <= set(PUBLIC)
     for name in PUBLIC:
         assert getattr(blocksolve, name) is not None
+
+
+def test_import_leaves_scipy_io_unloaded():
+    # only store_matrix_market needs scipy.io, and it imports it itself, so
+    # the solver does not pay for the module's memory
+    src = str(Path(blocksolve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys, blocksolve; print('scipy.io' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def unused_imports(source):
