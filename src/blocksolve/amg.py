@@ -20,8 +20,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .smoothers import ChebyshevSmoother, chebyshev_setup, chebyshev_apply, estimate_lambda_max
-from .sparse import (DenseFactorization, dense_factor, fit_index_dtype, matvec, matvec_add,
+from .smoothers import (CHEBYSHEV_DEGREES, ChebyshevSmoother, chebyshev_apply,
+                        chebyshev_setup, estimate_lambda_max)
+from .sparse import (DenseFactorization, dense_factor, fit_index_dtype, product_adder,
                      require_canonical, require_fields, require_finite, triple_product)
 
 
@@ -41,7 +42,7 @@ class CoarseningError(RuntimeError):
 class AmgParams:
     drop_tolerance: float = field(default=0.04, metadata={"least": 0})
     max_coarse_size: int = field(default=64, metadata={"least": 1})
-    smoother_degree: int = field(default=2, metadata={"least": 1})
+    smoother_degree: int = field(default=2, metadata=CHEBYSHEV_DEGREES)
     seed: int = field(default=0, metadata={"least": 0})
 
     def __post_init__(self):
@@ -232,7 +233,8 @@ def smooth_prolongator(A, P_tent, params):
     """Damped-Jacobi smoothing of the tentative prolongator against the
     filtered operator: P = (I - omega * Dhat^{-1} A_f) P_tent with
     omega = damping / lambda_max(Dhat^{-1} A_f). Returns P, with index
-    arrays as ``fit_index_dtype`` sets them, and that lambda_max estimate."""
+    arrays as ``fit_index_dtype`` sets them, that lambda_max estimate and
+    Dhat^{-1}."""
     # at drop tolerance 0, A_f is A less its stored zeros; a stored zero
     # adds +-0 to a product sum that starts at +0.0, so every product below
     # gives the same bits on A itself
@@ -251,7 +253,7 @@ def smooth_prolongator(A, P_tent, params):
     AP.data *= np.repeat(omega * dinv, np.diff(AP.indptr))
     P = P_tent - AP
     P.sort_indices()
-    return fit_index_dtype(P), lam
+    return fit_index_dtype(P), lam, dinv
 
 
 def build_hierarchy(A, params=None):
@@ -278,7 +280,7 @@ def build_hierarchy(A, params=None):
         agg = aggregate(S)
         P_tent = tentative_prolongator(agg, nullspace)
         coarse_nullspace = P_tent.T @ nullspace
-        P, lam = smooth_prolongator(Al, P_tent, level_params)
+        P, lam, dinv = smooth_prolongator(Al, P_tent, level_params)
         R = P.T.tocsr()
         R.sort_indices()
         Ac = triple_product(R, Al, P)
@@ -295,10 +297,10 @@ def build_hierarchy(A, params=None):
             stagnant_once = False
         if level_params.drop_tolerance == 0.0:
             # smooth_prolongator ran the same seeded power iteration on Al
-            # itself, so chebyshev_setup would return the same bits
+            # itself with the same inverse diagonal, so chebyshev_setup would
+            # return the same bits
             smoother = ChebyshevSmoother(degree=params.smoother_degree,
-                                         lambda_max_estimate=lam,
-                                         inverse_diagonal=1.0 / Al.diagonal())
+                                         lambda_max_estimate=lam, inverse_diagonal=dinv)
         else:
             smoother = chebyshev_setup(Al, degree=params.smoother_degree, seed=params.seed)
         levels.append(Level(operator=Al, prolongator=P, restrictor=R, smoother=smoother))
@@ -314,9 +316,11 @@ def vcycle(H, b, x=None, level=0):
     """One V(pre, post) cycle from iterate ``x`` (None: the zero vector);
     linear in the residual b - A x. Neither ``b`` nor ``x`` is written.
 
-    The residual is formed as s = A x - b by adding A x into -b, and the
-    restricted s is negated on the coarse level; the correction P e_c is
-    added into the smoothed iterate in place.
+    ``chebyshev_apply`` checks ``b``, ``x`` and the operator and returns a
+    new iterate, so the rest of the level adds products by the kernel into
+    buffers of the call: the residual s = A x - b into -b, the restricted s
+    into zeros, negated on the coarse level, and the correction P e_c into
+    the smoothed iterate.
     """
     lvl = H.levels[level]
     b = np.asarray(b, dtype=np.float64)
@@ -324,11 +328,13 @@ def vcycle(H, b, x=None, level=0):
         return H.coarse_solver.solve(b)
     A = lvl.operator
     x = chebyshev_apply(lvl.smoother, A, b, x)
-    s = matvec_add(A, x, np.negative(b))
-    rc = matvec(lvl.restrictor, s)
+    s = np.negative(b)
+    product_adder(A)(x, s)
+    rc = np.zeros(lvl.restrictor.shape[0])
+    product_adder(lvl.restrictor)(s, rc)
     np.negative(rc, out=rc)
     ec = vcycle(H, rc, None, level + 1)
-    matvec_add(lvl.prolongator, ec, x)
+    product_adder(lvl.prolongator)(ec, x)
     return chebyshev_apply(lvl.smoother, A, b, x)
 
 

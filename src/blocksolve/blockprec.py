@@ -20,7 +20,7 @@ from scipy.sparse.linalg import splu
 from .amg import AmgParams, as_preconditioner, build_hierarchy
 from .krylov import SolverConfig, fgmres
 from .schwarz import extend_overlap, partition_nodes, ras_apply, ras_setup
-from .smoothers import jacobi_apply, jacobi_setup
+from .smoothers import CHEBYSHEV_DEGREES, jacobi_apply, jacobi_setup
 from .sparse import matvec, require_fields
 
 FIELDS = ("phi_s", "phi_l", "s", "x", "p")
@@ -219,8 +219,8 @@ class ElectrochemOptions:
     inner_tol: float = field(default=1e-6, metadata={"above": 0, "below": 1})
     inner_restart: int = field(default=30, metadata={"least": 1})
     inner_maxiter: int = field(default=100, metadata={"least": 1})
-    voltage_smoother_degree: int = field(default=4, metadata={"least": 1})
-    pressure_smoother_degree: int = field(default=2, metadata={"least": 1})
+    voltage_smoother_degree: int = field(default=4, metadata=CHEBYSHEV_DEGREES)
+    pressure_smoother_degree: int = field(default=2, metadata=CHEBYSHEV_DEGREES)
     drop_tolerance: float = field(default=0.04, metadata={"least": 0})
     drop_tolerances: dict[str, float] = field(default_factory=dict, metadata={"least": 0})
     max_coarse_size: int = field(default=64, metadata={"least": 1})

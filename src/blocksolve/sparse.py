@@ -6,7 +6,8 @@ Every operator in this library is a scipy CSR matrix kept in canonical form
 entries and are never silently dropped, so sparsity patterns stay
 deterministic across runs. The solve path applies operators with
 ``matvec``, the kernel ``A @ x`` ends in, without its dispatch, and
-accumulates products into its own vectors with ``matvec_add``. Every
+accumulates products into its own vectors with ``product_adder`` (checked:
+``matvec_add``). Every
 config class checks its fields with the one rule of ``require_fields``.
 """
 
@@ -14,6 +15,7 @@ import math
 import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -84,12 +86,24 @@ def matvec(A, x):
     return y
 
 
-def matvec_add(A, x, y):
-    """y += A @ x in place; returns ``y``.
+def product_adder(A):
+    """``add(x, y)``: y += A @ x in place, unchecked. For a float64 CSR
+    matrix it is scipy's ``csr_matvec`` kernel on A's arrays, which adds row
+    i's products to the stored y[i] in row order; for anything else, such as
+    a duck-typed operator, ``y += A @ x``. The kernel trusts the lengths and
+    reads entries it has written when x and y share memory; ``matvec_add``
+    is the checked call."""
+    if isinstance(A, _CSR) and A.data.dtype == _FLOAT64:
+        return partial(_csr_matvec, *A.shape, A.indptr, A.indices, A.data)
 
-    For a float64 CSR matrix scipy's ``csr_matvec`` kernel adds row i's
-    products to y[i] in row order, starting from the stored y[i], with no
-    temporary; anything else, such as a duck-typed operator, adds ``A @ x``.
+    def add(x, y):
+        y += A @ x
+    return add
+
+
+def matvec_add(A, x, y):
+    """y += A @ x in place by ``product_adder``; returns ``y``.
+
     Raises ValueError before any product when ``x`` is not a contiguous
     float64 vector, when a length does not match, or when ``x`` and ``y``
     share memory: the kernel would then read entries it has already written.
@@ -104,10 +118,7 @@ def matvec_add(A, x, y):
                          f"{np.shape(y)} for a {m} x {n} matrix")
     if np.shares_memory(x, y):
         raise ValueError("matvec_add: x and y share memory")
-    if isinstance(A, _CSR) and A.data.dtype == _FLOAT64:
-        _csr_matvec(m, n, A.indptr, A.indices, A.data, x, y)
-    else:
-        y += A @ x
+    product_adder(A)(x, y)
     return y
 
 

@@ -325,8 +325,8 @@ def test_smooth_prolongator_dense_oracle_theta_zero():
     agg = AggregateMap(np.array([0, 0, 1, 1]), 2)
     P_tent = tentative_prolongator(agg, np.ones(4))
     params = AmgParams(drop_tolerance=0.0)
-    P, lam = smooth_prolongator(A, P_tent, params)
-    dinv = 1.0 / A.diagonal()
+    P, lam, dinv = smooth_prolongator(A, P_tent, params)
+    assert dinv.tobytes() == (1.0 / A.diagonal()).tobytes()
     assert lam == estimate_lambda_max(A, dinv, iterations=10, seed=params.seed)
     omega = (4.0 / 3.0) / lam
     expected = (np.eye(4) - omega * np.diag(dinv) @ A.toarray()) @ P_tent.toarray()
@@ -338,7 +338,7 @@ def test_smooth_prolongator_diagonal_closed_form():
     from blocksolve.amg import AggregateMap
     agg = AggregateMap(np.array([0, 0, 1, 1]), 2)
     P_tent = tentative_prolongator(agg, np.ones(4))
-    P, _ = smooth_prolongator(A, P_tent, AmgParams(drop_tolerance=0.0))
+    P, _, _ = smooth_prolongator(A, P_tent, AmgParams(drop_tolerance=0.0))
     np.testing.assert_allclose(P.toarray(), -P_tent.toarray() / 3.0, rtol=1e-12)
 
 
@@ -362,7 +362,7 @@ def test_smooth_prolongator_pattern_growth_bound():
     agg = aggregate(S)
     P_tent = tentative_prolongator(agg, np.ones(64))
     params = AmgParams(drop_tolerance=0.0)
-    P, _ = smooth_prolongator(A, P_tent, params)
+    P, _, _ = smooth_prolongator(A, P_tent, params)
     Af = filtered_matrix(A, params.drop_tolerance)
     nnz_p = np.diff(P.indptr)
     nnz_af = np.diff(Af.indptr)
@@ -450,7 +450,7 @@ def reference_smooth_prolongator(A, P_tent, params):
     P = (P_tent - sp.diags(omega * dinv) @ (Af @ P_tent)).tocsr()
     P.sum_duplicates()
     P.sort_indices()
-    return P, lam
+    return P, lam, dinv
 
 
 REFERENCE_SETUP = {
@@ -463,9 +463,10 @@ REFERENCE_SETUP = {
 
 
 def setup_bytes(result):
-    """The bytes of a setup matrix, or of a (prolongator, lambda) pair."""
+    """The bytes of a setup matrix, or of a (prolongator, lambda, inverse
+    diagonal) triple."""
     if isinstance(result, tuple):
-        return csr_bytes(result[0]), np.float64(result[1]).tobytes()
+        return csr_bytes(result[0]), np.float64(result[1]).tobytes(), result[2].tobytes()
     return csr_bytes(result)
 
 
@@ -479,7 +480,7 @@ def hierarchy_bytes(H):
         S = lvl.smoother
         if S is not None:
             out.append((S.degree, np.float64(S.lambda_max_estimate).tobytes(),
-                        S.inverse_diagonal.tobytes()))
+                        S.inverse_diagonal.tobytes(), np.array(S.coefficients).tobytes()))
     c = H.coarse_solver
     out.append((c.dimension, c.factors.tobytes(), c.pivots.tobytes()))
     return out
@@ -549,9 +550,9 @@ def test_setup_functions_match_reference_on_awkward_matrix(theta):
     for nullspace in (np.ones(A.shape[0]), rng.uniform(-1.0, 1.0, A.shape[0])):
         P_tent = tentative_prolongator(agg, nullspace)
         assert csr_bytes(P_tent) == csr_bytes(reference_tentative_prolongator(agg, nullspace))
-        P, lam = smooth_prolongator(A, P_tent, params)
-        assert (setup_bytes((P, lam))
+        assert (setup_bytes(smooth_prolongator(A, P_tent, params))
                 == setup_bytes(reference_smooth_prolongator(A, P_tent, params)))
+        P, _, _ = smooth_prolongator(A, P_tent, params)
         R = P.T.tocsr()
         assert csr_bytes(triple_product(R, A, P)) == csr_bytes(reference_triple_product(R, A, P))
 
@@ -575,15 +576,34 @@ def test_int64_indexed_products_pick_one_index_dtype(theta):
     A64.indptr, A64.indices = A.indptr.astype(np.int64), A.indices.astype(np.int64)
     params = AmgParams(drop_tolerance=theta)
     P_tent = tentative_prolongator(aggregate(strength_graph(A, theta)), np.ones(A.shape[0]))
-    P, _ = smooth_prolongator(A, P_tent, params)
+    P, _, _ = smooth_prolongator(A, P_tent, params)
     expected = [csr_bytes(P), csr_bytes(triple_product(P.T.tocsr(), A, P))]
     assert P.indices.dtype == np.int32
     for k in range(40):
         stale = [np.full(512 * (k % 7 + 1), 2**40) for _ in range(3)]
         del stale
-        P64, _ = smooth_prolongator(A64, P_tent, params)
+        P64, _, _ = smooth_prolongator(A64, P_tent, params)
         C64 = triple_product(P64.T.tocsr(), A64, P64)
         assert [csr_bytes(P64), csr_bytes(C64)] == expected, k
+
+
+def test_coarse_smoothers_take_the_prolongator_inverse_diagonal(monkeypatch):
+    # below level 0 the drop tolerance is 0, so the smoother reuses the
+    # inverse diagonal smooth_prolongator computed: 1 / diag(A), bit for bit
+    made = []
+    real = amg.smooth_prolongator
+
+    def keep(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(amg, "smooth_prolongator", keep)
+    H = build_hierarchy(awkward_matrix(), AmgParams(max_coarse_size=8))
+    assert H.depth >= 3 and len(made) == H.depth - 1
+    for lvl, (_, lam, dinv) in list(zip(H.levels, made))[1:]:
+        assert lvl.smoother.inverse_diagonal is dinv
+        assert lvl.smoother.lambda_max_estimate == lam
+        assert dinv.tobytes() == (1.0 / lvl.operator.diagonal()).tobytes()
 
 
 def test_hierarchy_matches_reference_on_case_blocks(monkeypatch):
@@ -687,6 +707,12 @@ def test_hierarchy_rejects_nonfinite_entry(bad):
         build_hierarchy(A, AmgParams())
 
 
+def test_amg_params_bound_the_smoother_degree():
+    assert AmgParams(smoother_degree=8).smoother_degree == 8
+    with pytest.raises(ValueError, match="smoother_degree: want an integer >= 1 and <= 8, got 9"):
+        AmgParams(smoother_degree=9)
+
+
 # ---------------------------------------------------------------- v-cycle
 
 def test_vcycle_fixed_point():
@@ -712,9 +738,9 @@ def test_vcycle_linear_in_residual():
 def reference_vcycle(H, b, x=None, level=0):
     """The V-cycle as loops over Python floats around the reference
     smoother, in the rounding order ``vcycle`` must match bit for bit: the
-    residual s = A x - b starts at -b_i and adds a_ij x_j in row order, is
-    restricted and negated, and the correction adds p_ij e_j into x_i in row
-    order."""
+    residual s = A x - b starts at -b_i and adds a_ij x_j in row order, its
+    restriction adds r_ij s_j into 0.0 in row order and is negated, and the
+    correction adds p_ij e_j into x_i in row order."""
     lvl = H.levels[level]
     b = np.asarray(b, dtype=np.float64)
     if x is None:
@@ -724,8 +750,8 @@ def reference_vcycle(H, b, x=None, level=0):
     A = lvl.operator
     x = reference_chebyshev_apply(lvl.smoother, A, b, x)
     s = add_row_products(A, x, [-bi for bi in b.tolist()])
-    rc = -(lvl.restrictor @ np.array(s))
-    ec = reference_vcycle(H, rc, None, level + 1)
+    rc = [-ri for ri in add_row_products(lvl.restrictor, s, [0.0] * lvl.restrictor.shape[0])]
+    ec = reference_vcycle(H, np.array(rc), None, level + 1)
     x = np.array(add_row_products(lvl.prolongator, ec, x.tolist()))
     return reference_chebyshev_apply(lvl.smoother, A, b, x)
 

@@ -216,7 +216,7 @@ def test_bad_config_json_exit_code(tmp_path):
     ({"precon": {"ras_overlap": 1.5}}, "ras_overlap: want an integer >= 0"),
     ({"precon": {"voltage_smoother_degree": 0}}, "smoother_degree: want an integer >= 1"),
     ({"precon": {"pressure_smoother_degree": 2.5}},
-     "pressure_smoother_degree: want an integer >= 1, got 2.5"),
+     "pressure_smoother_degree: want an integer >= 1 and <= 8, got 2.5"),
     ({"precon": {"drop_tolerances": {"phi_s": -1}}},
      "drop_tolerances['phi_s']: want a finite real >= 0, got -1"),
     ({"precon": {"drop_tolerances": {"q": 0.1}}}, "unknown fields ['q']"),
@@ -245,6 +245,9 @@ def test_bad_config_json_exit_code(tmp_path):
     ({"case": {"overpotential": 1000.0}},
      "overpotential 1000.0, temperature 800.0, valence 1.0, exchange_current 10.0 "
      "and symmetry_factor 0.5 make the Butler-Volmer slope inf"),
+    # Horner's rule on the smoother's monomial coefficients drifts above 8
+    ({"precon": {"voltage_smoother_degree": 9}},
+     "voltage_smoother_degree: want an integer >= 1 and <= 8, got 9"),
 ])
 def test_bad_suite_config_fails_before_any_solve(tmp_path, monkeypatch, capsys,
                                                  suite_fields, message):

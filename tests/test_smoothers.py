@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +10,10 @@ from blocksolve.battery import CaseConfig, build_case
 from blocksolve.schwarz import extend_overlap, partition_nodes
 from blocksolve.smoothers import (
     CHEBYSHEV_BOOST,
+    CHEBYSHEV_DEGREES,
     CHEBYSHEV_RATIO,
     PIVOT_FLOOR,
+    ChebyshevSmoother,
     chebyshev_apply,
     chebyshev_setup,
     estimate_lambda_max,
@@ -409,11 +412,16 @@ def test_lambda_max_zero_operator_fails_after_reseed():
 
 # ---------------------------------------------------------------- chebyshev
 
+def chebyshev_interval(S):
+    """(theta, delta): midpoint and half-width of the smoother's interval."""
+    lam_max = CHEBYSHEV_BOOST * S.lambda_max_estimate
+    lam_min = S.lambda_max_estimate / CHEBYSHEV_RATIO
+    return 0.5 * (lam_max + lam_min), 0.5 * (lam_max - lam_min)
+
+
 def shifted_cheb_value(smoother, lam):
     """Oracle: p(lam) = T_d((theta-lam)/delta) / T_d(theta/delta)."""
-    hi = CHEBYSHEV_BOOST * smoother.lambda_max_estimate
-    lo = smoother.lambda_max_estimate / CHEBYSHEV_RATIO
-    theta, delta = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    theta, delta = chebyshev_interval(smoother)
 
     def cheb(d, t):
         t = np.clip(t, -np.inf, np.inf)
@@ -506,34 +514,45 @@ def add_row_products(A, v, s):
 
 def reference_chebyshev_apply(S, A, b, x):
     """The Chebyshev apply as loops over Python floats, in the rounding
-    order ``chebyshev_apply`` must match bit for bit: the negated residual
-    s_i starts at -b_i and adds a_ij x_j in row order, and every later
-    product a_ij d_j is added to it the same way."""
+    order ``chebyshev_apply`` must match bit for bit: the residual r_i is
+    the negation of s_i, which starts at -b_i and adds a_ij x_j in row order;
+    Horner's rule sets t_i = a_k r_i, adds a_ij y_j in row order and sets
+    y_i = dinv_i t_i, for k = d - 1, ..., 0 from y = 0; the result is
+    x_i + y_i."""
     b = np.asarray(b, dtype=np.float64)
     x = np.array(x, dtype=np.float64, copy=True)
     if b.shape[0] != A.shape[0] or x.shape[0] != A.shape[0]:
         raise ValueError("chebyshev_apply: dimension mismatch")
-    lam_max = CHEBYSHEV_BOOST * S.lambda_max_estimate
-    lam_min = S.lambda_max_estimate / CHEBYSHEV_RATIO
-    theta = 0.5 * (lam_max + lam_min)
-    delta = 0.5 * (lam_max - lam_min)
-    sigma = theta / delta
-    rho = 1.0 / sigma
-
     dinv = S.inverse_diagonal.tolist()
     x = x.tolist()
-    s = add_row_products(A, x, [-bi for bi in b.tolist()])
-    d = [(vi * si) / -theta for vi, si in zip(dinv, s)]
-    for k in range(S.degree):
-        x = [xi + di for xi, di in zip(x, d)]
-        if k == S.degree - 1:
-            break
-        add_row_products(A, d, s)
+    r = [-si for si in add_row_products(A, x, [-bi for bi in b.tolist()])]
+    y = None
+    for a in reversed(S.coefficients):
+        t = [a * ri for ri in r]
+        if y is not None:
+            add_row_products(A, y, t)
+        y = [vi * ti for vi, ti in zip(dinv, t)]
+    return np.array([xi + yi for xi, yi in zip(x, y)])
+
+
+def recurrence_chebyshev_apply(S, A, b, x):
+    """The Chebyshev iteration by its three-term recurrence in numpy, the
+    form the apply took before its polynomial was fixed at setup: d_0 =
+    D^{-1} r_0 / theta, then x <- x + d, r <- r - A d and d <- c1 d +
+    c2 D^{-1} r."""
+    theta, delta = chebyshev_interval(S)
+    sigma = theta / delta
+    rho = 1.0 / sigma
+    x = np.array(x, dtype=np.float64)
+    r = b - A @ x
+    d = S.inverse_diagonal * r / theta
+    for _ in range(S.degree - 1):
+        x += d
+        r -= A @ d
         rho_next = 1.0 / (2.0 * sigma - rho)
-        c1, c2 = rho_next * rho, 2.0 * rho_next / delta
-        d = [c1 * di - c2 * (vi * si) for di, vi, si in zip(d, dinv, s)]
+        d = rho_next * rho * d + 2.0 * rho_next / delta * (S.inverse_diagonal * r)
         rho = rho_next
-    return np.array(x)
+    return x + d
 
 
 class CountingOperator:
@@ -614,13 +633,67 @@ def test_chebyshev_writes_neither_b_nor_x():
     assert b.tobytes() == b_bytes and x.tobytes() == x_bytes
 
 
-def test_chebyshev_setup_fixes_step_scalars():
-    S = chebyshev_setup(tridiag(8), degree=4)
-    lam_max = CHEBYSHEV_BOOST * S.lambda_max_estimate
-    lam_min = S.lambda_max_estimate / CHEBYSHEV_RATIO
-    assert S.theta == 0.5 * (lam_max + lam_min)
-    assert len(S.steps) == 3
-    assert chebyshev_setup(tridiag(8), degree=1).steps == ()
+def test_chebyshev_allocates_two_vectors_from_zero_and_three_from_a_guess():
+    # t and y, and from a guess also A x - b; the recurrence form took four
+    n = 4000
+    A = tridiag(n)
+    S = chebyshev_setup(A, degree=4)
+    rng = np.random.default_rng(9)
+    b, x = rng.standard_normal(n), rng.standard_normal(n)
+    for guess, vectors in ((None, 2), (x, 3)):
+        chebyshev_apply(S, A, b, guess)
+        tracemalloc.start()
+        try:
+            chebyshev_apply(S, A, b, guess)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vectors * 8 * n <= peak < vectors * 8 * n + 4096, (vectors, peak)
+
+
+def test_chebyshev_setup_fixes_the_polynomial():
+    # 1 - t q(t) is the Chebyshev residual polynomial
+    # T_d((theta - t) / delta) / T_d(theta / delta)
+    for degree in range(1, CHEBYSHEV_DEGREES["most"] + 1):
+        S = chebyshev_setup(tridiag(8), degree=degree)
+        theta, delta = chebyshev_interval(S)
+        T = np.polynomial.Polynomial(np.polynomial.chebyshev.cheb2poly([0] * degree + [1]))
+        residual = T(np.polynomial.Polynomial([theta / delta, -1.0 / delta])) / T(theta / delta)
+        assert isinstance(S.coefficients, tuple) and len(S.coefficients) == degree
+        np.testing.assert_allclose(S.coefficients, -residual.coef[1:], rtol=1e-10)
+    S = chebyshev_setup(tridiag(8), degree=1)
+    assert S.coefficients == (1.0 / chebyshev_interval(S)[0],)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_chebyshev_rejects_a_nonfinite_lambda_estimate(bad):
+    with pytest.raises(ValueError, match=f"lambda_max_estimate: want a finite real > 0, got {bad}"):
+        ChebyshevSmoother(degree=2, lambda_max_estimate=bad, inverse_diagonal=np.ones(3))
+
+
+def test_chebyshev_degree_is_one_to_eight():
+    assert len(ChebyshevSmoother(8, 2.0, np.ones(3)).coefficients) == 8
+    for bad in (0, 9):
+        with pytest.raises(ValueError, match=f"degree: want an integer >= 1 and <= 8, got {bad}"):
+            ChebyshevSmoother(bad, 2.0, np.ones(3))
+
+
+@pytest.fixture(scope="module")
+def case_levels():
+    return case_level_smoothers(2)
+
+
+@pytest.mark.parametrize("degree", range(1, CHEBYSHEV_DEGREES["most"] + 1))
+def test_chebyshev_agrees_with_the_recurrence(case_levels, degree):
+    rng = np.random.default_rng(20 + degree)
+    for A, S in case_levels:
+        S = ChebyshevSmoother(degree, S.lambda_max_estimate, S.inverse_diagonal)
+        n = A.shape[0]
+        b, x0 = rng.standard_normal(n), rng.standard_normal(n)
+        for guess in (None, x0):
+            got = chebyshev_apply(S, A, b, guess)
+            want = recurrence_chebyshev_apply(S, A, b, np.zeros(n) if guess is None else x0)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_chebyshev_rejects_mismatched_guess():
