@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .smoothers import (CHEBYSHEV_DEGREES, ChebyshevSmoother, chebyshev_apply,
                         chebyshev_setup, estimate_lambda_max)
-from .sparse import (DenseFactorization, dense_factor, fit_index_dtype, product_adder,
+from .sparse import (DenseFactorization, dense_factor, fit_index_dtype, matvec, product_adder,
                      require_canonical, require_fields, require_finite, triple_product)
 
 
@@ -318,9 +318,9 @@ def vcycle(H, b, x=None, level=0):
 
     ``chebyshev_apply`` checks ``b``, ``x`` and the operator and returns a
     new iterate, so the rest of the level adds products by the kernel into
-    buffers of the call: the residual s = A x - b into -b, the restricted s
-    into zeros, negated on the coarse level, and the correction P e_c into
-    the smoothed iterate.
+    buffers of the call: the residual s = A x - b into -b and the correction
+    P e_c into the smoothed iterate. The restricted s is negated on the
+    coarse level.
     """
     lvl = H.levels[level]
     b = np.asarray(b, dtype=np.float64)
@@ -330,8 +330,7 @@ def vcycle(H, b, x=None, level=0):
     x = chebyshev_apply(lvl.smoother, A, b, x)
     s = np.negative(b)
     product_adder(A)(x, s)
-    rc = np.zeros(lvl.restrictor.shape[0])
-    product_adder(lvl.restrictor)(s, rc)
+    rc = matvec(lvl.restrictor, s)
     np.negative(rc, out=rc)
     ec = vcycle(H, rc, None, level + 1)
     product_adder(lvl.prolongator)(ec, x)

@@ -6,8 +6,7 @@ Every operator in this library is a scipy CSR matrix kept in canonical form
 entries and are never silently dropped, so sparsity patterns stay
 deterministic across runs. The solve path applies operators with
 ``matvec``, the kernel ``A @ x`` ends in, without its dispatch, and
-accumulates products into its own vectors with ``product_adder`` (checked:
-``matvec_add``). Every
+accumulates products into its own vectors with ``product_adder``. Every
 config class checks its fields with the one rule of ``require_fields``.
 """
 
@@ -91,35 +90,14 @@ def product_adder(A):
     matrix it is scipy's ``csr_matvec`` kernel on A's arrays, which adds row
     i's products to the stored y[i] in row order; for anything else, such as
     a duck-typed operator, ``y += A @ x``. The kernel trusts the lengths and
-    reads entries it has written when x and y share memory; ``matvec_add``
-    is the checked call."""
+    reads entries it has written when x and y share memory, so callers check
+    their vectors first."""
     if isinstance(A, _CSR) and A.data.dtype == _FLOAT64:
         return partial(_csr_matvec, *A.shape, A.indptr, A.indices, A.data)
 
     def add(x, y):
         y += A @ x
     return add
-
-
-def matvec_add(A, x, y):
-    """y += A @ x in place by ``product_adder``; returns ``y``.
-
-    Raises ValueError before any product when ``x`` is not a contiguous
-    float64 vector, when a length does not match, or when ``x`` and ``y``
-    share memory: the kernel would then read entries it has already written.
-    """
-    m, n = A.shape
-    if not (isinstance(x, np.ndarray) and x.dtype == _FLOAT64 and x.ndim == 1
-            and x.flags.c_contiguous):
-        raise ValueError(f"matvec_add: x must be a contiguous float64 vector, got "
-                         f"{getattr(x, 'dtype', type(x).__name__)} {np.shape(x)}")
-    if x.shape[0] != n or not isinstance(y, np.ndarray) or y.shape != (m,):
-        raise ValueError(f"matvec_add: x of length {x.shape[0]} and y of shape "
-                         f"{np.shape(y)} for a {m} x {n} matrix")
-    if np.shares_memory(x, y):
-        raise ValueError("matvec_add: x and y share memory")
-    product_adder(A)(x, y)
-    return y
 
 
 def fit_index_dtype(M):

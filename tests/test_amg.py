@@ -738,9 +738,9 @@ def test_vcycle_linear_in_residual():
 def reference_vcycle(H, b, x=None, level=0):
     """The V-cycle as loops over Python floats around the reference
     smoother, in the rounding order ``vcycle`` must match bit for bit: the
-    residual s = A x - b starts at -b_i and adds a_ij x_j in row order, its
-    restriction adds r_ij s_j into 0.0 in row order and is negated, and the
-    correction adds p_ij e_j into x_i in row order."""
+    residual s = A x - b starts at -b_i and adds a_ij x_j in row order, is
+    restricted and negated, and the correction adds p_ij e_j into x_i in row
+    order."""
     lvl = H.levels[level]
     b = np.asarray(b, dtype=np.float64)
     if x is None:
@@ -750,8 +750,8 @@ def reference_vcycle(H, b, x=None, level=0):
     A = lvl.operator
     x = reference_chebyshev_apply(lvl.smoother, A, b, x)
     s = add_row_products(A, x, [-bi for bi in b.tolist()])
-    rc = [-ri for ri in add_row_products(lvl.restrictor, s, [0.0] * lvl.restrictor.shape[0])]
-    ec = reference_vcycle(H, np.array(rc), None, level + 1)
+    rc = -(lvl.restrictor @ np.array(s))
+    ec = reference_vcycle(H, rc, None, level + 1)
     x = np.array(add_row_products(lvl.prolongator, ec, x.tolist()))
     return reference_chebyshev_apply(lvl.smoother, A, b, x)
 
