@@ -22,7 +22,8 @@ import scipy.sparse as sp
 
 from .smoothers import (CHEBYSHEV_DEGREES, ChebyshevSmoother, chebyshev_apply,
                         chebyshev_setup, estimate_lambda_max)
-from .sparse import (DenseFactorization, dense_factor, fit_index_dtype, matvec, product_adder,
+from .sparse import (CsrArrays, DenseFactorization, csr_minus, csr_plus, csr_product,
+                     csr_transpose, dense_factor, fit_index_dtype, matvec, product_adder,
                      require_canonical, require_fields, require_finite, triple_product)
 
 
@@ -100,11 +101,12 @@ def strength_graph(A, theta):
     # and ends as the explicit zero; masking a canonical A leaves K
     # canonical, and the union adds ratio_ij + ratio_ji, which commutes
     ratio[~offdiag] = np.nan
-    K = sp.csr_matrix(_without(weak, rows, A.indptr, ratio.astype(np.float64, copy=False),
-                               A.indices), shape=(n, n))
-    S = K + K.T
+    data, indices, indptr = _without(weak, rows, A.indptr, ratio.astype(np.float64, copy=False),
+                                     A.indices)
+    K = CsrArrays((n, n), indptr, indices, data)
+    S = csr_plus(K, csr_transpose(K))
     S.data[np.isnan(S.data)] = 0.0
-    return S
+    return S.matrix()
 
 
 def _drop_rule(A, theta, owner):
@@ -249,9 +251,9 @@ def smooth_prolongator(A, P_tent, params):
     omega = PROLONGATOR_DAMPING / lam
     # the row scaling omega * Dhat^{-1}: each entry is the one product the
     # diagonal SpGEMM would add to +0.0
-    AP = Af @ P_tent
-    AP.data *= np.repeat(omega * dinv, np.diff(AP.indptr))
-    P = P_tent - AP
+    AP, _ = csr_product(Af, P_tent)
+    np.multiply(AP.data, np.repeat(omega * dinv, np.diff(AP.indptr)), out=AP.data)
+    P = csr_minus(P_tent, AP).matrix(type(P_tent))
     P.sort_indices()
     return fit_index_dtype(P), lam, dinv
 
@@ -279,10 +281,12 @@ def build_hierarchy(A, params=None):
         S = strength_graph(Al, level_params.drop_tolerance)
         agg = aggregate(S)
         P_tent = tentative_prolongator(agg, nullspace)
-        coarse_nullspace = P_tent.T @ nullspace
+        # P_tent^T nullspace: each aggregate sums its rows' products in row
+        # order, as scipy's transposed product does
+        coarse_nullspace = np.bincount(agg.assignments, weights=P_tent.data * nullspace,
+                                       minlength=agg.count)
         P, lam, dinv = smooth_prolongator(Al, P_tent, level_params)
-        R = P.T.tocsr()
-        R.sort_indices()
+        R = csr_transpose(P).matrix(type(P))
         Ac = triple_product(R, Al, P)
         if Ac.shape[0] >= 0.9 * Al.shape[0]:
             if stagnant_once:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_row_index as _csr_row_index
 
 from .smoothers import Ilu0Factors, ilu0_factor, ilu0_apply
 from .sparse import SingularMatrixError, require_finite
@@ -95,10 +96,49 @@ def extend_overlap(A, partition, overlap):
     return sets
 
 
+def stack_blocks(A, sets):
+    """The block-diagonal stack of the subdomain blocks A_i = R_i A R_i^T of
+    the CSR matrix ``A``, in canonical CSR: stacked row k of block i is A's
+    row ``sets[i][k]`` restricted to the columns in ``sets[i]``, each column
+    renamed to its stacked position, as ``A[idx][:, idx]`` gives for index
+    sets in any order. Raises ValueError when a set lists a node twice.
+
+    One gather: scipy's row-gather kernel copies every stacked row's entries,
+    which are then looked up by (block, column) in the sorted keys of all
+    (block, node) pairs."""
+    n = A.shape[0]
+    # a negative index counts from the end, as it does in A[idx]
+    nodes = (np.concatenate(sets) % n).astype(A.indices.dtype, copy=False)
+    key_dtype = np.int32 if len(sets) * n <= np.iinfo(np.int32).max else np.int64
+    block_keys = np.repeat(np.arange(0, len(sets) * n, n, dtype=key_dtype),
+                           [len(idx) for idx in sets])
+    keys = block_keys + nodes
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    twice = np.flatnonzero(keys[1:] == keys[:-1])
+    if twice.size:
+        block, node = divmod(int(keys[twice[0]]), n)
+        raise ValueError(f"subdomain {block} lists node {node} more than once")
+    counts = A.indptr[nodes + 1] - A.indptr[nodes]
+    row_ends = np.concatenate(([0], np.cumsum(counts)))
+    columns = np.empty(row_ends[-1], dtype=A.indices.dtype)
+    values = np.empty(row_ends[-1])
+    _csr_row_index(nodes.size, nodes, A.indptr, A.indices, A.data, columns, values)
+    want = np.repeat(block_keys, counts)
+    want += columns
+    found = np.minimum(np.searchsorted(keys, want), max(keys.size - 1, 0))
+    hit = keys[found] == want
+    stacked = sp.csr_matrix((values[hit], order[found[hit]],
+                             np.concatenate(([0], np.cumsum(hit)))[row_ends]),
+                            shape=(nodes.size, nodes.size))
+    stacked.sort_indices()
+    return stacked
+
+
 def ras_setup(A, sets, partition):
     """Extract each subdomain block A_i = R_i A R_i^T and factor their
-    block-diagonal stack with ILU(0), each block keeping its own pivot
-    floor."""
+    block-diagonal stack (``stack_blocks``) with ILU(0), each block keeping
+    its own pivot floor. ``A`` is canonical CSR."""
     require_finite(A, "ras_setup")
     n = A.shape[0]
     covered = np.zeros(n, dtype=bool)
@@ -110,8 +150,7 @@ def ras_setup(A, sets, partition):
 
     subdomains = [Subdomain(indices=idx, owned_mask=partition.owner[idx] == i)
                   for i, idx in enumerate(sets)]
-    stacked = sp.block_diag([A[idx][:, idx] for idx in sets], format="csr")
-    stacked.sort_indices()
+    stacked = stack_blocks(A, sets)
     offsets = np.concatenate(([0], np.cumsum([len(idx) for idx in sets])))
     try:
         factors = ilu0_factor(stacked, block_offsets=offsets)

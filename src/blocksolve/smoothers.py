@@ -75,23 +75,30 @@ def _levels(n, readers, read):
     ``readers[e]`` reads node ``read[e]``; the graph must be acyclic.
 
     A frontier (Kahn) sweep over the transposed pattern: each edge is
-    visited once, in numpy, plus a constant per level.
+    visited once, in numpy, plus a constant per level; nothing is sorted
+    inside the sweep.
     """
     pending = np.bincount(readers, minlength=n)
     order = np.argsort(read, kind="stable")
     dependents = readers[order]
     ptr = np.searchsorted(read[order], np.arange(n + 1))
+    counts = np.diff(ptr)
     level = np.zeros(n, dtype=np.int64)
+    slot = np.empty(n, dtype=np.int64)
     frontier = np.flatnonzero(pending == 0)
     depth = 0
     while frontier.size:
         level[frontier] = depth
         depth += 1
-        reached, hits = np.unique(
-            dependents[_ranges(ptr[frontier], ptr[frontier + 1] - ptr[frontier])],
-            return_counts=True)
-        pending[reached] -= hits
-        frontier = reached[pending[reached] == 0]
+        reached = dependents[_ranges(ptr[frontier], counts[frontier])]
+        np.subtract.at(pending, reached, 1)
+        ready = reached[pending[reached] == 0]
+        # a node that reads several frontier nodes is listed once per read:
+        # keep the copy whose position its slot ends up holding, whichever
+        # of the writes lands last
+        position = np.arange(ready.size)
+        slot[ready] = position
+        frontier = ready[slot[ready] == position]
     return level
 
 

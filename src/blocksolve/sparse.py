@@ -1,13 +1,17 @@
 """CSR matrix utilities: canonical form, the matrix-vector product, the
-Galerkin product, and dense factorization.
+setup kernels, the Galerkin product, and dense factorization.
 
 Every operator in this library is a scipy CSR matrix kept in canonical form
 (sorted column indices, no duplicates). Explicit zeros are legal stored
 entries and are never silently dropped, so sparsity patterns stay
 deterministic across runs. The solve path applies operators with
 ``matvec``, the kernel ``A @ x`` ends in, without its dispatch, and
-accumulates products into its own vectors with ``product_adder``. Every
-config class checks its fields with the one rule of ``require_fields``.
+accumulates products into its own vectors with ``product_adder``. The setup
+path multiplies, transposes and adds with ``csr_product``,
+``csr_transpose``, ``csr_plus`` and ``csr_minus``: the kernels scipy's
+``@``, ``.T.tocsr()``, ``+`` and ``-`` end in, on ``CsrArrays`` instead of
+matrix objects. Every config class checks its fields with the one rule of
+``require_fields``.
 """
 
 import math
@@ -15,12 +19,17 @@ import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matmat as _csr_matmat
 from scipy.sparse._sparsetools import csr_matmat_maxnnz as _csr_matmat_maxnnz
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+from scipy.sparse._sparsetools import csr_minus_csr as _csr_minus_csr
+from scipy.sparse._sparsetools import csr_plus_csr as _csr_plus_csr
+from scipy.sparse._sparsetools import csr_tocsc as _csr_tocsc
 
 _CSR = (sp.csr_matrix, sp.csr_array)
 _FLOAT64 = np.dtype(np.float64)
@@ -100,6 +109,10 @@ def product_adder(A):
     return add
 
 
+def _index_dtype(*sizes):
+    return np.int32 if max(sizes) <= _INT32_MAX else np.int64
+
+
 def fit_index_dtype(M):
     """Store the index arrays of the CSR matrix ``M`` as int32 when its
     dimensions and entry count fit, else as int64; returns ``M``.
@@ -109,10 +122,96 @@ def fit_index_dtype(M):
     so one call can return either; this is scipy's rule on the stored
     entries alone. int32-indexed results are returned as they are.
     """
-    dtype = np.int32 if max(*M.shape, M.nnz) <= _INT32_MAX else np.int64
+    dtype = _index_dtype(*M.shape, M.nnz)
     M.indptr = M.indptr.astype(dtype, copy=False)
     M.indices = M.indices.astype(dtype, copy=False)
     return M
+
+
+class CsrArrays(NamedTuple):
+    """The shape and arrays of a float64 CSR matrix, without a matrix
+    object: what the setup kernels below take and return. Any float64 CSR
+    matrix can stand in for one. The arrays hold exactly the stored
+    entries, and a row's columns need not be sorted."""
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def matrix(self, cls=sp.csr_matrix):
+        """The matrix of class ``cls`` on these arrays, as scipy builds a
+        kernel's result."""
+        return cls((self.data, self.indices, self.indptr), shape=self.shape)
+
+
+def _index_arrays(dtype, *mats):
+    """Each matrix's (indptr, indices) as ``dtype``: a kernel takes one
+    index type."""
+    return [np.asarray(a, dtype=dtype) for M in mats for a in (M.indptr, M.indices)]
+
+
+def csr_product(A, B):
+    """A @ B by the kernels scipy's ``@`` ends in, in one symbolic pass
+    (``csr_matmat_maxnnz``) and the numeric one (``csr_matmat``), which
+    drops entries that sum to exactly zero and leaves each row's columns in
+    its own order, unsorted. Returns the product as ``CsrArrays``, index
+    arrays int32 when every dimension and entry count involved fits, as
+    ``fit_index_dtype`` decides, and the structural entry count: the
+    entries before that drop. The kernels trust their arguments, so
+    mismatched shapes raise ValueError first."""
+    if A.shape[1] != B.shape[0]:
+        raise ValueError(f"csr_product: incompatible shapes {A.shape} x {B.shape}")
+    m, n = A.shape[0], B.shape[1]
+    dtype = _index_dtype(*A.shape, *B.shape, A.indices.size, B.indices.size)
+    Ap, Aj, Bp, Bj = _index_arrays(dtype, A, B)
+    full = _csr_matmat_maxnnz(m, n, Ap, Aj, Bp, Bj)
+    if full > _INT32_MAX:
+        dtype = np.int64
+        Ap, Aj, Bp, Bj = _index_arrays(dtype, A, B)
+    indptr, indices, data = np.empty(m + 1, dtype), np.empty(full, dtype), np.empty(full)
+    _csr_matmat(m, n, Ap, Aj, A.data, Bp, Bj, B.data, indptr, indices, data)
+    nnz = indptr[-1]
+    return CsrArrays((m, n), indptr, indices[:nnz], data[:nnz]), full
+
+
+def csr_transpose(A):
+    """A^T as ``CsrArrays`` by the ``csr_tocsc`` kernel that
+    ``A.T.tocsr()`` ends in; each row's columns come out ascending."""
+    m, n = A.shape
+    nnz = A.indices.size
+    dtype = _index_dtype(m, n, nnz)
+    Ap, Aj = _index_arrays(dtype, A)
+    indptr, indices, data = np.empty(n + 1, dtype), np.empty(nnz, dtype), np.empty(nnz)
+    _csr_tocsc(m, n, Ap, Aj, A.data, indptr, indices, data)
+    return CsrArrays((n, m), indptr, indices, data)
+
+
+def _elementwise(kernel, A, B):
+    # scipy's binary-operator kernels: the sorted merge when both operands
+    # are canonical, else a dense-row scatter in each row's own order;
+    # either drops the entries whose result is exactly zero
+    if A.shape != B.shape:
+        raise ValueError(f"{kernel.__name__}: shapes {A.shape} and {B.shape} differ")
+    most = A.indices.size + B.indices.size
+    dtype = _index_dtype(*A.shape, most)
+    indptr, indices, data = np.empty(A.shape[0] + 1, dtype), np.empty(most, dtype), np.empty(most)
+    Ap, Aj, Bp, Bj = _index_arrays(dtype, A, B)
+    kernel(*A.shape, Ap, Aj, A.data, Bp, Bj, B.data, indptr, indices, data)
+    nnz = indptr[-1]
+    return CsrArrays(A.shape, indptr, indices[:nnz], data[:nnz])
+
+
+def csr_plus(A, B):
+    """A + B as ``CsrArrays`` by the ``csr_plus_csr`` kernel that scipy's
+    ``+`` ends in; entries that sum to exactly zero are dropped."""
+    return _elementwise(_csr_plus_csr, A, B)
+
+
+def csr_minus(A, B):
+    """A - B as ``CsrArrays`` by the ``csr_minus_csr`` kernel that scipy's
+    ``-`` ends in; entries that come to exactly zero are dropped."""
+    return _elementwise(_csr_minus_csr, A, B)
 
 
 def require_finite(A, name="matrix"):
@@ -180,18 +279,11 @@ def require_fields(obj):
 def _structural_pattern(R, A, P):
     # Symbolic triple product: all-ones values cannot cancel, so the result
     # pattern is the full structural union.
-    Rs = sp.csr_matrix((np.ones_like(R.data), R.indices, R.indptr), shape=R.shape)
-    As = sp.csr_matrix((np.ones_like(A.data), A.indices, A.indptr), shape=A.shape)
-    Ps = sp.csr_matrix((np.ones_like(P.data), P.indices, P.indptr), shape=P.shape)
-    S = (Rs @ As) @ Ps
+    Rs, As, Ps = (CsrArrays(M.shape, M.indptr, M.indices, np.ones_like(M.data))
+                  for M in (R, A, P))
+    S = csr_product(csr_product(Rs, As)[0], Ps)[0].matrix()
     S.sort_indices()
     return S
-
-
-def _structural_nnz(A, B):
-    # entries of A @ B before the product prunes exact zeros
-    return _csr_matmat_maxnnz(A.shape[0], B.shape[1], A.indptr, A.indices,
-                              B.indptr, B.indices)
 
 
 def triple_product(R, A, P):
@@ -202,7 +294,8 @@ def triple_product(R, A, P):
     reproducible. The symbolic product is built only when the numeric one
     pruned such an entry. Operands other than float64 CSR matrices are
     converted with ``as_csr`` first; the index dtype follows
-    ``fit_index_dtype``.
+    ``fit_index_dtype``. R A keeps each row in the product kernel's order:
+    that order sets the rounding of every entry of R A P.
     """
     if R.shape[1] != A.shape[0] or A.shape[1] != P.shape[0]:
         raise ValueError(
@@ -210,11 +303,12 @@ def triple_product(R, A, P):
         )
     R, A, P = (M if isinstance(M, _CSR) and M.data.dtype == _FLOAT64 else as_csr(M)
                for M in (R, A, P))
-    RA = R @ A
-    C = RA @ P
+    RA, ra_entries = csr_product(R, A)
+    C, c_entries = csr_product(RA, P)
+    C = C.matrix(type(R))
     C.sort_indices()
     # nothing cancelled: C already has the structural pattern
-    if RA.nnz == _structural_nnz(R, A) and C.nnz == _structural_nnz(RA, P):
+    if RA.indices.size == ra_entries and C.nnz == c_entries:
         return fit_index_dtype(C)
     S = _structural_pattern(R, A, P)
     if C.nnz == S.nnz:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse._compressed
 
+import blocksolve.sparse
 from blocksolve import amg
 from blocksolve.amg import (
     AggregateMap,
@@ -615,6 +617,46 @@ def test_hierarchy_matches_reference_on_case_blocks(monkeypatch):
         assert H.depth >= 2
         assert hierarchy_bytes(H) == hierarchy_bytes(
             reference_hierarchy(monkeypatch, A, AmgParams())), (r, field)
+
+
+def test_coarse_nullspace_is_the_transposed_product(monkeypatch):
+    # each level's tentative prolongator gets P_tent^T nullspace of the level
+    # above, bit for bit as scipy's transposed product computes it
+    made = []
+    real = amg.tentative_prolongator
+
+    def keep(agg, nullspace):
+        made.append((real(agg, nullspace), nullspace))
+        return made[-1][0]
+
+    monkeypatch.setattr(amg, "tentative_prolongator", keep)
+    for r, field in ((2, "phi_l"), (3, "phi_s")):
+        made.clear()
+        build_hierarchy(build_case(CaseConfig(refinement=r)).system.blocks[(field, field)],
+                        AmgParams())
+        assert len(made) >= 2
+        for (P_tent, nullspace), (_, coarse) in zip(made, made[1:]):
+            assert coarse.tobytes() == (P_tent.T @ nullspace).tobytes()
+
+
+def test_one_symbolic_pass_per_product(monkeypatch):
+    # A_f P_tent, R A and (R A) P: three symbolic passes per coarsening level,
+    # counted also where scipy's own products look the kernel up
+    calls = [0]
+    real = blocksolve.sparse._csr_matmat_maxnnz
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(blocksolve.sparse, "_csr_matmat_maxnnz", counted)
+    monkeypatch.setattr(scipy.sparse._compressed, "csr_matmat_maxnnz", counted)
+    for r in range(3):
+        blocks = build_case(CaseConfig(refinement=r)).system.blocks
+        for field in ("phi_s", "phi_l", "p"):
+            calls[0] = 0
+            H = build_hierarchy(blocks[(field, field)], AmgParams())
+            assert H.depth >= 2 and calls[0] == 3 * (H.depth - 1), (r, field)
 
 
 def unsorted_csr():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import blocksolve.schwarz
+from blocksolve.battery import CaseConfig, build_case
 from blocksolve.blockprec import ras_preconditioner
 from blocksolve.krylov import SolverConfig, gmres
 from blocksolve.schwarz import (
@@ -10,9 +12,12 @@ from blocksolve.schwarz import (
     partition_nodes,
     ras_apply,
     ras_setup,
+    stack_blocks,
 )
 from blocksolve.smoothers import ilu0_apply, ilu0_factor
 from blocksolve.sparse import SingularMatrixError, as_csr
+from test_smoothers import array_fields
+from test_sparse import csr_bytes
 
 
 def poisson_2d(nx):
@@ -208,6 +213,73 @@ def test_ras_apply_order_independent():
     r = np.random.default_rng(3).standard_normal(A.shape[0])
     np.testing.assert_array_equal(ras_apply(ras_setup(A, sets[::-1], relabeled), r),
                                   ras_apply(ras_setup(A, sets, part), r))
+
+
+def reference_stack_blocks(A, sets):
+    """The stacked subdomain blocks as ras_setup built them by slicing,
+    verbatim: the oracle ``stack_blocks`` must match byte for byte."""
+    stacked = sp.block_diag([A[idx][:, idx] for idx in sets], format="csr")
+    stacked.sort_indices()
+    return stacked
+
+
+def set_lists(sets, partition, seed):
+    """(name, sets, partition) for each form of set list ras_setup takes:
+    as built, listed in reverse and numbered backwards, each set shuffled,
+    and each set as a Python list."""
+    rng = np.random.default_rng(seed)
+    reverse = Partition(owner=partition.count - 1 - partition.owner, count=partition.count)
+    return [("sorted", sets, partition), ("reversed", sets[::-1], reverse),
+            ("shuffled", [rng.permutation(idx) for idx in sets], partition),
+            ("lists", [idx.tolist() for idx in sets], partition)]
+
+
+@pytest.mark.parametrize("refinement", [0, 1, 2])
+def test_stacked_blocks_and_factors_match_the_sliced_reference(monkeypatch, refinement):
+    case = build_case(CaseConfig(nr=6, n_cells=2, refinement=refinement))
+    A = case.system.blocks[("x", "x")]
+    factored = []
+    real = blocksolve.schwarz.ilu0_factor
+    monkeypatch.setattr(blocksolve.schwarz, "ilu0_factor",
+                        lambda M, **kw: factored.append(M) or real(M, **kw))
+    for count in (1, 4, 16):
+        part = partition_nodes(case.grid.centers, count)
+        for overlap in (0, 1, 2):
+            built = extend_overlap(A, part, overlap)
+            for name, sets, partition in set_lists(built, part, seed=count + overlap):
+                expected = reference_stack_blocks(A, sets)
+                assert csr_bytes(stack_blocks(A, sets)) == csr_bytes(expected), name
+                F = ras_setup(A, sets, partition).factors
+                assert csr_bytes(factored.pop()) == csr_bytes(expected), name
+                offsets = np.concatenate(([0], np.cumsum([len(idx) for idx in sets])))
+                G = real(expected, block_offsets=offsets)
+                assert F.n == G.n and array_fields(F) == array_fields(G), name
+
+
+def test_stacked_blocks_match_the_sliced_reference_on_any_index_set():
+    # stored zeros, negative indices, an empty set, sets of one node and of
+    # every node in reverse: A[idx][:, idx] takes them all
+    A = poisson_2d(6)
+    A.data[::5] = 0.0
+    n = A.shape[0]
+    rng = np.random.default_rng(7)
+    lists = [[np.array([3, 0, 7]), np.arange(n)[::-1]],
+             [np.array([-1, 5, -n]), np.array([], dtype=np.int64), np.array([9])],
+             [rng.choice(n, 20, replace=False) for _ in range(5)],
+             [np.array([n - 1], dtype=np.int32), [0, 2, 1]]]
+    for sets in lists:
+        assert csr_bytes(stack_blocks(A, sets)) == csr_bytes(reference_stack_blocks(A, sets))
+
+
+@pytest.mark.parametrize("sets", [[np.array([0, 1, 2, 3]), np.array([2, 3, 2])],
+                                  [np.array([0, 1, 2, 3]), np.array([2, -2])]])
+def test_ras_setup_rejects_a_node_listed_twice(sets):
+    # the sliced block held the node's row and column twice, and its ILU(0)
+    # pivot vanished; the stack names the set and the node instead
+    A = chain(4)
+    part = Partition(owner=np.array([0, 0, 1, 1]), count=2)
+    with pytest.raises(ValueError, match="subdomain 1 lists node 2 more than once"):
+        ras_setup(A, sets, part)
 
 
 def aligned_two_block_setup(blocks):

@@ -11,6 +11,10 @@ from blocksolve.blockprec import NONVOLTAGE_FIELDS, VOLTAGE_FIELDS
 from blocksolve.sparse import (
     SingularMatrixError,
     as_csr,
+    csr_minus,
+    csr_plus,
+    csr_product,
+    csr_transpose,
     dense_factor,
     matvec,
     product_adder,
@@ -264,6 +268,38 @@ def count_structural_patterns(monkeypatch):
     monkeypatch.setattr(blocksolve.sparse, "_structural_pattern", counted)
     return calls
 
+
+
+def test_setup_kernels_give_the_bytes_of_scipys_operators():
+    # unsorted rows (a product's), stored zeros and exact cancellations: each
+    # helper returns the arrays of the scipy operator it replaces
+    A = random_csr(30, 40, 0.15, seed=1)
+    A.data[::6] = 0.0
+    B = random_csr(40, 30, 0.15, seed=2)
+    AB = A @ B
+    for M in (A, AB):
+        N = M.copy()
+        N.data[::3] *= -1.0
+        N.data[1::5] = 0.0
+        got = csr_product(M, B if M is A else A)
+        want = M @ (B if M is A else A)
+        assert csr_bytes(got[0].matrix()) == csr_bytes(want)
+        assert got[1] == blocksolve.sparse._csr_matmat_maxnnz(
+            M.shape[0], want.shape[1], M.indptr, M.indices,
+            *((B.indptr, B.indices) if M is A else (A.indptr, A.indices)))
+        assert csr_bytes(csr_transpose(M).matrix()) == csr_bytes(M.T.tocsr())
+        assert csr_bytes(csr_plus(M, N).matrix()) == csr_bytes(M + N)
+        assert csr_bytes(csr_minus(M, M).matrix()) == csr_bytes(M - M)
+        assert csr_bytes(csr_minus(M, N).matrix()) == csr_bytes(M - N)
+
+
+def test_setup_kernels_reject_mismatched_shapes():
+    A, B = random_csr(4, 5, 0.5, seed=1), random_csr(4, 5, 0.5, seed=2)
+    with pytest.raises(ValueError, match=r"csr_product: incompatible shapes \(4, 5\) x \(4, 5\)"):
+        csr_product(A, B)
+    for helper in (csr_plus, csr_minus):
+        with pytest.raises(ValueError, match=r"shapes \(4, 5\) and \(5, 4\) differ"):
+            helper(A, B.T.tocsr())
 
 
 def test_triple_product_identity():
