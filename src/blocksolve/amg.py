@@ -16,6 +16,7 @@ interpretation-sensitive choice in the setup and is kept in one function,
 """
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,7 +24,7 @@ import scipy.sparse as sp
 from .smoothers import (CHEBYSHEV_DEGREES, ChebyshevSmoother, chebyshev_apply,
                         chebyshev_setup, estimate_lambda_max)
 from .sparse import (CsrArrays, DenseFactorization, csr_minus, csr_plus, csr_product,
-                     csr_transpose, dense_factor, fit_index_dtype, matvec, product_adder,
+                     csr_transpose, dense_factor, matvec, product_adder,
                      require_canonical, require_fields, require_finite, triple_product)
 
 
@@ -234,9 +235,8 @@ def filtered_matrix(A, theta):
 def smooth_prolongator(A, P_tent, params):
     """Damped-Jacobi smoothing of the tentative prolongator against the
     filtered operator: P = (I - omega * Dhat^{-1} A_f) P_tent with
-    omega = damping / lambda_max(Dhat^{-1} A_f). Returns P, with index
-    arrays as ``fit_index_dtype`` sets them, that lambda_max estimate and
-    Dhat^{-1}."""
+    omega = damping / lambda_max(Dhat^{-1} A_f). Returns P, that lambda_max
+    estimate and Dhat^{-1}."""
     # at drop tolerance 0, A_f is A less its stored zeros; a stored zero
     # adds +-0 to a product sum that starts at +0.0, so every product below
     # gives the same bits on A itself
@@ -255,7 +255,7 @@ def smooth_prolongator(A, P_tent, params):
     np.multiply(AP.data, np.repeat(omega * dinv, np.diff(AP.indptr)), out=AP.data)
     P = csr_minus(P_tent, AP).matrix(type(P_tent))
     P.sort_indices()
-    return fit_index_dtype(P), lam, dinv
+    return P, lam, dinv
 
 
 def build_hierarchy(A, params=None):
@@ -343,4 +343,4 @@ def vcycle(H, b, x=None, level=0):
 
 def as_preconditioner(H):
     """Wrap a hierarchy as an apply-only operator (one V-cycle per call)."""
-    return lambda r: vcycle(H, r)
+    return partial(vcycle, H)

@@ -42,6 +42,16 @@ STACK_UNIT = ("collector", "anode", "separator", "cathode")
 _INSULATION_FRACTION = 0.80
 _CAN_FRACTION = 0.90
 
+MELT_TEMPERATURE = 625.0             # K; Darcy transport is frozen below it
+MELT_WIDTH = 50.0                    # K; width of the tanh melt mask
+MELT_VISCOSITY_FACTOR = 1e14         # viscosity jump below the melt temperature
+CAPILLARY_GRADIENT = 1.0             # g0 on faces between different materials
+SPECIES_SENSITIVITY = 0.05           # reaction conductance per unit mole fraction
+SPECIES_FEEDBACK = 0.01              # species production per unit voltage
+REFERENCE_MOLE_FRACTION = 0.3        # scales the species-pressure coupling
+LIQUID_VOLTAGE_MASS_FRACTION = 1e-3  # phi_l mass term, of the least diagonal entry
+PRESSURE_MASS_FRACTION = 1e-3        # pressure mass term, of the least diagonal entry
+
 
 @dataclass
 class Material:
@@ -145,15 +155,27 @@ def build_grid(nr, refinement_level, n_cells, h0=1e-3):
                        labels=labels, centers=centers)
 
 
-def _face_pairs(grid):
+def _faces(grid):
+    """Every interior face as the cells ``i`` and ``j`` on either side (j the
+    neighbour at the higher index), radial faces first; and ``sides``, which
+    indexes ``np.concatenate([i, j])`` in the order the operators add face
+    terms to a cell, each direction's i sides and then its j sides: a
+    cell's diagonal sum rounds in that order."""
     ids = np.arange(grid.n).reshape(grid.nz, grid.nr)
-    radial = (ids[:, :-1].ravel(), ids[:, 1:].ravel())
-    axial = (ids[:-1, :].ravel(), ids[1:, :].ravel())
-    return radial, axial
+    i = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
+    j = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
+    radial, axial = np.split(np.arange(i.size), [ids[:, :-1].size])
+    return i, j, np.concatenate([radial, radial + i.size, axial, axial + i.size])
 
 
 def _harmonic(a, b):
     return 2.0 * a * b / (a + b)
+
+
+def _coo_csr(grid, rows, cols, vals):
+    """The n x n CSR matrix of the entries (rows, cols, vals); duplicates
+    are summed in the order given."""
+    return sp.csr_matrix((vals, (rows, cols)), shape=(grid.n, grid.n))
 
 
 def assemble_diffusion_operator(grid, coefficient, lumped_mass_scale=0.0):
@@ -170,61 +192,38 @@ def assemble_diffusion_operator(grid, coefficient, lumped_mass_scale=0.0):
         bad = int(np.flatnonzero(coefficient <= 0.0)[0])
         raise ValueError(f"non-positive diffusion coefficient at cell {bad}")
 
-    rows, cols, vals = [], [], []
-    diag = np.zeros(grid.n)
-    for i_side, j_side in _face_pairs(grid):
-        cf = _harmonic(coefficient[i_side], coefficient[j_side])
-        rows.extend([i_side, j_side])
-        cols.extend([j_side, i_side])
-        vals.extend([-cf, -cf])
-        np.add.at(diag, i_side, cf)
-        np.add.at(diag, j_side, cf)
-    diag = diag + lumped_mass_scale
-    rows.append(np.arange(grid.n))
-    cols.append(np.arange(grid.n))
-    vals.append(diag)
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.n, grid.n),
-    ).tocsr()
-    return as_csr(A)
+    i, j, sides = _faces(grid)
+    cf = _harmonic(coefficient[i], coefficient[j])
+    diag = np.bincount(np.concatenate([i, j])[sides], np.concatenate([cf, cf])[sides],
+                       grid.n)
+    cells = np.arange(grid.n)
+    return _coo_csr(grid, np.concatenate([i, j, cells]), np.concatenate([j, i, cells]),
+                    np.concatenate([-cf, -cf, diag + lumped_mass_scale]))
 
 
 def darcy_face_velocity(grid, mobility, pressure, capillary_gradient, melt_fraction):
-    """Discrete Darcy velocities on faces, oriented toward increasing index.
+    """Discrete Darcy velocities on the (radial, axial) faces, oriented
+    toward increasing index.
 
     v_f = -mob_f * ((p_j - p_i)/h - C_m * g0_f); the capillary gradient g0
     is nonzero only on faces separating different materials.
     """
-    velocities = []
-    for i_side, j_side in _face_pairs(grid):
-        mob_f = _harmonic(mobility[i_side], mobility[j_side])
-        grad = (pressure[j_side] - pressure[i_side]) / grid.h
-        g0 = np.where(grid.labels[i_side] != grid.labels[j_side],
-                      capillary_gradient, 0.0)
-        velocities.append(-mob_f * (grad - melt_fraction * g0))
-    return tuple(velocities)
+    i, j, _ = _faces(grid)
+    g0 = np.where(grid.labels[i] != grid.labels[j], capillary_gradient, 0.0)
+    v = -_harmonic(mobility[i], mobility[j]) * (
+        (pressure[j] - pressure[i]) / grid.h - melt_fraction * g0)
+    return tuple(np.split(v, [(grid.nr - 1) * grid.nz]))
 
 
 def assemble_advection_operator(grid, velocity):
-    """First-order upwind operator for div(x * v), face velocities given."""
-    rows, cols, vals = [], [], []
-    for (i_side, j_side), v in zip(_face_pairs(grid), velocity):
-        q = v * grid.h
-        up_i = q >= 0.0
-        # outflow from the upwind cell, inflow to the downwind cell
-        rows.extend([i_side[up_i], j_side[up_i]])
-        cols.extend([i_side[up_i], i_side[up_i]])
-        vals.extend([q[up_i], -q[up_i]])
-        dn = ~up_i
-        rows.extend([i_side[dn], j_side[dn]])
-        cols.extend([j_side[dn], j_side[dn]])
-        vals.extend([q[dn], -q[dn]])
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(grid.n, grid.n),
-    ).tocsr()
-    return as_csr(A)
+    """First-order upwind operator for div(x * v), (radial, axial) face
+    velocities given: each face's flux q = v h leaves its i side and enters
+    its j side, carrying the upwind cell's value."""
+    i, j, sides = _faces(grid)
+    q = np.concatenate(velocity) * grid.h
+    up = np.where(q >= 0.0, i, j)
+    return _coo_csr(grid, np.concatenate([i, j])[sides], np.concatenate([up, up])[sides],
+                    np.concatenate([q, -q])[sides])
 
 
 def assemble_species_block(grid, velocity, diffusivity, dt, mass_coefficient,
@@ -264,14 +263,13 @@ def assemble_coupling_blocks(grid, config):
         return sp.csr_matrix(
             (scale * slope[cells], (cells, cells)), shape=(grid.n, grid.n))
 
-    sensitivity, feedback = config.species_sensitivity, config.species_feedback
     return slope, {
         ("phi_s", "phi_l"): electrode_diag(-1.0),
         ("phi_l", "phi_s"): electrode_diag(-1.0),
-        ("phi_s", "x"): electrode_diag(+sensitivity),
-        ("phi_l", "x"): electrode_diag(-sensitivity),
-        ("x", "phi_s"): electrode_diag(+feedback),
-        ("x", "phi_l"): electrode_diag(-feedback),
+        ("phi_s", "x"): electrode_diag(+SPECIES_SENSITIVITY),
+        ("phi_l", "x"): electrode_diag(-SPECIES_SENSITIVITY),
+        ("x", "phi_s"): electrode_diag(+SPECIES_FEEDBACK),
+        ("x", "phi_l"): electrode_diag(-SPECIES_FEEDBACK),
     }
 
 
@@ -285,24 +283,12 @@ class CaseConfig:
     h0: float = field(default=1e-3, metadata={"above": 0})
     dt: float = field(default=1e-6, metadata={"above": 0})
     temperature: float = field(default=800.0, metadata={"above": 0})
-    melt_temperature: float = 625.0
-    melt_width: float = field(default=50.0, metadata={"above": 0})
     exchange_current: float = field(default=10.0, metadata={"least": 0})
     valence: float = field(default=1.0, metadata={"least": 0})
     overpotential: float = 2.0
     symmetry_factor: float = field(default=0.5, metadata={"least": 0, "most": 1})
-    species_sensitivity: float = 0.05
-    species_feedback: float = 0.01
     pressure_species_coupling: float = 0.1
-    capillary_gradient: float = 1.0
-    advection_scale: float = 1.0
-    molar_concentration: float = field(default=1.0, metadata={"above": 0})
-    viscosity: float = field(default=1.0, metadata={"above": 0})
-    melt_viscosity_factor: float = field(default=1e14, metadata={"above": 0})
     liquid_saturation: float = field(default=0.9, metadata={"least": 0, "most": 1})
-    reference_mole_fraction: float = field(default=0.3, metadata={"above": 0, "most": 1})
-    liquid_voltage_mass_fraction: float = field(default=1e-3, metadata={"above": 0})
-    pressure_mass_fraction: float = field(default=1e-3, metadata={"above": 0})
     material_overrides: dict[str, dict] = field(default_factory=dict)
     case_id: str = "case"
 
@@ -377,24 +363,18 @@ def build_case(config=None):
 
     sigma = per_cell("sigma")
     porosity = per_cell("porosity")
-    c_m = melt_mask(cfg.temperature, cfg.melt_temperature, cfg.melt_width)
-    # below melt the viscosity jumps to an arbitrarily large value, killing
-    # Darcy transport outright; the tanh mask only regularizes the capillary
-    # term of the velocity
-    frozen = cfg.temperature < cfg.melt_temperature
-    mu_eff = cfg.viscosity * (cfg.melt_viscosity_factor if frozen else 1.0)
-    molten_mobility = (
-        carman_kozeny_permeability(porosity, per_cell("particle_diameter"))
-        / cfg.viscosity
-    )
+    c_m = melt_mask(cfg.temperature, MELT_TEMPERATURE, MELT_WIDTH)
     # units choice: measure mobility relative to its molten maximum so the
-    # pressure and species blocks sit at O(1) while every contrast (and the
-    # frozen-state suppression) is preserved
-    mobility = (molten_mobility / molten_mobility.max()) * (cfg.viscosity / mu_eff)
+    # pressure and species blocks sit at O(1) while every contrast survives;
+    # below melt the viscosity jumps to an arbitrarily large value, killing
+    # Darcy transport outright (the tanh mask only regularizes the capillary
+    # term of the velocity)
+    mobility = carman_kozeny_permeability(porosity, per_cell("particle_diameter"))
+    mobility = mobility / mobility.max()
+    if cfg.temperature < MELT_TEMPERATURE:
+        mobility = mobility * (1.0 / MELT_VISCOSITY_FACTOR)
     liquid_conductivity = per_cell("liquid_conductivity") * porosity ** 1.5
-    species_diffusivity = (
-        cfg.molar_concentration * per_cell("liquid_diffusivity") * porosity ** 1.5
-    )
+    species_diffusivity = per_cell("liquid_diffusivity") * porosity ** 1.5
 
     slope, coupling = assemble_coupling_blocks(grid, cfg)
 
@@ -404,33 +384,26 @@ def build_case(config=None):
     iz = np.arange(grid.n) // grid.nr
     bottom_collector = np.flatnonzero(
         (iz == scale) & (grid.labels == MATERIALS.index("collector")))
-    A_phis = assemble_diffusion_operator(grid, sigma)
-    A_phis = as_csr(A_phis + sp.diags(slope))
-    A_phis = _set_dirichlet_rows(A_phis, bottom_collector)
+    A_phis = _set_dirichlet_rows(
+        assemble_diffusion_operator(grid, sigma, lumped_mass_scale=slope), bottom_collector)
 
     # liquid voltage: no explicit boundary conditions; a small stabilizing
     # mass term keeps the operator nonsingular
-    A_phil0 = assemble_diffusion_operator(grid, liquid_conductivity)
-    tau_mass = cfg.liquid_voltage_mass_fraction * A_phil0.diagonal().min()
-    A_phil = as_csr(
-        A_phil0 + sp.diags(np.full(grid.n, tau_mass)) + sp.diags(slope))
+    A_phil = assemble_diffusion_operator(grid, liquid_conductivity)
+    tau_mass = LIQUID_VOLTAGE_MASS_FRACTION * A_phil.diagonal().min()
+    A_phil.setdiag(A_phil.diagonal() + tau_mass + slope)
 
     # pressure: Darcy continuity with a compressibility-like mass term
-    pressure_coeff = cfg.molar_concentration * mobility
-    A_pp0 = assemble_diffusion_operator(grid, pressure_coeff)
-    p_mass = cfg.pressure_mass_fraction * A_pp0.diagonal().min()
-    A_pp = as_csr(A_pp0 + sp.diags(np.full(grid.n, p_mass)))
+    A_pp = assemble_diffusion_operator(grid, mobility)
+    p_mass = PRESSURE_MASS_FRACTION * A_pp.diagonal().min()
+    A_pp.setdiag(A_pp.diagonal() + p_mass)
 
     # species: advected by the Darcy velocity of the reference pressure field
-    p_ref = manufactured_field(grid, "p")
-    velocity = darcy_face_velocity(
-        grid, cfg.advection_scale * cfg.molar_concentration * mobility,
-        p_ref, cfg.capillary_gradient, c_m)
-    species_mass = cfg.molar_concentration * porosity * cfg.liquid_saturation
+    velocity = darcy_face_velocity(grid, mobility, manufactured_field(grid, "p"),
+                                   CAPILLARY_GRADIENT, c_m)
     A_xx, A_xp, A_px = assemble_species_block(
-        grid, velocity, species_diffusivity, cfg.dt, species_mass,
-        pressure_coupling=(
-            cfg.molar_concentration * cfg.reference_mole_fraction * mobility),
+        grid, velocity, species_diffusivity, cfg.dt, porosity * cfg.liquid_saturation,
+        pressure_coupling=REFERENCE_MOLE_FRACTION * mobility,
         feedback_magnitude=cfg.pressure_species_coupling,
     )
 
@@ -451,9 +424,7 @@ def build_case(config=None):
     # voltage cross-coupling and voltage/species coupling, electrode cells only;
     # the grounded cells are collector cells, so their rows hold no coupling
     # entry and stay identity rows across the whole monolithic system
-    for pair, block in coupling.items():
-        if block.nnz:
-            blocks[pair] = as_csr(block)
+    blocks.update((pair, block) for pair, block in coupling.items() if block.nnz)
 
     system = BlockSystem(fields=FIELDS, dims=dims, blocks=blocks)
     solution = np.concatenate([manufactured_field(grid, f) for f in FIELDS])
@@ -475,16 +446,10 @@ def build_case(config=None):
 
 
 def _set_dirichlet_rows(A, rows):
-    """``A`` with ``rows`` replaced by identity rows."""
-    rows = np.asarray(rows)
-    return as_csr(_zero_rows(A, rows)
-                  + sp.csr_matrix((np.ones(len(rows)), (rows, rows)), shape=A.shape))
-
-
-def _zero_rows(A, rows):
-    coo = A.tocoo()
-    mask = np.zeros(A.shape[0], dtype=bool)
-    mask[rows] = True
-    keep = ~mask[coo.row]
-    return as_csr(sp.coo_matrix(
-        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=A.shape))
+    """``A`` with ``rows``, each of which stores its diagonal, replaced by
+    identity rows."""
+    cells = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    grounded = np.isin(cells, rows)
+    keep = ~grounded | (A.indices == cells)
+    return sp.csr_matrix((np.where(grounded, 1.0, A.data)[keep], A.indices[keep],
+                          np.concatenate(([0], np.cumsum(keep)))[A.indptr]), shape=A.shape)

@@ -195,8 +195,9 @@ class SuiteConfig:
 
 
 def run_experiment(case, system, suite, p=1):
-    """One (case, system, P) cell: returns (setup_fn, solve_fn) timings via a
-    single execution; the caller repeats and aggregates."""
+    """One (case, system, P) cell, run once: returns the setup and solve
+    seconds, the solve statistics and the solution; the caller repeats and
+    aggregates."""
     spec = SYSTEMS[system]
     options = replace(suite.options, ras_subdomains=p)
     b = np.concatenate([case.system.rhs[f] for f in spec.fields])
@@ -207,9 +208,9 @@ def run_experiment(case, system, suite, p=1):
     setup_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    _, stats = gmres(A, b, preconditioner=precon, config=spec.config)
+    x, stats = gmres(A, b, preconditioner=precon, config=spec.config)
     solve_seconds = time.perf_counter() - t0
-    return setup_seconds, solve_seconds, stats
+    return setup_seconds, solve_seconds, stats, x
 
 
 def run_suite(suite, progress=None):
@@ -226,7 +227,7 @@ def run_suite(suite, progress=None):
                 setups, solves = [], []
                 stats = None
                 for rep in range(suite.repetitions + 1):
-                    setup_s, solve_s, stats = run_experiment(case, system, suite, p)
+                    setup_s, solve_s, stats, _ = run_experiment(case, system, suite, p)
                     if rep == 0:
                         continue  # warmup discarded
                     setups.append(setup_s)

@@ -137,7 +137,7 @@ def ras_preconditioner(A, coordinates, count, overlap=0):
     factor, and wrap as an apply callable."""
     part = partition_nodes(coordinates, count)
     ras = ras_setup(A, extend_overlap(A, part, overlap), part)
-    return lambda r: ras_apply(ras, r)
+    return partial(ras_apply, ras)
 
 
 class BlockGaussSeidel:

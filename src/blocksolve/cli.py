@@ -98,7 +98,7 @@ def cmd_solve(args):
     suite = _load_suite_config(args.config, seed=args.seed, systems=[args.system],
                                refinements=[args.refinement], subdomains=[args.p])
     case = build_case(replace(suite.case, refinement=args.refinement))
-    setup_s, solve_s, stats = run_experiment(case, args.system, suite, p=args.p)
+    setup_s, solve_s, stats, _ = run_experiment(case, args.system, suite, p=args.p)
     result = {
         "system": args.system,
         "refinement": args.refinement,

@@ -247,28 +247,19 @@ def estimate_lambda_max(A, inverse_diagonal, iterations=10, seed=0):
     """Largest-eigenvalue magnitude of D^{-1} A by seeded power iteration.
 
     Returns the Rayleigh-quotient magnitude after the requested number of
-    iterations; deterministic for a fixed seed.
+    iterations; deterministic for a fixed seed. Raises RuntimeError when an
+    iterate vanishes, as on a zero operator, a zero inverse diagonal or an
+    empty matrix.
     """
-    n = A.shape[0]
     inverse_diagonal = np.asarray(inverse_diagonal, dtype=np.float64)
-    for attempt in range(2):
-        rng = np.random.default_rng(seed + attempt)
-        v = rng.standard_normal(n)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v /= nv
-        ok = True
-        for _ in range(iterations):
-            w = inverse_diagonal * matvec(A, v)
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                ok = False
-                break
-            v = w / nw
-        if ok:
-            return abs(v @ (inverse_diagonal * matvec(A, v)))
-    raise RuntimeError("power iteration collapsed to the zero vector twice")
+    w = np.random.default_rng(seed).standard_normal(A.shape[0])
+    for _ in range(iterations + 1):
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            raise RuntimeError("power iteration collapsed to the zero vector")
+        v = w / norm
+        w = inverse_diagonal * matvec(A, v)
+    return abs(v @ w)
 
 
 @dataclass

@@ -113,21 +113,6 @@ def _index_dtype(*sizes):
     return np.int32 if max(sizes) <= _INT32_MAX else np.int64
 
 
-def fit_index_dtype(M):
-    """Store the index arrays of the CSR matrix ``M`` as int32 when its
-    dimensions and entry count fit, else as int64; returns ``M``.
-
-    scipy's products and differences of int64-indexed matrices choose
-    between the two by scanning the unused tails of ``np.empty`` buffers,
-    so one call can return either; this is scipy's rule on the stored
-    entries alone. int32-indexed results are returned as they are.
-    """
-    dtype = _index_dtype(*M.shape, M.nnz)
-    M.indptr = M.indptr.astype(dtype, copy=False)
-    M.indices = M.indices.astype(dtype, copy=False)
-    return M
-
-
 class CsrArrays(NamedTuple):
     """The shape and arrays of a float64 CSR matrix, without a matrix
     object: what the setup kernels below take and return. Any float64 CSR
@@ -156,8 +141,8 @@ def csr_product(A, B):
     (``csr_matmat_maxnnz``) and the numeric one (``csr_matmat``), which
     drops entries that sum to exactly zero and leaves each row's columns in
     its own order, unsorted. Returns the product as ``CsrArrays``, index
-    arrays int32 when every dimension and entry count involved fits, as
-    ``fit_index_dtype`` decides, and the structural entry count: the
+    arrays int32 when every dimension and entry count involved fits, else
+    int64, and the structural entry count: the
     entries before that drop. The kernels trust their arguments, so
     mismatched shapes raise ValueError first."""
     if A.shape[1] != B.shape[0]:
@@ -293,8 +278,8 @@ def triple_product(R, A, P):
     exactly zero through cancellation are stored, keeping level shapes
     reproducible. The symbolic product is built only when the numeric one
     pruned such an entry. Operands other than float64 CSR matrices are
-    converted with ``as_csr`` first; the index dtype follows
-    ``fit_index_dtype``. R A keeps each row in the product kernel's order:
+    converted with ``as_csr`` first. R A keeps each row in the product
+    kernel's order:
     that order sets the rounding of every entry of R A P.
     """
     if R.shape[1] != A.shape[0] or A.shape[1] != P.shape[0]:
@@ -309,10 +294,10 @@ def triple_product(R, A, P):
     C.sort_indices()
     # nothing cancelled: C already has the structural pattern
     if RA.indices.size == ra_entries and C.nnz == c_entries:
-        return fit_index_dtype(C)
+        return C
     S = _structural_pattern(R, A, P)
     if C.nnz == S.nnz:
-        return fit_index_dtype(C)
+        return C
     # scipy pruned cancellation zeros; scatter the numeric values back into
     # the structural pattern.
     ncols = np.int64(S.shape[1])
@@ -323,8 +308,7 @@ def triple_product(R, A, P):
     data = np.zeros(S.nnz, dtype=np.float64)
     pos = np.searchsorted(keys_s, keys_c)
     data[pos] = C.data
-    return fit_index_dtype(sp.csr_matrix((data, S.indices.copy(), S.indptr.copy()),
-                                         shape=S.shape))
+    return sp.csr_matrix((data, S.indices.copy(), S.indptr.copy()), shape=S.shape)
 
 
 @dataclass

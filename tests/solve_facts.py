@@ -75,34 +75,21 @@ def suite_facts():
     """One entry per suite cell, keyed ``r<refinement>/<system>/P<p>``."""
     suite = bench.SuiteConfig(systems=list(bench.SYSTEMS), subdomains=[SUBDOMAINS],
                               repetitions=1, seed=SEED)
-    solutions = []
-    real_gmres = bench.gmres
-
-    def keep(*args, **kwargs):
-        x, stats = real_gmres(*args, **kwargs)
-        solutions.append(x)
-        return x, stats
-
     out = {}
-    bench.gmres = keep
-    try:
-        for r in REFINEMENTS:
-            case = build_case(replace(suite.case, refinement=r))
-            exact = case.system.split(case.solution)
-            for name, spec in bench.SYSTEMS.items():
-                p = SUBDOMAINS if "x" in spec.fields else 1
-                _, _, stats = bench.run_experiment(case, name, suite, p)
-                x = solutions.pop()
-                offsets = np.cumsum([0] + [case.system.dims[f] for f in spec.fields])
-                parts = {f: x[lo:hi] for f, lo, hi in zip(spec.fields, offsets, offsets[1:])}
-                out[f"r{r}/{name}/P{p}"] = {
-                    "counts": {"iterations": stats.iterations, "restarts": stats.restarts,
-                               "converged": stats.converged,
-                               "precond_applications": stats.precond_applications},
-                    **results(parts, {f: exact[f] for f in spec.fields},
-                              stats.final_relative_residual)}
-    finally:
-        bench.gmres = real_gmres
+    for r in REFINEMENTS:
+        case = build_case(replace(suite.case, refinement=r))
+        exact = case.system.split(case.solution)
+        for name, spec in bench.SYSTEMS.items():
+            p = SUBDOMAINS if "x" in spec.fields else 1
+            _, _, stats, x = bench.run_experiment(case, name, suite, p)
+            offsets = np.cumsum([0] + [case.system.dims[f] for f in spec.fields])
+            parts = {f: x[lo:hi] for f, lo, hi in zip(spec.fields, offsets, offsets[1:])}
+            out[f"r{r}/{name}/P{p}"] = {
+                "counts": {"iterations": stats.iterations, "restarts": stats.restarts,
+                           "converged": stats.converged,
+                           "precond_applications": stats.precond_applications},
+                **results(parts, {f: exact[f] for f in spec.fields},
+                          stats.final_relative_residual)}
     return out
 
 

@@ -154,7 +154,7 @@ def test_suite_records_failure_and_continues(monkeypatch):
     def failing(case, system, suite, p=1):
         if system == "monolithic_ras":
             return 0.0, 0.0, SolveStats(iterations=500, converged=False,
-                                        final_relative_residual=0.1)
+                                        final_relative_residual=0.1), None
         return real(case, system, suite, p)
 
     monkeypatch.setattr(bench, "run_experiment", failing)

@@ -381,7 +381,7 @@ def test_suite_config_passes_precon_overrides():
                    "drop_tolerances": {"p": 0.0}},
     })
     case = build_case(suite.case)
-    _, _, stats = run_experiment(case, "end_to_end", suite, p=2)
+    _, _, stats, _ = run_experiment(case, "end_to_end", suite, p=2)
     assert stats.converged
 
 

@@ -73,7 +73,7 @@ def test_solve_reports_the_harness_timings(tmp_path, capsys, monkeypatch):
 
     def fake(case, system, suite, p=1):
         return 0.5, 0.25, SolveStats(iterations=3, converged=True,
-                                     final_relative_residual=1e-7)
+                                     final_relative_residual=1e-7), None
 
     monkeypatch.setattr(cli, "run_experiment", fake)
     cfg = write_config(tmp_path)
@@ -106,7 +106,7 @@ def test_suite_failure_exit_code(tmp_path, monkeypatch):
 
     def fake(case, system, suite, p=1):
         return 0.0, 0.0, SolveStats(iterations=500, converged=False,
-                                    final_relative_residual=0.5)
+                                    final_relative_residual=0.5), None
 
     monkeypatch.setattr(bench, "run_experiment", fake)
     cfg = write_config(tmp_path)
@@ -248,6 +248,8 @@ def test_bad_config_json_exit_code(tmp_path):
     # Horner's rule on the smoother's monomial coefficients drifts above 8
     ({"precon": {"voltage_smoother_degree": 9}},
      "voltage_smoother_degree: want an integer >= 1 and <= 8, got 9"),
+    # a case constant, not a field
+    ({"case": {"melt_temperature": 600.0}}, "unexpected keyword argument 'melt_temperature'"),
 ])
 def test_bad_suite_config_fails_before_any_solve(tmp_path, monkeypatch, capsys,
                                                  suite_fields, message):
