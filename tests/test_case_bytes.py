@@ -4,7 +4,10 @@ For each (temperature, overpotential) point and refinement the file keeps the
 sha1 of every block's arrays, of the right-hand side, of the manufactured
 solution and of the ``regime`` facts. T = 600 lies below the melt
 temperature, so it covers the frozen branch, which the golden solve facts
-never reach. A change that is meant to move the case rewrites the file with
+never reach. T = 625 is the melt temperature itself: the first temperature
+off the frozen branch, with the melt mask at one half. Refinement 3 is the
+case the benchmark builds. A change that is meant to move the case rewrites
+the file with
 
     python tests/test_case_bytes.py --write
 """
@@ -21,7 +24,8 @@ from blocksolve.battery import CaseConfig, build_case
 GOLDEN = Path(__file__).resolve().parent / "golden" / "case_bytes.json"
 # (temperature, overpotential) points x refinements
 CASES = {f"T{t:g}/eta{eta:g}/r{r}": CaseConfig(temperature=t, overpotential=eta, refinement=r)
-         for t, eta in ((800.0, 2.0), (600.0, 2.0), (800.0, 3.0)) for r in (0, 1, 2)}
+         for t, eta in ((800.0, 2.0), (600.0, 2.0), (625.0, 2.0), (800.0, 3.0))
+         for r in (0, 1, 2, 3)}
 
 
 def _sha1(*arrays):

@@ -248,11 +248,27 @@ def test_bad_config_json_exit_code(tmp_path):
     # Horner's rule on the smoother's monomial coefficients drifts above 8
     ({"precon": {"voltage_smoother_degree": 9}},
      "voltage_smoother_degree: want an integer >= 1 and <= 8, got 9"),
-    # a case constant, not a field
-    ({"case": {"melt_temperature": 600.0}}, "unexpected keyword argument 'melt_temperature'"),
 ])
 def test_bad_suite_config_fails_before_any_solve(tmp_path, monkeypatch, capsys,
                                                  suite_fields, message):
+    _assert_config_error(tmp_path, monkeypatch, capsys, suite_fields, message)
+
+
+# former CaseConfig fields, now constants of blocksolve.battery or dropped factors of 1
+REMOVED_CASE_FIELDS = ["melt_temperature", "melt_width", "species_sensitivity",
+                       "species_feedback", "capillary_gradient", "advection_scale",
+                       "molar_concentration", "viscosity", "melt_viscosity_factor",
+                       "reference_mole_fraction", "liquid_voltage_mass_fraction",
+                       "pressure_mass_fraction"]
+
+
+@pytest.mark.parametrize("name", REMOVED_CASE_FIELDS)
+def test_removed_case_field_fails_before_any_solve(tmp_path, monkeypatch, capsys, name):
+    _assert_config_error(tmp_path, monkeypatch, capsys, {"case": {name: 1.0}},
+                         f"unexpected keyword argument '{name}'")
+
+
+def _assert_config_error(tmp_path, monkeypatch, capsys, suite_fields, message):
     import blocksolve.bench as bench
 
     def never(*args, **kwargs):
