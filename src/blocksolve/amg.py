@@ -251,7 +251,7 @@ def smooth_prolongator(A, P_tent, params):
     omega = PROLONGATOR_DAMPING / lam
     # the row scaling omega * Dhat^{-1}: each entry is the one product the
     # diagonal SpGEMM would add to +0.0
-    AP, _ = csr_product(Af, P_tent)
+    AP = csr_product(Af, P_tent)
     np.multiply(AP.data, np.repeat(omega * dinv, np.diff(AP.indptr)), out=AP.data)
     P = csr_minus(P_tent, AP).matrix(type(P_tent))
     P.sort_indices()

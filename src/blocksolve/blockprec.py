@@ -160,6 +160,9 @@ class BlockGaussSeidel:
             for k, g in enumerate(groups))
 
     def __call__(self, r):
+        if np.shape(r) != (self.bounds[-1],):
+            raise ValueError(f"{type(self).__name__}: residual of shape {np.shape(r)} "
+                             f"for a system of length {self.bounds[-1]}")
         z = []
         for k in reversed(range(len(self.solvers))):
             r_k = r[self.bounds[k]:self.bounds[k + 1]]

@@ -143,6 +143,8 @@ def _gmres(operator, b, preconditioner, config, flexible):
     apply_m = as_apply(preconditioner, "preconditioner")
 
     b = np.asarray(b, dtype=np.float64)
+    if b.ndim != 1:
+        raise ValueError(f"gmres: rhs must be a vector, got shape {b.shape}")
     n = b.shape[0]
     bad = np.flatnonzero(~np.isfinite(b))
     if bad.size:

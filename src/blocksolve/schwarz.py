@@ -168,8 +168,8 @@ def ras_setup(A, sets, partition):
 def ras_apply(M, r):
     """z = sum_i R_i^T D_i solve_i(R_i r); owned entries are disjoint."""
     r = np.asarray(r, dtype=np.float64)
-    if r.shape[0] != M.n:
-        raise ValueError(f"ras_apply: length {r.shape[0]} != dimension {M.n}")
+    if r.shape != (M.n,):
+        raise ValueError(f"ras_apply: residual of shape {r.shape} for dimension {M.n}")
     z = np.zeros(M.n)
     z[M.targets] = ilu0_apply(M.factors, r[M.gather])[M.owned]
     return z

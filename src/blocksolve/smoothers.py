@@ -238,8 +238,9 @@ def jacobi_apply(diag, r):
     """Single Jacobi sweep z = D^{-1} r with the diagonal from
     ``jacobi_setup``; exact solve when A is diagonal."""
     r = np.asarray(r, dtype=np.float64)
-    if r.shape[0] != diag.shape[0]:
-        raise ValueError(f"jacobi_apply: length {r.shape[0]} != dimension {diag.shape[0]}")
+    if r.shape != diag.shape:
+        raise ValueError(f"jacobi_apply: residual of shape {r.shape} for a diagonal "
+                         f"of shape {diag.shape}")
     return r / diag
 
 

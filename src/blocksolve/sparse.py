@@ -2,16 +2,17 @@
 setup kernels, the Galerkin product, and dense factorization.
 
 Every operator in this library is a scipy CSR matrix kept in canonical form
-(sorted column indices, no duplicates). Explicit zeros are legal stored
-entries and are never silently dropped, so sparsity patterns stay
-deterministic across runs. The solve path applies operators with
+(sorted column indices, no duplicates). One rule covers explicit zeros: an
+input keeps its stored zeros, and every setup product drops exact zeros as
+scipy's operators do. The solve path applies operators with
 ``matvec``, the kernel ``A @ x`` ends in, without its dispatch, and
 accumulates products into its own vectors with ``product_adder``. The setup
 path multiplies, transposes and adds with ``csr_product``,
 ``csr_transpose``, ``csr_plus`` and ``csr_minus``: the kernels scipy's
 ``@``, ``.T.tocsr()``, ``+`` and ``-`` end in, on ``CsrArrays`` instead of
-matrix objects. Every config class checks its fields with the one rule of
-``require_fields``.
+matrix objects, and ``triple_product`` forms the Galerkin product from two
+``csr_product`` calls. Every config class checks its fields with the one
+rule of ``require_fields``.
 """
 
 import math
@@ -142,9 +143,8 @@ def csr_product(A, B):
     drops entries that sum to exactly zero and leaves each row's columns in
     its own order, unsorted. Returns the product as ``CsrArrays``, index
     arrays int32 when every dimension and entry count involved fits, else
-    int64, and the structural entry count: the
-    entries before that drop. The kernels trust their arguments, so
-    mismatched shapes raise ValueError first."""
+    int64. The kernels trust their arguments, so mismatched shapes raise
+    ValueError first."""
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"csr_product: incompatible shapes {A.shape} x {B.shape}")
     m, n = A.shape[0], B.shape[1]
@@ -157,7 +157,7 @@ def csr_product(A, B):
     indptr, indices, data = np.empty(m + 1, dtype), np.empty(full, dtype), np.empty(full)
     _csr_matmat(m, n, Ap, Aj, A.data, Bp, Bj, B.data, indptr, indices, data)
     nnz = indptr[-1]
-    return CsrArrays((m, n), indptr, indices[:nnz], data[:nnz]), full
+    return CsrArrays((m, n), indptr, indices[:nnz], data[:nnz])
 
 
 def csr_transpose(A):
@@ -261,26 +261,12 @@ def require_fields(obj):
                 raise ValueError(f"{label}: want {text} {want}".rstrip() + f", got {v!r}")
 
 
-def _structural_pattern(R, A, P):
-    # Symbolic triple product: all-ones values cannot cancel, so the result
-    # pattern is the full structural union.
-    Rs, As, Ps = (CsrArrays(M.shape, M.indptr, M.indices, np.ones_like(M.data))
-                  for M in (R, A, P))
-    S = csr_product(csr_product(Rs, As)[0], Ps)[0].matrix()
-    S.sort_indices()
-    return S
-
-
 def triple_product(R, A, P):
-    """Galerkin product R A P in canonical CSR form.
-
-    The sparsity pattern is the full structural product: entries that become
-    exactly zero through cancellation are stored, keeping level shapes
-    reproducible. The symbolic product is built only when the numeric one
-    pruned such an entry. Operands other than float64 CSR matrices are
-    converted with ``as_csr`` first. R A keeps each row in the product
-    kernel's order:
-    that order sets the rounding of every entry of R A P.
+    """Galerkin product R A P in canonical CSR form: scipy's ``(R @ A) @ P``
+    with sorted rows, bit for bit. Like every setup product it drops entries
+    that cancel to exactly zero. Operands other than float64 CSR matrices
+    are converted with ``as_csr`` first. R A keeps each row in the product
+    kernel's order: that order sets the rounding of every entry of R A P.
     """
     if R.shape[1] != A.shape[0] or A.shape[1] != P.shape[0]:
         raise ValueError(
@@ -288,27 +274,9 @@ def triple_product(R, A, P):
         )
     R, A, P = (M if isinstance(M, _CSR) and M.data.dtype == _FLOAT64 else as_csr(M)
                for M in (R, A, P))
-    RA, ra_entries = csr_product(R, A)
-    C, c_entries = csr_product(RA, P)
-    C = C.matrix(type(R))
+    C = csr_product(csr_product(R, A), P).matrix(type(R))
     C.sort_indices()
-    # nothing cancelled: C already has the structural pattern
-    if RA.indices.size == ra_entries and C.nnz == c_entries:
-        return C
-    S = _structural_pattern(R, A, P)
-    if C.nnz == S.nnz:
-        return C
-    # scipy pruned cancellation zeros; scatter the numeric values back into
-    # the structural pattern.
-    ncols = np.int64(S.shape[1])
-    rows_s = np.repeat(np.arange(S.shape[0], dtype=np.int64), np.diff(S.indptr))
-    rows_c = np.repeat(np.arange(C.shape[0], dtype=np.int64), np.diff(C.indptr))
-    keys_s = rows_s * ncols + S.indices.astype(np.int64)
-    keys_c = rows_c * ncols + C.indices.astype(np.int64)
-    data = np.zeros(S.nnz, dtype=np.float64)
-    pos = np.searchsorted(keys_s, keys_c)
-    data[pos] = C.data
-    return sp.csr_matrix((data, S.indices.copy(), S.indptr.copy()), shape=S.shape)
+    return C
 
 
 @dataclass

@@ -23,7 +23,7 @@ from blocksolve.krylov import SolverConfig, gmres
 from blocksolve.smoothers import estimate_lambda_max
 from blocksolve.sparse import as_csr, triple_product
 from test_smoothers import add_row_products, reference_chebyshev_apply
-from test_sparse import count_structural_patterns, csr_bytes, reference_triple_product
+from test_sparse import csr_bytes, reference_triple_product
 
 
 def poisson_1d(n):
@@ -373,7 +373,7 @@ def test_smooth_prolongator_pattern_growth_bound():
 
 # ---------------------------------------------------------------- setup in CSR
 # the setup functions build canonical CSR directly; these are the forms that
-# went through COO and a structural SpGEMM, verbatim, and the oracles every
+# went through COO and scipy's operators, verbatim, and the oracles every
 # setup matrix must match byte for byte
 
 def reference_strength_graph(A, theta):

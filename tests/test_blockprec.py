@@ -231,6 +231,23 @@ def test_nonvoltage_bgs_rhs_on_species_only():
     assert np.array_equal(z[n:], np.zeros(2 * n))
 
 
+def test_sweeps_reject_a_residual_of_another_shape():
+    # a sweep slices the residual by its bounds, so a wrong shape fails on entry
+    case = build_case(CaseConfig())
+    system, options = case.system, ElectrochemOptions()
+    sweeps = [VoltageBgs.build(system, options),
+              NonvoltageBgs.build(system, case.grid.centers, options),
+              build_electrochem_preconditioner(system, case.grid.centers, options)]
+    lengths = [sum(system.dims[f] for f in group)
+               for group in (VOLTAGE_FIELDS, NONVOLTAGE_FIELDS, system.fields)]
+    for M, n in zip(sweeps, lengths):
+        for shape in ((n + 7,), (n - 7,), (n, 1)):
+            with pytest.raises(ValueError) as err:
+                M(np.ones(shape))
+            assert str(err.value) == (f"{type(M).__name__}: residual of shape {shape} "
+                                      f"for a system of length {n}")
+
+
 # ---------------------------------------------------------------- hierarchical
 
 def test_hierarchical_exact_inverse_when_uncoupled():

@@ -127,6 +127,22 @@ def test_nonfinite_rhs_rejected_before_any_apply(solve, bad):
     assert calls == []
 
 
+@pytest.mark.parametrize("solve", [gmres, fgmres])
+@pytest.mark.parametrize("shape", [(8, 1), (1, 8), ()])
+def test_rhs_of_another_rank_rejected_before_any_apply(solve, shape):
+    A = poisson_1d(8)
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return v
+
+    with pytest.raises(ValueError) as err:
+        solve(lambda v: counted(A @ v), np.ones(shape), preconditioner=counted)
+    assert str(err.value) == f"gmres: rhs must be a vector, got shape {shape}"
+    assert calls == []
+
+
 class NanOnCall:
     """Applies ``apply`` and counts the calls; the ``bad``-th returns NaN."""
 

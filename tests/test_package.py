@@ -55,30 +55,45 @@ def test_import_leaves_scipy_io_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def unused_imports(source):
-    """Names a module imports but never mentions again."""
+def unused_names(source):
+    """Names a module imports, and private names it defines at module level
+    (functions, classes, constants), that it never mentions again."""
     tree = ast.parse(source)
-    imported = {}
+    defined = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+                defined[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted((line, name) for name, line in imported.items() if name not in used)
+                defined[alias.asname or alias.name] = node.lineno
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, ast.AnnAssign) else [node])
+        for target in targets:
+            name = getattr(target, "name", getattr(target, "id", ""))
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return sorted((line, name) for name, line in defined.items() if name not in used)
 
 
 def test_unused_import_check_flags_a_leftover():
     source = "from .sparse import dense_factor, as_csr\n\nx = as_csr(1)\n"
-    assert unused_imports(source) == [(1, "dense_factor")]
+    assert unused_names(source) == [(1, "dense_factor")]
 
 
-def test_no_unused_imports_in_library_modules():
+def test_unused_name_check_flags_a_private_leftover():
+    source = ("_LIMIT = 3\n_USED = 4\n\n\ndef _helper():\n    return _USED\n\n\n"
+              "class _Cache:\n    pass\n\n\ndef public():\n    return 0\n")
+    assert unused_names(source) == [(1, "_LIMIT"), (5, "_helper"), (9, "_Cache")]
+
+
+def test_no_unused_names_in_library_modules():
     package = Path(blocksolve.__file__).parent
     found = {
-        path.name: unused_imports(path.read_text())
+        path.name: unused_names(path.read_text())
         for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
     }
     assert {name: hits for name, hits in found.items() if hits} == {}

@@ -215,6 +215,16 @@ def test_ras_apply_order_independent():
                                   ras_apply(ras_setup(A, sets, part), r))
 
 
+@pytest.mark.parametrize("shape", [(64, 1), (63,), (65,)])
+def test_ras_apply_rejects_a_residual_of_another_shape(shape):
+    A = poisson_2d(8)
+    part = partition_nodes(grid_coords(8), 4)
+    M = ras_setup(A, extend_overlap(A, part, 1), part)
+    with pytest.raises(ValueError) as err:
+        ras_apply(M, np.ones(shape))
+    assert str(err.value) == f"ras_apply: residual of shape {shape} for dimension 64"
+
+
 def reference_stack_blocks(A, sets):
     """The stacked subdomain blocks as ras_setup built them by slicing,
     verbatim: the oracle ``stack_blocks`` must match byte for byte."""

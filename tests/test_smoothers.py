@@ -366,6 +366,14 @@ def test_jacobi_tridiag_scaling_only():
                                np.ones(3))
 
 
+@pytest.mark.parametrize("shape", [(3, 1), (1, 3), (2,), (4,)])
+def test_jacobi_rejects_a_residual_of_another_shape(shape):
+    # an (n, 1) residual would broadcast against the diagonal to n x n
+    with pytest.raises(ValueError) as err:
+        jacobi_apply(jacobi_setup(tridiag(3)), np.ones(shape))
+    assert str(err.value) == f"jacobi_apply: residual of shape {shape} for a diagonal of shape (3,)"
+
+
 def test_jacobi_zero_diagonal_structured():
     A = as_csr(np.array([[1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(SingularMatrixError) as err:

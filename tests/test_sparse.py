@@ -213,40 +213,16 @@ def test_product_adder_sends_other_operators_through_matmul(monkeypatch):
 
 # ---------------------------------------------------------------- triple product
 
-def reference_structural_pattern(R, A, P):
-    # Symbolic triple product: all-ones values cannot cancel, so the result
-    # pattern is the full structural union.
-    Rs = sp.csr_matrix((np.ones_like(R.data), R.indices, R.indptr), shape=R.shape)
-    As = sp.csr_matrix((np.ones_like(A.data), A.indices, A.indptr), shape=A.shape)
-    Ps = sp.csr_matrix((np.ones_like(P.data), P.indices, P.indptr), shape=P.shape)
-    S = (Rs @ As) @ Ps
-    S.sort_indices()
-    return S
-
-
 def reference_triple_product(R, A, P):
-    """The Galerkin product that always builds the structural pattern,
-    verbatim: the oracle ``triple_product`` must match byte for byte."""
+    """The Galerkin product as scipy's operators give it, verbatim: the
+    oracle ``triple_product`` must match byte for byte."""
     if R.shape[1] != A.shape[0] or A.shape[1] != P.shape[0]:
         raise ValueError(
             f"triple_product: incompatible shapes {R.shape} x {A.shape} x {P.shape}"
         )
     C = (R @ A) @ P
     C.sort_indices()
-    S = reference_structural_pattern(R, A, P)
-    if C.nnz == S.nnz:
-        return C
-    # scipy pruned cancellation zeros; scatter the numeric values back into
-    # the structural pattern.
-    ncols = np.int64(S.shape[1])
-    rows_s = np.repeat(np.arange(S.shape[0], dtype=np.int64), np.diff(S.indptr))
-    rows_c = np.repeat(np.arange(C.shape[0], dtype=np.int64), np.diff(C.indptr))
-    keys_s = rows_s * ncols + S.indices.astype(np.int64)
-    keys_c = rows_c * ncols + C.indices.astype(np.int64)
-    data = np.zeros(S.nnz, dtype=np.float64)
-    pos = np.searchsorted(keys_s, keys_c)
-    data[pos] = C.data
-    return sp.csr_matrix((data, S.indices.copy(), S.indptr.copy()), shape=S.shape)
+    return C
 
 
 def csr_bytes(M):
@@ -254,20 +230,6 @@ def csr_bytes(M):
     and bytes."""
     return (type(M), M.shape) + tuple((a.dtype, a.tobytes())
                                       for a in (M.indptr, M.indices, M.data))
-
-
-def count_structural_patterns(monkeypatch):
-    """Count calls of the symbolic triple product from here on."""
-    calls = [0]
-    real = blocksolve.sparse._structural_pattern
-
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
-
-    monkeypatch.setattr(blocksolve.sparse, "_structural_pattern", counted)
-    return calls
-
 
 
 def test_setup_kernels_give_the_bytes_of_scipys_operators():
@@ -283,10 +245,7 @@ def test_setup_kernels_give_the_bytes_of_scipys_operators():
         N.data[1::5] = 0.0
         got = csr_product(M, B if M is A else A)
         want = M @ (B if M is A else A)
-        assert csr_bytes(got[0].matrix()) == csr_bytes(want)
-        assert got[1] == blocksolve.sparse._csr_matmat_maxnnz(
-            M.shape[0], want.shape[1], M.indptr, M.indices,
-            *((B.indptr, B.indices) if M is A else (A.indptr, A.indices)))
+        assert csr_bytes(got.matrix()) == csr_bytes(want)
         assert csr_bytes(csr_transpose(M).matrix()) == csr_bytes(M.T.tocsr())
         assert csr_bytes(csr_plus(M, N).matrix()) == csr_bytes(M + N)
         assert csr_bytes(csr_minus(M, M).matrix()) == csr_bytes(M - M)
@@ -342,20 +301,17 @@ def test_triple_product_seeded_oracle():
         np.testing.assert_allclose(C.toarray(), expected, atol=1e-12 * scale)
 
 
-def test_triple_product_retains_cancellation_zeros(monkeypatch):
-    # R A P has an exact structural entry that cancels to zero numerically
-    calls = count_structural_patterns(monkeypatch)
+def test_triple_product_drops_cancellation_zeros():
+    # R A P has a structural entry that cancels to exactly zero: it is
+    # dropped, as scipy's product drops it
     A = as_csr(np.array([[1.0, -1.0], [0.0, 1.0]]))
     P = as_csr(np.array([[1.0, 0.0], [1.0, 0.0]]))
     I = as_csr(np.eye(2))
     C = triple_product(I, A, P)
-    dense = C.toarray()
-    assert dense[0, 0] == 0.0
-    # the cancelled entry must remain stored
-    assert C.nnz == 2
-    assert C.indptr[1] - C.indptr[0] == 1
-    # the symbolic product is built only once a cancellation shows
-    assert calls == [1]
+    assert csr_bytes(C) == csr_bytes(reference_triple_product(I, A, P))
+    assert np.array_equal(C.toarray(), I.toarray() @ A.toarray() @ P.toarray())
+    assert C.nnz == 1
+    assert C.indptr[1] - C.indptr[0] == 0
 
 
 def test_triple_product_dim_mismatch():
@@ -398,15 +354,13 @@ def test_triple_product_gives_the_csr_result_on_every_operand_form():
                 == csr_bytes(reference_triple_product(R, A32.astype(np.float64), P)))
 
 
-def test_triple_product_builds_no_structural_pattern_on_case_hierarchies(monkeypatch):
-    calls = count_structural_patterns(monkeypatch)
+def test_case_hierarchies_have_22_galerkin_levels():
     levels = 0
     for r in range(4):
         blocks = build_case(CaseConfig(refinement=r)).system.blocks
         for f in ("phi_s", "phi_l", "p"):
             levels += build_hierarchy(blocks[(f, f)], AmgParams()).depth - 1
     assert levels == 22
-    assert calls == [0]
 
 
 # ---------------------------------------------------------------- dense factorization
