@@ -5,14 +5,13 @@ a drop tolerance, greedy root-based aggregation, a tentative prolongator from
 the near-nullspace, damped-Jacobi smoothing of the tentative prolongator
 against a filtered operator, and Galerkin coarsening. The V-cycle applies a
 Chebyshev smoother before and after each coarse-grid correction and finishes
-with a pivoted dense solve on the coarsest level.
+with a pivoted dense solve on the coarsest level, on kernels each level
+binds once and vectors ``vcycle`` checks on entry.
 
-Filtering detail: the entries the strength graph calls weak (one drop rule,
-``_drop_rule``, serves both) are removed from the operator used to smooth
-the prolongator, and their absolute values are lumped onto the diagonal
-(with the diagonal's sign). That compensation rule is the single most
-interpretation-sensitive choice in the setup and is kept in one function,
-``filtered_matrix``, so it can be swapped out.
+Filtering: the entries the strength graph calls weak (one ``_drop_rule``
+serves both) leave the operator that smooths the prolongator, and their
+magnitudes are lumped onto the diagonal with its sign. That rule, the most
+interpretation-sensitive choice of the setup, is ``filtered_matrix`` alone.
 """
 
 from dataclasses import dataclass, field, replace
@@ -24,7 +23,7 @@ import scipy.sparse as sp
 from .smoothers import (CHEBYSHEV_DEGREES, ChebyshevSmoother, chebyshev_apply,
                         chebyshev_setup, estimate_lambda_max)
 from .sparse import (CsrArrays, DenseFactorization, csr_minus, csr_plus, csr_product,
-                     csr_transpose, dense_factor, matvec, product_adder,
+                     csr_transpose, dense_factor, product_adder,
                      require_canonical, require_fields, require_finite, triple_product)
 
 
@@ -61,10 +60,17 @@ class AggregateMap:
 
 @dataclass
 class Level:
+    """A level; ``adders`` binds ``product_adder`` of A, R and P once."""
     operator: sp.csr_matrix
     prolongator: sp.csr_matrix | None
     restrictor: sp.csr_matrix | None
     smoother: ChebyshevSmoother | None
+    adders: tuple = field(init=False, default=(), repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.prolongator is not None:
+            self.adders = tuple(map(product_adder, (self.operator, self.restrictor,
+                                                    self.prolongator)))
 
 
 @dataclass
@@ -139,12 +145,9 @@ def aggregate(S):
     Pass 1 visits nodes in order; a node whose strong neighbors are all
     unaggregated becomes a root and absorbs them. Pass 2 joins remaining
     nodes to the pass-1 aggregate behind their strongest connection, ties
-    to the lowest aggregate id. Pass 3 turns leftovers into singletons,
-    numbered in row order.
-
-    Pass 1 is inherently sequential and runs on Python lists, converted a
-    chunk of rows at a time to bound the extra memory. Passes 2 and 3 are
-    exact vectorized forms of the same per-row rules.
+    to the lowest id. Pass 3 makes leftovers singletons, in row order. Pass
+    1 is sequential, on Python lists converted a chunk of rows at a time;
+    passes 2 and 3 are exact vectorized forms of their per-row rules.
     """
     n = S.shape[0]
     indptr, indices, data = S.indptr, S.indices, S.data
@@ -273,11 +276,11 @@ def build_hierarchy(A, params=None):
     nullspace = np.ones(A.shape[0])
     stagnant_once = False
 
+    # dropping on smoothed Galerkin operators only fragments aggregates
+    coarse_params = replace(params, drop_tolerance=0.0)
+
     while Al.shape[0] > params.max_coarse_size and len(levels) + 1 < MAX_LEVELS:
-        # the drop tolerance targets coefficient jumps in the fine operator;
-        # Galerkin coarse operators are already smoothed, so re-dropping there
-        # only fragments aggregates
-        level_params = params if not levels else replace(params, drop_tolerance=0.0)
+        level_params = coarse_params if levels else params
         S = strength_graph(Al, level_params.drop_tolerance)
         agg = aggregate(S)
         P_tent = tentative_prolongator(agg, nullspace)
@@ -320,24 +323,30 @@ def vcycle(H, b, x=None, level=0):
     """One V(pre, post) cycle from iterate ``x`` (None: the zero vector);
     linear in the residual b - A x. Neither ``b`` nor ``x`` is written.
 
-    ``chebyshev_apply`` checks ``b``, ``x`` and the operator and returns a
-    new iterate, so the rest of the level adds products by the kernel into
-    buffers of the call: the residual s = A x - b into -b and the correction
-    P e_c into the smoothed iterate. The restricted s is negated on the
-    coarse level.
+    ``b`` and ``x`` are checked here; ``chebyshev_apply`` returns a new
+    iterate, so the level adds by its bound kernels into buffers of the call:
+    s = A x - b into -b, R s into zeros and P e_c into the iterate. The
+    restricted s is negated on the coarse level.
     """
     lvl = H.levels[level]
+    A = lvl.operator
+    n = A.shape[0]
     b = np.asarray(b, dtype=np.float64)
+    if b.shape != (n,) or (x is not None and np.shape(x) != (n,)):
+        raise ValueError(f"vcycle: level {level} has an operator of shape {A.shape}, "
+                         f"got b of shape {b.shape} and x of shape "
+                         f"{None if x is None else np.shape(x)} (want ({n},))")
     if lvl.prolongator is None:
         return H.coarse_solver.solve(b)
-    A = lvl.operator
+    add_a, add_r, add_p = lvl.adders
     x = chebyshev_apply(lvl.smoother, A, b, x)
     s = np.negative(b)
-    product_adder(A)(x, s)
-    rc = matvec(lvl.restrictor, s)
+    add_a(x, s)
+    rc = np.zeros(lvl.restrictor.shape[0])
+    add_r(s, rc)
     np.negative(rc, out=rc)
     ec = vcycle(H, rc, None, level + 1)
-    product_adder(lvl.prolongator)(ec, x)
+    add_p(ec, x)
     return chebyshev_apply(lvl.smoother, A, b, x)
 
 

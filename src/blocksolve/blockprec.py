@@ -2,12 +2,10 @@
 
 The monolithic system is split into a voltage group (solid and liquid
 potentials) and a non-voltage group (solid species, liquid species,
-pressure). The hierarchical preconditioner is one block Gauss-Seidel
-sweep (``BlockGaussSeidel``) over that 2x2 splitting; each group is solved
-by inner flexible GMRES, preconditioned by the same sweep over field-level
-solvers (AMG V-cycles, restricted additive Schwarz, diagonal inversion).
-Because the inner solves are themselves iterative, the outer Krylov method
-must be flexible.
+pressure). The hierarchical preconditioner is one ``BlockGaussSeidel``
+sweep over that split; each group is solved by inner flexible GMRES,
+preconditioned by the same sweep over field solvers (AMG V-cycles, RAS,
+diagonal inversion), so the outer Krylov method must be flexible.
 """
 
 from dataclasses import dataclass, field
@@ -18,10 +16,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .amg import AmgParams, as_preconditioner, build_hierarchy
-from .krylov import SolverConfig, fgmres
+from .krylov import SolverConfig, as_apply, fgmres
 from .schwarz import extend_overlap, partition_nodes, ras_apply, ras_setup
 from .smoothers import CHEBYSHEV_DEGREES, jacobi_apply, jacobi_setup
-from .sparse import matvec, require_fields
+from .sparse import require_fields
 
 FIELDS = ("phi_s", "phi_l", "s", "x", "p")
 VOLTAGE_FIELDS = ("phi_s", "phi_l")
@@ -147,36 +145,43 @@ class BlockGaussSeidel:
     One application solves the last group first, then each earlier group
     with its residual corrected through its couplings to the later groups:
     the stored subblock between two single fields, else the concatenated
-    ``submatrix``; absent or empty couplings are skipped.
+    ``submatrix``, bound once by ``as_apply``; absent or empty couplings are
+    skipped. Each solver's correction is checked before a coupling reads it.
     """
 
     def __init__(self, system, groups, solvers):
         self.solvers = tuple(solvers)
         sizes = [sum(system.dims[f] for f in g) for g in groups]
         self.bounds = tuple(np.cumsum([0] + sizes).tolist())
-        # couplings[k][j] couples group k to group k + 1 + j
-        self.couplings = tuple(
+        # products[k][j] applies the coupling of group k to group k + 1 + j
+        self.products = tuple(
             tuple(_coupling(system, g, later) for later in groups[k + 1:])
             for k, g in enumerate(groups))
 
     def __call__(self, r):
+        name = type(self).__name__
         if np.shape(r) != (self.bounds[-1],):
-            raise ValueError(f"{type(self).__name__}: residual of shape {np.shape(r)} "
+            raise ValueError(f"{name}: residual of shape {np.shape(r)} "
                              f"for a system of length {self.bounds[-1]}")
         z = []
         for k in reversed(range(len(self.solvers))):
-            r_k = r[self.bounds[k]:self.bounds[k + 1]]
-            for C, z_later in zip(self.couplings[k], z):
-                if C is not None:
-                    r_k = r_k - matvec(C, z_later)
-            z.insert(0, self.solvers[k](r_k))
+            lo, hi = self.bounds[k], self.bounds[k + 1]
+            r_k = r[lo:hi]
+            for product, z_later in zip(self.products[k], z):
+                if product is not None:
+                    r_k = r_k - product(z_later)
+            z_k = self.solvers[k](r_k)
+            if np.shape(z_k) != (hi - lo,):
+                raise ValueError(f"{name}: solver {k} returned shape {np.shape(z_k)} "
+                                 f"for a group of length {hi - lo} (want ({hi - lo},))")
+            z.insert(0, z_k)
         return np.concatenate(z)
 
 
 def _coupling(system, rows, cols):
     C = (system.blocks.get((rows[0], cols[0])) if len(rows) == len(cols) == 1
          else system.submatrix(rows, cols))
-    return C if C is not None and C.nnz else None
+    return as_apply(C) if C is not None and C.nnz else None
 
 
 class VoltageBgs(BlockGaussSeidel):

@@ -2,18 +2,14 @@
 
 Both solvers start from a zero initial guess, orthogonalize with single-pass
 modified Gram-Schmidt, and measure convergence on the unpreconditioned
-relative residual. Each restart cycle ends by forming the true residual
-b - A x once: it decides convergence (the recurrence residual is never
-trusted on its own), is recorded in ``SolveStats.cycle_residuals`` and
-seeds the next cycle, so a solve with k restarts applies the operator
-iterations + k + 1 times. Solve statistics hold counts and residuals only;
-callers time the solves they run.
+relative residual. Each restart cycle ends on one true residual b - A x:
+it decides convergence, is recorded in ``SolveStats.cycle_residuals`` and
+seeds the next cycle, so k restarts apply the operator iterations + k + 1
+times. Statistics hold counts and residuals; callers time their solves.
 
-Every BLAS call of a solve goes through scipy's BLAS (``scipy.linalg.blas``):
-numpy links its own OpenBLAS, and a loop that alternates the two libraries
-wakes both thread pools, whose idle threads spin against each other. Under
-default thread settings on a 2-core box that made the r = 3 coupled solve
-about 100 times slower.
+Every BLAS call goes through scipy's BLAS: numpy links its own OpenBLAS,
+and alternating the two wakes both thread pools, whose idle threads spin
+against each other (the r = 3 coupled solve ran 100 times slower on 2 cores).
 """
 
 import math
@@ -28,7 +24,7 @@ from scipy.linalg.blas import daxpy as _daxpy
 from scipy.linalg.blas import ddot as _ddot
 from scipy.linalg.blas import dgemv as _dgemv
 
-from .sparse import matvec, require_fields
+from .sparse import matvec, product_adder, require_fields
 
 
 @dataclass
@@ -70,9 +66,20 @@ class GmresBreakdownError(RuntimeError):
 
 
 def as_apply(obj, what="operator"):
-    """Coerce matrices, LinearOperators, or callables into an apply function."""
+    """Coerce matrices, LinearOperators, or callables into an apply function.
+    A float64 CSR matrix applies unchecked, as zeros plus its bound kernel,
+    what ``matvec`` runs; any other matrix by ``matvec``, since zeros plus
+    ``A @ x`` would turn -0.0 into +0.0. Pass it only checked vectors."""
     if obj is None:
         return lambda v: v
+    if isinstance(obj, (sp.csr_matrix, sp.csr_array)) and obj.dtype == np.float64:
+        rows, add = obj.shape[0], product_adder(obj)
+
+        def apply(v):
+            y = np.zeros(rows)
+            add(v, y)
+            return y
+        return apply
     if sp.issparse(obj) or isinstance(obj, np.ndarray):
         return partial(matvec, obj)
     if hasattr(obj, "matvec"):
@@ -125,18 +132,13 @@ def fgmres(operator, b, preconditioner=None, config=None):
 def _gmres(operator, b, preconditioner, config, flexible):
     """The restarted (flexible) GMRES loop behind ``gmres`` and ``fgmres``.
 
-    Each step applies the preconditioner and the operator (a CSR operator
-    through ``sparse.matvec``), orthogonalizes by modified Gram-Schmidt into
-    column j of the Hessenberg matrix ``H``, and reduces that column with
-    the cycle's Givens rotations. Each Gram-Schmidt step is one BLAS ``ddot``
-    and one ``daxpy`` on the operator's output. The basis ``V`` and the
-    flexible basis ``Z`` are the rows of one buffer from the free list, held
-    for the whole solve and given back when it returns or raises; a cycle's
-    correction is assembled by ``dgemv`` in the row of ``V`` after the
-    cycle's last basis vector, which no later step reads. The rotations run
-    on the column as a list of Python floats, with the stored cosines and
-    sines as lists: the same expressions in the same order round exactly as
-    float64 array scalars, at a fraction of their per-operation cost.
+    Each step applies the preconditioner and the operator (a matrix by
+    ``as_apply``; any result a callable returns is checked), orthogonalizes
+    by modified Gram-Schmidt (one ``ddot`` and one ``daxpy`` a step) into
+    column j of ``H``, and reduces that column with the cycle's Givens
+    rotations, run on Python floats: they round as float64 array scalars
+    do. ``V`` and ``Z`` are rows of one buffer from the free list; a cycle's
+    correction is one ``dgemv`` into the row of ``V`` after its last vector.
     """
     apply_a = as_apply(operator, "operator")
     has_precond = preconditioner is not None
@@ -157,6 +159,16 @@ def _gmres(operator, b, preconditioner, config, flexible):
             raise ValueError(
                 f"gmres: rhs length {n} does not match operator dimension {shape[0]}"
             )
+    shape = getattr(preconditioner, "shape", None)
+    if shape is not None and tuple(shape) != (n, n):
+        raise ValueError(f"gmres: preconditioner of shape {tuple(shape)} for a system "
+                         f"of dimension {n} (want ({n}, {n}))")
+
+    def checked(v, what):  # the bound kernel and the basis take only (n,)
+        if np.shape(v) != (n,):
+            raise ValueError(f"gmres: {what} returned shape {np.shape(v)} at iteration "
+                             f"{stats.iterations} (want ({n},))")
+        return v
     stats = SolveStats()
     bnorm = math.sqrt(_ddot(b, b)) if n else 0.0
     if bnorm == 0.0:
@@ -174,7 +186,7 @@ def _gmres(operator, b, preconditioner, config, flexible):
     V, Z = basis[:m + 1], basis[m + 1:]
     # a callable or matvec object may return its input, a row of V or Z,
     # which the in-place Gram-Schmidt updates would then overwrite
-    may_return_v = not (sp.issparse(operator) or isinstance(operator, np.ndarray))
+    is_matrix = sp.issparse(operator) or isinstance(operator, np.ndarray)
     rows = list(V)  # views of V's rows, made once
     # the true residual of the zero initial guess; each cycle ends on a new one
     r, rnorm = b, bnorm
@@ -192,13 +204,16 @@ def _gmres(operator, b, preconditioner, config, flexible):
                 j += 1
                 stats.iterations += 1
                 z = apply_m(V[j])
+                if has_precond:
+                    checked(z, "preconditioner")
+                    stats.precond_applications += 1
                 if flexible:
                     Z[j] = z
-                if has_precond:
-                    stats.precond_applications += 1
                 w = apply_a(z)
-                if may_return_v and np.may_share_memory(w, buf):
-                    w = w.copy()
+                if not is_matrix:
+                    checked(w, "operator")
+                    if np.may_share_memory(w, buf):
+                        w = w.copy()
                 h = []
                 for v in rows[:j + 1]:
                     hij = _ddot(v, w)
@@ -248,11 +263,14 @@ def _gmres(operator, b, preconditioner, config, flexible):
             if flexible:
                 x += _dgemv(1.0, Z[:k].T, y, y=V[k], overwrite_y=True)
             else:
-                x += apply_m(_dgemv(1.0, V[:k].T, y, y=V[k], overwrite_y=True))
+                z = apply_m(_dgemv(1.0, V[:k].T, y, y=V[k], overwrite_y=True))
                 if has_precond:
+                    checked(z, "preconditioner")
                     stats.precond_applications += 1
+                x += z
 
-            r = b - apply_a(x)
+            w = apply_a(x)
+            r = b - (w if is_matrix else checked(w, "operator"))
             rnorm = math.sqrt(_ddot(r, r))
             stats.final_relative_residual = rnorm / bnorm
             stats.cycle_residuals.append(stats.final_relative_residual)

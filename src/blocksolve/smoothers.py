@@ -6,7 +6,9 @@ smoother runs on the diagonally preconditioned system over a spectral
 interval derived from a power-iteration estimate of the largest eigenvalue.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
@@ -23,17 +25,15 @@ CHEBYSHEV_BOOST = 1.1
 CHEBYSHEV_DEGREES = {"least": 1, "most": 8}
 
 
+
 @dataclass
 class Ilu0Factors:
     """Combined L\\U storage on the exact pattern of the factored matrix.
 
-    The unit lower-triangular part lives strictly below the diagonal of the
-    combined array; the diagonal and above belong to U. ``lower`` and
-    ``upper`` are the CSR arrays (indptr, indices, data) of the two
-    substitution sweeps, built at factor time: ``lower`` holds -l_ij in row
-    order, and ``upper`` holds -u_ij / u_ii with rows and columns reversed
-    (row n - 1 - i, column n - 1 - j, columns ascending), so both sweeps run
-    forward. The factors are read-only.
+    L (unit) lies strictly below the diagonal, U on and above it. ``lower``
+    and ``upper`` are the CSR arrays of the two forward sweeps: -l_ij in row
+    order, and -u_ij / u_ii with rows and columns reversed (n - 1 - i, n - 1
+    - j, columns ascending). The factors are read-only.
     """
 
     n: int
@@ -105,18 +105,14 @@ def _levels(n, readers, read):
 def ilu0_factor(A, block_offsets=None):
     """Zero-fill incomplete LU factorization.
 
-    Requires a square CSR matrix with sorted, distinct column indices and
-    finite entries whose every row holds a structural diagonal entry;
-    raises ValueError naming the first row or entry that breaks this.
-    Raises SingularMatrixError naming the first row whose pivot vanishes
-    (|u_ii| < 1e-14 * max |a_ii|). ``block_offsets`` marks the row ranges of
-    a block-diagonal matrix: each block then takes the pivot floor of its
-    own diagonal.
+    Requires canonical CSR with finite entries and a structural diagonal in
+    every row (else ValueError naming the first bad row or entry); raises
+    SingularMatrixError naming the first row whose pivot vanishes (|u_ii| <
+    1e-14 * max |a_ii|, per block of ``block_offsets`` if given).
 
-    Rows are eliminated in wavefronts: one stage per (level of the row,
-    rank of the L entry within its row), each a vectorized divide and one
-    scatter-subtract. Every entry sees the same operations in the same
-    order as a row-by-row elimination, so the factor is bit-identical.
+    Rows are eliminated in wavefronts, one stage per (row level, rank of the
+    L entry in its row): a vectorized divide and one scatter-subtract, the
+    operations of row-by-row elimination in its order, bit for bit.
     """
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
@@ -197,16 +193,14 @@ def ilu0_factor(A, block_offsets=None):
 
 
 def ilu0_apply(F, r):
-    """Apply the factored inverse: z = U^{-1} L^{-1} r, by two compiled
-    substitution sweeps.
+    """z = U^{-1} L^{-1} r by two compiled substitution sweeps.
 
-    scipy's ``csr_matvec`` kernel sets y[i] = y[i] + sum_j a_ij x[j], row by
-    row and entry by entry; with x and y the same array a row reads the rows
-    already written, so one call is one forward substitution (checked at
-    import). The lower sweep runs on a copy of ``r``; the vector is divided
-    by the pivots, reversed, swept with the reversed upper part and reversed
-    back. Each entry is rounded as in the Python loop ``s = y[i]; s += a_ij
-    * y[j] ...; y[i] = s`` over the same arrays.
+    scipy's ``csr_matvec`` adds row i's products to y[i] in row order; with
+    x and y one array a row reads the rows already written, so one call is
+    one forward substitution (checked at import). The lower sweep runs on a
+    copy of ``r``, which is divided by the pivots, reversed, swept with the
+    reversed upper part and reversed back; every entry rounds as the Python
+    loop ``s = y[i]; s += a_ij * y[j] ...; y[i] = s`` does.
     """
     u = np.array(r, dtype=np.float64)
     if u.shape != (F.n,):
@@ -244,18 +238,26 @@ def jacobi_apply(diag, r):
     return r / diag
 
 
+@lru_cache(maxsize=16)  # the levels of a few hierarchies
+def _start_vector(seed, n):
+    """The power iteration's seeded start vector, shared and read-only."""
+    w = np.random.default_rng(seed).standard_normal(n)
+    w.flags.writeable = False
+    return w
+
+
 def estimate_lambda_max(A, inverse_diagonal, iterations=10, seed=0):
     """Largest-eigenvalue magnitude of D^{-1} A by seeded power iteration.
 
     Returns the Rayleigh-quotient magnitude after the requested number of
     iterations; deterministic for a fixed seed. Raises RuntimeError when an
     iterate vanishes, as on a zero operator, a zero inverse diagonal or an
-    empty matrix.
+    empty matrix. ``sqrt(w.dot(w))`` is what numpy's ``norm`` evaluates.
     """
     inverse_diagonal = np.asarray(inverse_diagonal, dtype=np.float64)
-    w = np.random.default_rng(seed).standard_normal(A.shape[0])
+    w = _start_vector(seed, A.shape[0])
     for _ in range(iterations + 1):
-        norm = np.linalg.norm(w)
+        norm = math.sqrt(w.dot(w))
         if norm == 0.0:
             raise RuntimeError("power iteration collapsed to the zero vector")
         v = w / norm
@@ -272,12 +274,14 @@ class ChebyshevSmoother:
     a_0..a_{d-1} of q with x_d = x_0 + q(D^{-1} A) D^{-1} r_0. They come from
     the three-term recurrence d_k = c1 d_{k-1} + c2 D^{-1} r_k, run in Python
     floats on the coefficient lists of the step and iterate polynomials.
+    ``steps`` holds a_{d-1}..a_0 for a zero guess and negated for a guess.
     """
 
     degree: int = field(metadata=CHEBYSHEV_DEGREES)
     lambda_max_estimate: float = field(metadata={"above": 0})
     inverse_diagonal: np.ndarray
     coefficients: tuple = field(init=False, default=())
+    steps: tuple = field(init=False, default=((), ()), repr=False)
 
     def __post_init__(self):
         require_fields(self)
@@ -298,6 +302,7 @@ class ChebyshevSmoother:
             q = [a + e for a, e in zip(q + [0.0], p)]
             rho = rho_next
         self.coefficients = tuple(q)
+        self.steps = (tuple(reversed(q)), tuple(-a for a in reversed(q)))
 
 
 def chebyshev_setup(A, degree=2, power_iterations=10, seed=0):
@@ -310,33 +315,33 @@ def chebyshev_setup(A, degree=2, power_iterations=10, seed=0):
 def chebyshev_apply(S, A, b, x=None):
     """Run the degree-d Chebyshev iteration from iterate ``x`` (None: the
     zero vector); returns the new iterate x + q(D^{-1} A) D^{-1} (b - A x).
-    A solves-exactly fixed point is returned unchanged; neither ``b`` nor
-    ``x`` is written.
+    Neither ``b`` nor ``x`` is written.
 
-    q is evaluated by Horner's rule on the residual r: y <- D^{-1}(a_k r +
-    A y) for k = d - 1, ..., 0, from y = 0. After checking the vectors and
-    the operator once, a step is one kernel call, adding A y into a_k r, and
-    two vector passes, on buffers of the call. From a zero guess r is ``b``
-    and there are d - 1 operator products; from a guess the call keeps
-    A x - b = -r, which starts at -b, with the coefficients negated, and
-    takes d.
+    Horner's rule on the residual r, y <- D^{-1}(a_k r + A y) for k = d - 1,
+    ..., 0 from y = 0: after one check, a step is one kernel call and two
+    vector passes on buffers of the call. From a zero guess r is ``b`` (d - 1
+    products); from a guess the call keeps -r = A x - b, from -b, with the
+    negated steps (d products).
     """
     b = np.asarray(b, dtype=np.float64)
     if x is not None:
         x = np.ascontiguousarray(x, dtype=np.float64)
     n = A.shape[0]
     if A.shape != (n, n) or b.shape != (n,) or (x is not None and x.shape != (n,)):
-        raise ValueError("chebyshev_apply: dimension mismatch")
+        raise ValueError(f"chebyshev_apply: dimension mismatch: operator of shape {A.shape}, "
+                         f"b of shape {b.shape}, x of shape "
+                         f"{None if x is None else x.shape} (want ({n},))")
     add = product_adder(A)
-    r, sign = b, 1.0
-    if x is not None:
-        r, sign = np.negative(b), -1.0
+    if x is None:
+        r, steps = b, S.steps[0]
+    else:
+        r, steps = np.negative(b), S.steps[1]
         add(x, r)
-    dinv, coefficients = S.inverse_diagonal, S.coefficients
-    t = r * (sign * coefficients[-1])
+    dinv = S.inverse_diagonal
+    t = r * steps[0]
     y = dinv * t
-    for a in reversed(coefficients[:-1]):
-        np.multiply(r, sign * a, out=t)
+    for a in steps[1:]:
+        np.multiply(r, a, out=t)
         add(y, t)
         np.multiply(dinv, t, out=y)
     if x is None:

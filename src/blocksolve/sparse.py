@@ -1,18 +1,15 @@
 """CSR matrix utilities: canonical form, the matrix-vector product, the
 setup kernels, the Galerkin product, and dense factorization.
 
-Every operator in this library is a scipy CSR matrix kept in canonical form
-(sorted column indices, no duplicates). One rule covers explicit zeros: an
-input keeps its stored zeros, and every setup product drops exact zeros as
-scipy's operators do. The solve path applies operators with
-``matvec``, the kernel ``A @ x`` ends in, without its dispatch, and
-accumulates products into its own vectors with ``product_adder``. The setup
-path multiplies, transposes and adds with ``csr_product``,
-``csr_transpose``, ``csr_plus`` and ``csr_minus``: the kernels scipy's
-``@``, ``.T.tocsr()``, ``+`` and ``-`` end in, on ``CsrArrays`` instead of
-matrix objects, and ``triple_product`` forms the Galerkin product from two
-``csr_product`` calls. Every config class checks its fields with the one
-rule of ``require_fields``.
+Every operator is a scipy CSR matrix in canonical form (sorted, distinct
+columns). An input keeps its stored zeros; every setup product drops exact
+zeros as scipy's operators do. The solve path applies operators by the
+kernel ``A @ x`` ends in: ``matvec`` checked, ``product_adder`` bound once
+at setup and called on vectors checked at entry. The setup path runs the
+kernels of scipy's ``@``, ``.T.tocsr()``, ``+`` and ``-`` on ``CsrArrays``
+(``csr_product``, ``csr_transpose``, ``csr_plus``, ``csr_minus``), and
+``triple_product`` is two ``csr_product`` calls. ``require_fields`` is the
+one check of every config class's fields.
 """
 
 import math
@@ -23,8 +20,10 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgetrf as _dgetrf
+from scipy.linalg.lapack import dgetrs as _dgetrs
+from scipy.sparse._sparsetools import csr_has_canonical_format as _csr_has_canonical_format
 from scipy.sparse._sparsetools import csr_matmat as _csr_matmat
 from scipy.sparse._sparsetools import csr_matmat_maxnnz as _csr_matmat_maxnnz
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
@@ -61,9 +60,8 @@ def as_csr(A):
     Duplicate entries are summed; explicit zeros are retained.
     """
     if sp.issparse(A):
-        # the conversion from another format is already a new matrix; only a
-        # CSR input needs the copy that keeps the in-place canonicalization
-        # below off the caller's arrays
+        # another format converts into a new matrix; a CSR input is copied
+        # so the in-place canonicalization below leaves the caller's arrays
         M = A.tocsr(copy=True)
     else:
         M = sp.csr_matrix(np.asarray(A, dtype=np.float64))
@@ -77,11 +75,9 @@ def as_csr(A):
 def matvec(A, x):
     """y = A @ x, bit for bit, by the scipy kernel that ``A @ x`` ends in.
 
-    For a float64 CSR matrix and a float64 array the kernel runs without
-    the operator dispatch (a few microseconds per call on small levels);
-    anything else, such as a duck-typed operator, goes through ``A @ x``.
-    Raises ValueError naming both lengths when ``x`` is not a vector of
-    ``A.shape[1]`` entries: the kernel does not check them.
+    A float64 CSR matrix and float64 array skip the operator dispatch;
+    anything else goes through ``A @ x``. Raises ValueError naming both
+    lengths unless ``x`` has ``A.shape[1]`` entries: the kernel trusts them.
     """
     if (not isinstance(A, _CSR) or not isinstance(x, np.ndarray)
             or A.data.dtype != _FLOAT64 or x.dtype != _FLOAT64):
@@ -210,7 +206,9 @@ def require_finite(A, name="matrix"):
 
 
 def require_canonical(A, name="matrix"):
-    """Validate the CSR canonical-form invariants, raising ValueError on breakage."""
+    """Validate the CSR canonical-form invariants, raising ValueError on
+    breakage. scipy's ``csr_has_canonical_format`` reads each row's columns
+    unchecked, so the offsets and the column range are checked first."""
     if not sp.issparse(A) or A.format != "csr":
         raise ValueError(f"{name}: expected a CSR matrix, got {type(A)!r}")
     nrows, ncols = A.shape
@@ -221,11 +219,11 @@ def require_canonical(A, name="matrix"):
         raise ValueError(f"{name}: row offsets must be non-decreasing")
     if len(indices) and (indices.min() < 0 or indices.max() >= ncols):
         raise ValueError(f"{name}: column index out of range")
+    if _csr_has_canonical_format(nrows, indptr, indices):
+        return A
     row_of = np.repeat(np.arange(nrows), np.diff(indptr))
     bad = np.flatnonzero((np.diff(indices) <= 0) & (row_of[1:] == row_of[:-1]))
-    if bad.size:
-        raise ValueError(f"{name}: row {row_of[bad[0]]} has unsorted or duplicate columns")
-    return A
+    raise ValueError(f"{name}: row {row_of[bad[0]]} has unsorted or duplicate columns")
 
 
 def require_fields(obj):
@@ -289,32 +287,29 @@ class DenseFactorization:
 
     def solve(self, b):
         b = np.asarray(b, dtype=np.float64)
-        if b.shape[0] != self.dimension:
-            raise ValueError(
-                f"dense solve: rhs length {b.shape[0]} != dimension {self.dimension}"
-            )
+        if b.shape != (self.dimension,):
+            raise ValueError(f"dense solve: rhs of shape {b.shape} for dimension "
+                             f"{self.dimension} (want ({self.dimension},))")
         # LAPACK getrs, the routine lu_solve calls, without lu_solve's
         # per-call dispatch: the coarsest V-cycle level solves here every cycle;
         # getrs only fails on an illegal argument, which the checks rule out.
         # The wrapper shifts the pivot array it is given to 1-based and back
         # during the call, so each call gets its own copy: with the shared
         # one, concurrent solves swap rows by shifted indices
-        return scipy.linalg.lapack.dgetrs(self.factors, self.pivots.copy(), b)[0]
+        return _dgetrs(self.factors, self.pivots.copy(), b)[0]
 
 
 def dense_factor(A):
-    """LU-factor a square operator with partial pivoting.
-
-    Raises SingularMatrixError naming the pivot row on exact singularity.
-    """
+    """LU-factor a square operator with partial pivoting: the bytes of
+    ``scipy.linalg.lu_factor`` by its LAPACK ``getrf``, without its dispatch.
+    Raises SingularMatrixError naming the pivot row on exact singularity."""
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"dense_factor: matrix is not square {A.shape}")
-    dense = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=np.float64)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(dense, check_finite=False)
+    dense = np.asarray(A.toarray() if sp.issparse(A) else A, dtype=np.float64)
+    if dense.size == 0:
+        lu, piv = np.empty_like(dense), np.arange(0, dtype=np.int32)
+    else:
+        lu, piv, _ = _dgetrf(dense)  # info > 0, a zero pivot, is checked below
     diag = np.abs(np.diag(lu))
     if np.any(diag == 0.0):
         raise SingularMatrixError(int(np.argmin(diag)), "zero pivot after partial pivoting")

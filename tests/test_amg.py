@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -886,3 +888,71 @@ def test_hierarchy_setup_facts_at_refinement_3():
     for field, facts in expected.items():
         summary = build_hierarchy(blocks[(field, field)], AmgParams()).summary()
         assert (summary["levels"], summary["dims"], summary["nnz"]) == facts
+
+
+def test_concurrent_builds_of_different_sizes_give_the_bytes_of_lone_builds():
+    # the start-vector cache is shared by every build; its vectors are
+    # read-only, and each build reads only the sizes it asks for
+    import sys
+    import threading
+    from blocksolve import smoothers
+    blocks = [build_case(CaseConfig(refinement=r)).system.blocks for r in (0, 1, 2)]
+    jobs = [(blocks[1][("phi_s", "phi_s")], AmgParams()),
+            (blocks[2][("p", "p")], AmgParams(smoother_degree=4, seed=3)),
+            (blocks[0][("phi_l", "phi_l")], AmgParams(seed=3)),
+            (blocks[1][("p", "p")], AmgParams(drop_tolerance=0.0))]
+    smoothers._start_vector.cache_clear()
+    alone = [hierarchy_bytes(build_hierarchy(A, params)) for A, params in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            smoothers._start_vector.cache_clear()
+            start = threading.Barrier(len(jobs), timeout=60)
+            got = [None] * len(jobs)
+
+            def build(i):
+                start.wait()
+                got[i] = [hierarchy_bytes(build_hierarchy(*jobs[i])) for _ in range(2)]
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [[want] * 2 for want in alone]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_levels_bind_their_kernels_once():
+    H = build_hierarchy(poisson_2d(12), AmgParams(max_coarse_size=16))
+    assert H.depth >= 3
+    for lvl in H.levels[:-1]:
+        assert [add.args[2] is M.indptr and add.args[4] is M.data for add, M in
+                zip(lvl.adders, (lvl.operator, lvl.restrictor, lvl.prolongator))] == [True] * 3
+    assert H.levels[-1].adders == ()
+
+
+@pytest.mark.parametrize("fine", [200, 40])
+def test_vcycle_names_itself_the_level_and_both_shapes(fine):
+    # a 200-row operator coarsens over several levels; a 40-row one is the
+    # coarsest level itself, solved by the dense factors
+    A = poisson_1d(fine)
+    H = build_hierarchy(A, AmgParams(max_coarse_size=64))
+    assert (H.depth > 2) == (fine == 200)
+    n = fine
+    for b, x in ((np.ones(n + 3), None), (np.ones((n, 1)), None), (np.ones(n - 1), None),
+                 (np.ones(n), np.ones(n + 1)), (np.ones(n), np.ones((n, 1)))):
+        want = (rf"vcycle: level 0 has an operator of shape \({n}, {n}\), got b of shape "
+                rf"{re.escape(str(b.shape))} and x of shape "
+                rf"{re.escape(str(None if x is None else x.shape))} \(want \({n},\)\)")
+        with pytest.raises(ValueError, match=want):
+            vcycle(H, b, x)
+        if x is None:
+            with pytest.raises(ValueError, match=want):
+                as_preconditioner(H)(b)
+    if H.depth > 2:
+        m = H.levels[1].operator.shape[0]
+        with pytest.raises(ValueError, match=rf"vcycle: level 1 .*got b of shape \({m + 1},\)"):
+            vcycle(H, np.ones(m + 1), None, 1)

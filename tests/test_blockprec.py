@@ -483,3 +483,34 @@ def test_zero_solid_diagonal_rejected_at_build():
     with pytest.raises(SingularMatrixError) as err:
         NonvoltageBgs.build(case.system, case.grid.centers, ElectrochemOptions())
     assert err.value.row == 3
+
+
+@pytest.mark.parametrize("extra", [1, -1, "column"])
+def test_sweeps_reject_a_solver_result_of_another_shape(extra):
+    # the coupling kernels are bound unchecked, so a group solver's result
+    # is checked before the earlier groups read it
+    A, B = spd(6, 1), spd(4, 2)
+    C = as_csr(sp.random(6, 4, density=0.5, random_state=3))
+    system = voltage_pair(A, B, C)
+    good = [dense_factor(A).solve, dense_factor(B).solve]
+    length = {"phi_s": 6, "phi_l": 4}
+    for k, field in enumerate(VOLTAGE_FIELDS):
+        n = length[field]
+        shape = (n, 1) if extra == "column" else (n + extra,)
+        solvers = list(good)
+        solvers[k] = lambda r: np.ones(shape)
+        with pytest.raises(ValueError) as err:
+            field_sweep(system, solvers)(np.ones(10))
+        assert str(err.value) == (f"BlockGaussSeidel: solver {k} returned shape {shape} "
+                                  f"for a group of length {n} (want ({n},))")
+
+
+def test_sweep_couplings_apply_as_matvec():
+    A, B = spd(6, 1), spd(4, 2)
+    C = as_csr(sp.random(6, 4, density=0.5, random_state=3))
+    sweep = field_sweep(voltage_pair(A, B, C), [dense_factor(A).solve, dense_factor(B).solve])
+    r = np.random.default_rng(2).standard_normal(10)
+    z_l = dense_factor(B).solve(r[6:])
+    z_s = dense_factor(A).solve(r[:6] - C @ z_l)
+    assert sweep(r).tobytes() == np.concatenate([z_s, z_l]).tobytes()
+    assert sweep.products[1] == () and sweep.products[0][0] is not None

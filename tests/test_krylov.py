@@ -1,4 +1,5 @@
 import json
+import re
 import os
 import subprocess
 import sys
@@ -465,3 +466,74 @@ def test_config_validation():
     for bad in ({"restart": 2.5}, {"maxiter": 2.5}, {"restart": None}, {"tol": "1e-6"}):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+
+
+@pytest.mark.parametrize("solver", [gmres, fgmres])
+@pytest.mark.parametrize("shape", ["n + 1", "1", "(n, 1)"])
+def test_a_preconditioner_result_of_the_wrong_shape_is_named(solver, shape):
+    # the operator's bound kernel reads the preconditioner's result
+    # unchecked, and in fgmres a length-1 result used to broadcast into Z[j]
+    A = poisson_1d(30)
+    n = A.shape[0]
+    out = {"n + 1": (n + 1,), "1": (1,), "(n, 1)": (n, 1)}[shape]
+    calls = []
+
+    def precond(v):
+        calls.append(1)
+        return np.ones(out) if len(calls) == 3 else v.copy()
+    with pytest.raises(ValueError, match=rf"gmres: preconditioner returned shape "
+                                         rf"{re.escape(str(out))} at iteration 3 "
+                                         rf"\(want \({n},\)\)"):
+        solver(A, np.ones(n), preconditioner=precond, config=SolverConfig(tol=1e-14))
+
+
+@pytest.mark.parametrize("shape", [(31,), (1,), (30, 1)])
+def test_a_right_preconditioned_correction_of_the_wrong_shape_is_named(shape):
+    # restarted GMRES also preconditions each cycle's correction
+    A = poisson_1d(30)
+    calls = []
+
+    def precond(v):
+        calls.append(1)
+        return v.copy() if len(calls) <= 2 else np.ones(shape)
+    with pytest.raises(ValueError, match=rf"gmres: preconditioner returned shape "
+                                         rf"{re.escape(str(shape))} at iteration 2"):
+        gmres(A, np.ones(30), preconditioner=precond,
+              config=SolverConfig(restart=2, tol=1e-14))
+
+
+@pytest.mark.parametrize("shape", [(31,), (1,), (30, 1)])
+def test_a_callable_operators_result_of_the_wrong_shape_is_named(shape):
+    A = poisson_1d(30)
+    calls = []
+
+    def operator(v):
+        calls.append(1)
+        return A @ v if len(calls) < 4 else np.ones(shape)
+    for solver in (gmres, fgmres):
+        calls.clear()
+        with pytest.raises(ValueError, match=rf"gmres: operator returned shape "
+                                             rf"{re.escape(str(shape))} at iteration 4"):
+            solver(operator, np.ones(30), config=SolverConfig(tol=1e-14))
+
+
+def test_a_matrix_preconditioner_must_match_the_system():
+    A = poisson_1d(30)
+    for M in (sp.eye(31, format="csr"), np.eye(30)[:, :29], sp.eye(29, 30, format="csr")):
+        with pytest.raises(ValueError, match=rf"gmres: preconditioner of shape "
+                                             rf"{re.escape(str(M.shape))} for a system of "
+                                             r"dimension 30 \(want \(30, 30\)\)"):
+            fgmres(A, np.ones(30), preconditioner=M)
+
+
+def test_a_matrix_applies_as_matvec_bit_for_bit():
+    rng = np.random.default_rng(41)
+    A = as_csr(sp.random(40, 40, density=0.2, random_state=5))
+    x = rng.standard_normal(40)
+    x[:5] = -0.0
+    apply = krylov.as_apply(A)
+    assert apply(x).tobytes() == (A @ x).tobytes()
+    # anything but a float64 CSR matrix keeps matvec: zeros plus A @ x
+    # would turn a -0.0 product into +0.0
+    for M in (A.tocsc(), A.toarray(), A.astype(np.float32), sp.csr_matrix((40, 40))):
+        assert krylov.as_apply(M)(-np.abs(x)).tobytes() == (M @ -np.abs(x)).tobytes()

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -709,3 +710,63 @@ def test_chebyshev_rejects_mismatched_guess():
     S = chebyshev_setup(A)
     with pytest.raises(ValueError, match="dimension mismatch"):
         chebyshev_apply(S, A, np.ones(5), np.ones(4))
+
+
+def reference_estimate_lambda_max(A, inverse_diagonal, iterations=10, seed=0):
+    """``estimate_lambda_max`` as it was: a fresh start vector per call and
+    numpy's ``norm``."""
+    inverse_diagonal = np.asarray(inverse_diagonal, dtype=np.float64)
+    w = np.random.default_rng(seed).standard_normal(A.shape[0])
+    for _ in range(iterations + 1):
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            raise RuntimeError("power iteration collapsed to the zero vector")
+        v = w / norm
+        w = inverse_diagonal * (A @ v)
+    return abs(v @ w)
+
+
+def test_power_iteration_gives_the_bytes_of_the_norm_loop():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 7, 64, 257, 4096):
+        A = as_csr(sp.random(n, n, density=min(1.0, 6.0 / n), random_state=n)
+                   + sp.diags(rng.uniform(1.0, 3.0, n)))
+        dinv = 1.0 / A.diagonal()
+        for seed in (0, 1, 17):
+            for iterations in (0, 3, 10):
+                for _ in range(2):  # a fresh draw, then the cached vector
+                    got = estimate_lambda_max(A, dinv, iterations=iterations, seed=seed)
+                    want = reference_estimate_lambda_max(A, dinv, iterations, seed)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_power_iteration_start_vectors_are_cached_read_only_and_distinct():
+    from blocksolve.smoothers import _start_vector
+    vectors = {(seed, n): _start_vector(seed, n) for seed in (0, 1) for n in (5, 6)}
+    for (seed, n), w in vectors.items():
+        assert _start_vector(seed, n) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        assert w.tobytes() == np.random.default_rng(seed).standard_normal(n).tobytes()
+    assert len({w.tobytes() for w in vectors.values()}) == 4
+
+
+def test_chebyshev_apply_names_the_operator_and_vector_shapes():
+    A = tridiag(5)
+    S = chebyshev_setup(A)
+    for b, x in ((np.ones(6), None), (np.ones((5, 1)), None), (np.ones(5), np.ones(4))):
+        want = (r"chebyshev_apply: dimension mismatch: operator of shape \(5, 5\), "
+                rf"b of shape {re.escape(str(b.shape))}, x of shape "
+                rf"{re.escape(str(None if x is None else x.shape))} \(want \(5,\)\)")
+        with pytest.raises(ValueError, match=want):
+            chebyshev_apply(S, A, b, x)
+
+
+def test_chebyshev_steps_are_the_signed_reversed_coefficients():
+    for degree in (1, 2, 5, 8):
+        S = ChebyshevSmoother(degree, 1.7, np.ones(3))
+        zero_guess, from_guess = S.steps
+        assert zero_guess == tuple(reversed(S.coefficients))
+        assert [np.float64(a).tobytes() for a in from_guess] == \
+            [np.float64(-1.0 * a).tobytes() for a in reversed(S.coefficients)]

@@ -1,3 +1,4 @@
+import re
 import threading
 
 import numpy as np
@@ -403,11 +404,20 @@ def test_dense_solve_bit_identical_to_lu_solve():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((9, 9))
     F = dense_factor(as_csr(A))
-    for b in (rng.standard_normal(9), rng.standard_normal((9, 3))):
-        before = b.tobytes()
-        expected = scipy.linalg.lu_solve((F.factors, F.pivots), b)
-        assert F.solve(b).tobytes() == expected.tobytes()
-        assert b.tobytes() == before
+    b = rng.standard_normal(9)
+    before = b.tobytes()
+    expected = scipy.linalg.lu_solve((F.factors, F.pivots), b)
+    assert F.solve(b).tobytes() == expected.tobytes()
+    assert b.tobytes() == before
+
+
+@pytest.mark.parametrize("shape", [(9, 1), (9, 3), (8,), (10,), ()])
+def test_dense_solve_rejects_anything_but_a_vector_of_its_dimension(shape):
+    # an (n, 1) or (n, k) right-hand side passed a length check on shape[0]
+    F = dense_factor(np.eye(9) + np.diag(np.ones(8), 1))
+    with pytest.raises(ValueError, match=rf"dense solve: rhs of shape {re.escape(str(shape))} "
+                                         r"for dimension 9 \(want \(9,\)\)"):
+        F.solve(np.ones(shape))
 
 
 def test_dense_solve_is_thread_safe():
@@ -494,3 +504,171 @@ def test_require_canonical_rejects_bad_columns():
                        np.array([0, 2, 3, 6, 8])), shape=(4, 4))
     with pytest.raises(ValueError, match="row 2 has unsorted or duplicate columns"):
         require_canonical(B)
+
+
+def reference_require_canonical(A, name="matrix"):
+    """``require_canonical`` before the compiled column check: every test in
+    numpy, the unsorted-row scan on every matrix."""
+    if not sp.issparse(A) or A.format != "csr":
+        raise ValueError(f"{name}: expected a CSR matrix, got {type(A)!r}")
+    nrows, ncols = A.shape
+    indptr, indices = A.indptr, A.indices
+    if indptr[0] != 0 or indptr[-1] != len(indices) or len(indptr) != nrows + 1:
+        raise ValueError(f"{name}: row offsets are inconsistent with nnz")
+    if np.any(np.diff(indptr) < 0):
+        raise ValueError(f"{name}: row offsets must be non-decreasing")
+    if len(indices) and (indices.min() < 0 or indices.max() >= ncols):
+        raise ValueError(f"{name}: column index out of range")
+    row_of = np.repeat(np.arange(nrows), np.diff(indptr))
+    bad = np.flatnonzero((np.diff(indices) <= 0) & (row_of[1:] == row_of[:-1]))
+    if bad.size:
+        raise ValueError(f"{name}: row {row_of[bad[0]]} has unsorted or duplicate columns")
+    return A
+
+
+def with_arrays(A, indptr=None, indices=None):
+    """A copy of CSR ``A`` with its index arrays replaced as given, past
+    scipy's own format checks."""
+    B = A.copy()
+    if indptr is not None:
+        B.indptr = np.asarray(indptr)
+    if indices is not None:
+        B.indices = np.asarray(indices)
+    return B
+
+
+def broken_matrices():
+    A = random_csr(12, 9, 0.4, seed=3)
+    assert A.nnz > 20
+    rng = np.random.default_rng(4)
+    yield "dense", A.toarray()
+    yield "csc", A.tocsc()
+    yield "short offsets", with_arrays(A, indptr=A.indptr[:-1])
+    yield "first offset", with_arrays(A, indptr=A.indptr + 1)
+    yield "last offset", with_arrays(A, indptr=np.r_[A.indptr[:-1], A.nnz - 1])
+    middle = A.indptr.copy()
+    middle[5] = A.nnz + 7
+    yield "middle offset above nnz", with_arrays(A, indptr=middle)
+    falling = A.indptr.copy()
+    falling[4], falling[5] = falling[5], falling[4]
+    yield "falling offsets", with_arrays(A, indptr=falling)
+    yield "negative column", with_arrays(A, indices=np.r_[-1, A.indices[1:]])
+    yield "column past the end", with_arrays(A, indices=np.r_[A.indices[:-1], 9])
+    for row in (0, 5, 11):
+        lo, hi = A.indptr[row], A.indptr[row + 1]
+        assert hi - lo >= 2
+        swapped = A.indices.copy()
+        swapped[lo], swapped[lo + 1] = swapped[lo + 1], swapped[lo]
+        yield f"unsorted row {row}", with_arrays(A, indices=swapped)
+        duplicate = A.indices.copy()
+        duplicate[lo + 1] = duplicate[lo]
+        yield f"duplicate in row {row}", with_arrays(A, indices=duplicate)
+    shuffled = A.indices.copy()
+    for row in range(12):
+        lo, hi = A.indptr[row], A.indptr[row + 1]
+        shuffled[lo:hi] = rng.permutation(shuffled[lo:hi])
+    yield "shuffled rows", with_arrays(A, indices=shuffled)
+
+
+@pytest.mark.parametrize("label, A", list(broken_matrices()), ids=lambda v: v
+                         if isinstance(v, str) else "")
+def test_require_canonical_keeps_every_message(label, A):
+    with pytest.raises(ValueError) as want:
+        reference_require_canonical(A, "m")
+    with pytest.raises(ValueError) as got:
+        require_canonical(A, "m")
+    assert str(got.value) == str(want.value)
+
+
+def test_require_canonical_bounds_the_offsets_before_the_kernel_reads(monkeypatch):
+    # the compiled check reads indices[indptr[i]:indptr[i + 1]] unchecked: an
+    # offset past nnz with the right first and last entries must fail first
+    calls = []
+    real = blocksolve.sparse._csr_has_canonical_format
+    monkeypatch.setattr(blocksolve.sparse, "_csr_has_canonical_format",
+                        lambda *args: calls.append(args) or real(*args))
+    A = tridiag(6)
+    indptr = A.indptr.copy()
+    indptr[3] = A.nnz + 100
+    with pytest.raises(ValueError, match="m: row offsets must be non-decreasing"):
+        require_canonical(with_arrays(A, indptr=indptr), "m")
+    with pytest.raises(ValueError, match="m: column index out of range"):
+        require_canonical(with_arrays(A, indices=np.r_[A.indices[:-1], 6]), "m")
+    assert calls == []
+    assert require_canonical(A, "m") is A and len(calls) == 1
+
+
+@pytest.mark.parametrize("indptr_dtype, indices_dtype",
+                         [(np.int32, np.int64), (np.int64, np.int32), (np.int64, np.int64)])
+def test_require_canonical_takes_mixed_index_types(indptr_dtype, indices_dtype):
+    A = random_csr(30, 30, 0.2, seed=9)
+    B = with_arrays(A, indptr=A.indptr.astype(indptr_dtype),
+                    indices=A.indices.astype(indices_dtype))
+    assert require_canonical(B) is B
+    indices = B.indices.copy()
+    lo = B.indptr[7]
+    indices[lo + 1] = indices[lo]
+    with pytest.raises(ValueError, match="matrix: row 7 has unsorted or duplicate columns"):
+        require_canonical(with_arrays(B, indices=indices))
+
+
+def reference_dense_factor(dense):
+    """``dense_factor`` through ``scipy.linalg.lu_factor``, as it was."""
+    import warnings
+
+    import scipy.linalg
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(dense, check_finite=False)
+    pivots = np.abs(np.diag(lu))
+    row = int(np.argmin(pivots)) if np.any(pivots == 0.0) else None
+    return lu, piv, row
+
+
+def assert_factors_equal(F, dense):
+    lu, piv, row = reference_dense_factor(dense)
+    assert row is None
+    assert F.dimension == dense.shape[0]
+    for got, want in ((F.factors, lu), (F.pivots, piv)):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+
+
+def test_dense_factor_gives_the_bytes_of_lu_factor():
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 5, 17, 60, 97):
+        dense = rng.standard_normal((n, n))
+        before = dense.tobytes()
+        assert_factors_equal(dense_factor(dense), dense)
+        assert_factors_equal(dense_factor(as_csr(dense)), dense)
+        assert dense.tobytes() == before
+
+
+def test_dense_factor_gives_the_bytes_of_lu_factor_on_case_coarse_operators():
+    for r in range(3):
+        blocks = build_case(CaseConfig(refinement=r)).system.blocks
+        for field in ("phi_s", "phi_l", "p"):
+            H = build_hierarchy(blocks[(field, field)], AmgParams())
+            assert_factors_equal(H.coarse_solver, H.levels[-1].operator.toarray())
+
+
+def test_dense_factor_of_an_empty_matrix():
+    lu, piv, _ = reference_dense_factor(np.empty((0, 0)))
+    for A in (np.empty((0, 0)), sp.csr_matrix((0, 0))):
+        F = dense_factor(A)
+        assert (F.dimension, F.factors.shape, F.factors.dtype) == (0, lu.shape, lu.dtype)
+        assert (F.pivots.shape, F.pivots.dtype) == (piv.shape, piv.dtype)
+
+
+@pytest.mark.parametrize("zero_row", [0, 3, 6])
+def test_dense_factor_names_the_singular_row_as_lu_factor_does(zero_row):
+    rng = np.random.default_rng(zero_row)
+    dense = rng.standard_normal((7, 7))
+    dense[zero_row] = 0.0
+    _, _, want = reference_dense_factor(dense)
+    assert want is not None
+    with pytest.raises(SingularMatrixError) as got:
+        dense_factor(as_csr(dense))
+    assert got.value.row == want
+    assert str(got.value) == (f"singular pivot encountered at row {want}: "
+                              "zero pivot after partial pivoting")
