@@ -110,6 +110,8 @@ def strength_graph(A, theta):
     ratio[~offdiag] = np.nan
     data, indices, indptr = _without(weak, rows, A.indptr, ratio.astype(np.float64, copy=False),
                                      A.indices)
+    # the drop rule's per-entry arrays go before the transpose and the union
+    del rows, offdiag, ratio, weak
     K = CsrArrays((n, n), indptr, indices, data)
     S = csr_plus(K, csr_transpose(K))
     S.data[np.isnan(S.data)] = 0.0
@@ -281,8 +283,8 @@ def build_hierarchy(A, params=None):
 
     while Al.shape[0] > params.max_coarse_size and len(levels) + 1 < MAX_LEVELS:
         level_params = coarse_params if levels else params
-        S = strength_graph(Al, level_params.drop_tolerance)
-        agg = aggregate(S)
+        # the strength graph dies with aggregation, before the products
+        agg = aggregate(strength_graph(Al, level_params.drop_tolerance))
         P_tent = tentative_prolongator(agg, nullspace)
         # P_tent^T nullspace: each aggregate sums its rows' products in row
         # order, as scipy's transposed product does

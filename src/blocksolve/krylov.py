@@ -153,6 +153,8 @@ def _gmres(operator, b, preconditioner, config, flexible):
         raise ValueError(f"gmres: rhs entry {bad[0]} is not finite ({b[bad[0]]})")
     shape = getattr(operator, "shape", None)
     if shape is not None:
+        if len(shape) != 2:
+            raise ValueError(f"gmres: operator must be 2-D, got shape {tuple(shape)}")
         if shape[0] != shape[1]:
             raise ValueError(f"gmres: operator must be square, got {shape}")
         if shape[0] != n:

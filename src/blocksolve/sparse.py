@@ -213,7 +213,8 @@ def require_canonical(A, name="matrix"):
         raise ValueError(f"{name}: expected a CSR matrix, got {type(A)!r}")
     nrows, ncols = A.shape
     indptr, indices = A.indptr, A.indices
-    if indptr[0] != 0 or indptr[-1] != len(indices) or len(indptr) != nrows + 1:
+    # the length first: an empty indptr has no first entry to read
+    if len(indptr) != nrows + 1 or indptr[0] != 0 or indptr[-1] != len(indices):
         raise ValueError(f"{name}: row offsets are inconsistent with nnz")
     if np.any(np.diff(indptr) < 0):
         raise ValueError(f"{name}: row offsets must be non-decreasing")

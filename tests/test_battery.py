@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from dataclasses import asdict
 
@@ -24,6 +25,7 @@ from blocksolve.battery import (
     stack_layers,
 )
 from blocksolve.sparse import dense_factor
+from test_case_bytes import CASES
 
 
 # ---------------------------------------------------------------- grid
@@ -320,6 +322,44 @@ def test_manufactured_closure_dense_solve():
     x = dense_factor(case.system.monolithic()).solve(case.system.rhs_vector())
     err = np.linalg.norm(x - case.solution) / np.linalg.norm(case.solution)
     assert err <= 1e-8
+
+
+@pytest.mark.parametrize("key", CASES)
+def test_blockwise_rhs_is_the_monolithic_product_bit_for_bit(key):
+    """build_case adds each row field's blocks in field order into a zero
+    vector; every row's sum starts from the stored entry, so it repeats the
+    monolithic row's sum. The cases are the pinned ones of test_case_bytes."""
+    case = build_case(CASES[key])
+    expected = case.system.monolithic() @ case.solution
+    assert case.system.rhs_vector().tobytes() == expected.tobytes()
+
+
+def traced_peak(fn):
+    """The traced peak of ``fn()`` in bytes, above what was allocated
+    before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def csr_nbytes(A):
+    return A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+
+
+def test_build_case_allocates_no_monolithic_matrix():
+    """At r = 3 the traced peak of build_case stays below its blocks plus
+    one monolithic-sized matrix, so the two never coexist: 2.99 MB against
+    1.77 + 1.64 MB (MB = 2^20 bytes). Assembling the monolithic matrix for
+    the RHS peaked at 5.86 MB."""
+    cases = []
+    peak = traced_peak(lambda: cases.append(build_case(CaseConfig(refinement=3))))
+    system = cases[0].system
+    blocks = sum(csr_nbytes(A) for A in system.blocks.values())
+    assert peak < blocks + csr_nbytes(system.monolithic())
 
 
 def test_hierarchies_on_battery_blocks_stay_lean():

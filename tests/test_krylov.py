@@ -144,6 +144,14 @@ def test_rhs_of_another_rank_rejected_before_any_apply(solve, shape):
     assert calls == []
 
 
+@pytest.mark.parametrize("solve", [gmres, fgmres])
+@pytest.mark.parametrize("shape", [(3,), (), (3, 3, 3)])
+def test_operator_of_another_rank_rejected_naming_its_shape(solve, shape):
+    with pytest.raises(ValueError) as err:
+        solve(np.ones(shape), np.ones(3))
+    assert str(err.value) == f"gmres: operator must be 2-D, got shape {shape}"
+
+
 class NanOnCall:
     """Applies ``apply`` and counts the calls; the ``bad``-th returns NaN."""
 

@@ -598,6 +598,14 @@ def test_require_canonical_bounds_the_offsets_before_the_kernel_reads(monkeypatc
     assert require_canonical(A, "m") is A and len(calls) == 1
 
 
+@pytest.mark.parametrize("indptr", [[], [0]])
+def test_require_canonical_checks_the_offsets_length_before_reading_them(indptr):
+    # an empty indptr has no first entry: the length check comes first
+    A = with_arrays(sp.csr_matrix(np.eye(3)), indptr=np.array(indptr, dtype=np.int32))
+    with pytest.raises(ValueError, match="^m: row offsets are inconsistent with nnz$"):
+        require_canonical(A, "m")
+
+
 @pytest.mark.parametrize("indptr_dtype, indices_dtype",
                          [(np.int32, np.int64), (np.int64, np.int32), (np.int64, np.int64)])
 def test_require_canonical_takes_mixed_index_types(indptr_dtype, indices_dtype):
