@@ -23,16 +23,15 @@ import scipy.sparse as sp
 from .smoothers import (CHEBYSHEV_DEGREES, ChebyshevSmoother, chebyshev_apply,
                         chebyshev_setup, estimate_lambda_max)
 from .sparse import (CsrArrays, DenseFactorization, csr_minus, csr_plus, csr_product,
-                     csr_transpose, dense_factor, product_adder,
-                     require_canonical, require_fields, require_finite, triple_product)
+                     csr_transpose, dense_factor, product_adder, require_canonical,
+                     require_fields, require_finite, require_value, triple_product)
 
 
 MAX_LEVELS = 20
 # numerator of the prolongator smoother's weight omega = damping / lambda_max
 PROLONGATOR_DAMPING = 4.0 / 3.0
-# rows of the strength graph converted to Python lists at a time in pass 1
-# of aggregate(); the whole matrix at once costs memory and no speed
-_PASS1_CHUNK_ROWS = 1024
+# bounds of a drop tolerance: AmgParams' and the theta of the drop rule
+DROP_TOLERANCES = {"least": 0}
 
 
 class CoarseningError(RuntimeError):
@@ -41,7 +40,7 @@ class CoarseningError(RuntimeError):
 
 @dataclass
 class AmgParams:
-    drop_tolerance: float = field(default=0.04, metadata={"least": 0})
+    drop_tolerance: float = field(default=0.04, metadata=DROP_TOLERANCES)
     max_coarse_size: int = field(default=64, metadata={"least": 1})
     smoother_degree: int = field(default=2, metadata=CHEBYSHEV_DEGREES)
     seed: int = field(default=0, metadata={"least": 0})
@@ -122,13 +121,24 @@ def _drop_rule(A, theta, owner):
     """The drop test of the strength graph and the filter, on canonical CSR
     ``A``: each entry's row, the off-diagonal mask, the diagonal, the
     strength ratios |a_ij| / sqrt(|a_ii a_jj|) and the weak mask, the
-    off-diagonal entries whose ratio is not above ``theta``."""
+    off-diagonal entries whose ratio is not above ``theta``. ``theta`` is
+    checked as ``AmgParams.drop_tolerance`` is, naming ``owner``.
+
+    The rows are in A's index dtype, and the ratios round as
+    ``abs(a_ij) / sqrt(absd[rows] * absd[cols])`` does for A's value dtype."""
+    require_value(f"{owner}: theta", theta, float, DROP_TOLERANCES)
     diag = A.diagonal()
     if np.any(diag == 0.0):
         raise ValueError(f"{owner}: zero diagonal entry")
     absd = np.abs(diag)
-    rows = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
-    ratio = np.abs(A.data) / np.sqrt(absd[rows] * absd[A.indices])
+    lengths = np.diff(A.indptr)
+    rows = np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype), lengths)
+    root = np.repeat(absd, lengths)
+    root *= absd[A.indices]
+    # an integer product takes its square root into a new float64 array
+    root = np.sqrt(root, out=root if root.dtype.kind == "f" else None)
+    ratio = np.abs(A.data)
+    ratio = np.divide(ratio, root, out=ratio if ratio.dtype == root.dtype else None)
     offdiag = rows != A.indices
     return rows, offdiag, diag, ratio, offdiag & ~(ratio > theta)
 
@@ -148,32 +158,29 @@ def aggregate(S):
     unaggregated becomes a root and absorbs them. Pass 2 joins remaining
     nodes to the pass-1 aggregate behind their strongest connection, ties
     to the lowest id. Pass 3 makes leftovers singletons, in row order. Pass
-    1 is sequential, on Python lists converted a chunk of rows at a time;
-    passes 2 and 3 are exact vectorized forms of their per-row rules.
+    1 is sequential and reads the offsets and columns through memoryviews,
+    so Python ints are made only for the rows it scans; passes 2 and 3 are
+    exact vectorized forms of their per-row rules.
     """
     n = S.shape[0]
     indptr, indices, data = S.indptr, S.indices, S.data
+    ptr, idx = memoryview(indptr), memoryview(indices)
     owner = [-1] * n
     count = 0
 
-    for lo in range(0, n, _PASS1_CHUNK_ROWS):
-        hi = min(lo + _PASS1_CHUNK_ROWS, n)
-        base = int(indptr[lo])
-        ptr = (indptr[lo:hi + 1] - base).tolist()
-        idx = indices[base:indptr[hi]].tolist()
-        for i in range(lo, hi):
-            if owner[i] != -1:
-                continue
-            # row i may list i itself, which is unowned here
-            nbrs = idx[ptr[i - lo]:ptr[i - lo + 1]]
+    for i in range(n):
+        if owner[i] != -1:
+            continue
+        # row i may list i itself, which is unowned here
+        nbrs = idx[ptr[i]:ptr[i + 1]]
+        for j in nbrs:
+            if owner[j] != -1:
+                break
+        else:
+            owner[i] = count
             for j in nbrs:
-                if owner[j] != -1:
-                    break
-            else:
-                owner[i] = count
-                for j in nbrs:
-                    owner[j] = count
-                count += 1
+                owner[j] = count
+            count += 1
 
     # pass 2 reads every pass-1 owner before it writes a join, so joins do
     # not chain

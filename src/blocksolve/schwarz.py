@@ -53,6 +53,7 @@ def partition_nodes(coordinates, count):
 
     Each bisection splits along the longer bounding-box extent at the size
     median; ties on the median coordinate break toward the lower node index.
+    Raises ValueError naming the first node with a NaN or infinite coordinate.
     """
     coordinates = np.asarray(coordinates, dtype=np.float64)
     n = coordinates.shape[0]
@@ -60,6 +61,10 @@ def partition_nodes(coordinates, count):
         raise ValueError(f"subdomain count must be >= 1, got {count}")
     if count > n:
         raise ValueError(f"subdomain count {count} exceeds node count {n}")
+    bad = np.flatnonzero(~np.isfinite(coordinates).reshape(n, -1).all(axis=1))
+    if bad.size:
+        raise ValueError(f"partition_nodes: non-finite coordinates "
+                         f"{coordinates[bad[0]].tolist()} at node {bad[0]}")
     owner = np.empty(n, dtype=np.int64)
 
     def recurse(node_ids, parts, next_id):

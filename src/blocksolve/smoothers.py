@@ -13,8 +13,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
-from .sparse import (SingularMatrixError, matvec, product_adder, require_canonical,
-                     require_fields, require_finite)
+from .sparse import (SingularMatrixError, product_adder, require_canonical, require_fields,
+                     require_finite)
 
 PIVOT_FLOOR = 1e-14
 # the Chebyshev interval of D^{-1} A is [lambda_max / RATIO, BOOST * lambda_max]
@@ -252,16 +252,32 @@ def estimate_lambda_max(A, inverse_diagonal, iterations=10, seed=0):
     Returns the Rayleigh-quotient magnitude after the requested number of
     iterations; deterministic for a fixed seed. Raises RuntimeError when an
     iterate vanishes, as on a zero operator, a zero inverse diagonal or an
-    empty matrix. ``sqrt(w.dot(w))`` is what numpy's ``norm`` evaluates.
+    empty matrix, and ValueError on a negative ``iterations``, a non-square
+    operator or an inverse diagonal of another length. ``sqrt(w.dot(w))`` is
+    what numpy's ``norm`` evaluates; each product runs the bound kernel into
+    a zeroed buffer, as ``matvec`` does, and is then scaled in place.
     """
     inverse_diagonal = np.asarray(inverse_diagonal, dtype=np.float64)
-    w = _start_vector(seed, A.shape[0])
+    n = A.shape[0]
+    if iterations < 0:
+        raise ValueError(f"estimate_lambda_max: iterations must be >= 0, got {iterations}")
+    if A.shape != (n, n) or inverse_diagonal.shape != (n,):
+        raise ValueError(f"estimate_lambda_max: operator of shape {A.shape} and inverse "
+                         f"diagonal of shape {inverse_diagonal.shape} (want a square "
+                         f"operator and ({n},))")
+    add = product_adder(A)
+    w = _start_vector(seed, n)
+    v = np.empty(n)
+    product = np.empty(n)
     for _ in range(iterations + 1):
         norm = math.sqrt(w.dot(w))
         if norm == 0.0:
             raise RuntimeError("power iteration collapsed to the zero vector")
-        v = w / norm
-        w = inverse_diagonal * matvec(A, v)
+        np.divide(w, norm, out=v)
+        product.fill(0.0)
+        add(v, product)
+        np.multiply(inverse_diagonal, product, out=product)
+        w = product
     return abs(v @ w)
 
 

@@ -248,16 +248,23 @@ def require_fields(obj):
         entries = (((f.name, value),) if container is None else
                    ((f"{f.name}[{key!r}]", v) for key, v in
                     (value.items() if container is Mapping else enumerate(value))))
-        text, types = _KINDS[kind]
         for label, v in entries:
-            ok = ((kind is bool or not isinstance(v, bool)) and isinstance(v, types)
-                  and (kind is not float or math.isfinite(v)))
-            for key, limit in f.metadata.items():
-                ok = ok and _BOUNDS[key][0](v, limit)
-            if not ok:
-                want = " and ".join(f"{_BOUNDS[key][1]} {limit}"
-                                    for key, limit in f.metadata.items())
-                raise ValueError(f"{label}: want {text} {want}".rstrip() + f", got {v!r}")
+            require_value(label, v, kind, f.metadata)
+
+
+def require_value(label, value, kind, bounds):
+    """Raise ValueError ``<label>: want ..., got ...`` unless ``value`` is of
+    ``kind`` (int, float or bool, as ``require_fields`` reads a field's type)
+    within ``bounds``, a field's metadata of "least", "above", "most" and
+    "below" limits."""
+    text, types = _KINDS[kind]
+    ok = ((kind is bool or not isinstance(value, bool)) and isinstance(value, types)
+          and (kind is not float or math.isfinite(value)))
+    for key, limit in bounds.items():
+        ok = ok and _BOUNDS[key][0](value, limit)
+    if not ok:
+        want = " and ".join(f"{_BOUNDS[key][1]} {limit}" for key, limit in bounds.items())
+        raise ValueError(f"{label}: want {text} {want}".rstrip() + f", got {value!r}")
 
 
 def triple_product(R, A, P):

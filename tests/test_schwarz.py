@@ -77,6 +77,15 @@ def test_partition_rejects_too_many_subdomains():
         partition_nodes(grid_coords(2), 5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_partition_names_the_first_node_with_a_non_finite_coordinate(bad):
+    coords = [[0.0, 0.0], [bad, 1.0], [1.0, 1.0], [2.0, bad]]
+    want = rf"^partition_nodes: non-finite coordinates \[{bad}, 1.0\] at node 1$"
+    for count in (1, 2):
+        with pytest.raises(ValueError, match=want):
+            partition_nodes(coords, count)
+
+
 def test_partition_deterministic():
     coords = grid_coords(8)
     a = partition_nodes(coords, 4).owner

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 import warnings
@@ -22,8 +23,9 @@ from blocksolve.smoothers import (
     ilu0_factor,
     jacobi_apply,
     jacobi_setup,
+    _start_vector,
 )
-from blocksolve.sparse import SingularMatrixError, as_csr
+from blocksolve.sparse import SingularMatrixError, as_csr, matvec
 
 
 def tridiag(n):
@@ -741,7 +743,6 @@ def test_power_iteration_gives_the_bytes_of_the_norm_loop():
 
 
 def test_power_iteration_start_vectors_are_cached_read_only_and_distinct():
-    from blocksolve.smoothers import _start_vector
     vectors = {(seed, n): _start_vector(seed, n) for seed in (0, 1) for n in (5, 6)}
     for (seed, n), w in vectors.items():
         assert _start_vector(seed, n) is w
@@ -750,6 +751,57 @@ def test_power_iteration_start_vectors_are_cached_read_only_and_distinct():
             w[0] = 1.0
         assert w.tobytes() == np.random.default_rng(seed).standard_normal(n).tobytes()
     assert len({w.tobytes() for w in vectors.values()}) == 4
+
+
+def unbuffered_estimate_lambda_max(A, inverse_diagonal, iterations=10, seed=0):
+    """``estimate_lambda_max`` before its products ran into buffers,
+    verbatim: a new vector for each product and each scaling."""
+    inverse_diagonal = np.asarray(inverse_diagonal, dtype=np.float64)
+    w = _start_vector(seed, A.shape[0])
+    for _ in range(iterations + 1):
+        norm = math.sqrt(w.dot(w))
+        if norm == 0.0:
+            raise RuntimeError("power iteration collapsed to the zero vector")
+        v = w / norm
+        w = inverse_diagonal * matvec(A, v)
+    return abs(v @ w)
+
+
+def test_buffered_power_iteration_gives_the_bytes_of_the_unbuffered_loop():
+    rng = np.random.default_rng(29)
+    operators = [build_case(CaseConfig(refinement=2)).system.blocks[("phi_s", "phi_s")]]
+    for n in (1, 2, 9, 100, 3000):
+        A = as_csr(sp.random(n, n, density=min(1.0, 5.0 / n), random_state=rng)
+                   + sp.diags(rng.uniform(-2.0, 3.0, n)))
+        # a dense operator and a float32 one take product_adder's fallback
+        operators += [A, A.toarray()] if n <= 100 else [A, A.astype(np.float32)]
+    for A in operators:
+        dinv = 1.0 / A.diagonal()
+        for seed in (0, 4, 23):
+            for iterations in (0, 1, 10):
+                got = estimate_lambda_max(A, dinv, iterations=iterations, seed=seed)
+                want = unbuffered_estimate_lambda_max(A, dinv, iterations, seed)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("iterations", [-1, -7])
+def test_power_iteration_rejects_a_negative_iteration_count(iterations):
+    A = tridiag(4)
+    want = f"^estimate_lambda_max: iterations must be >= 0, got {iterations}$"
+    with pytest.raises(ValueError, match=want):
+        estimate_lambda_max(A, np.ones(4), iterations=iterations)
+    with pytest.raises(ValueError, match=want):
+        chebyshev_setup(A, power_iterations=iterations)
+
+
+@pytest.mark.parametrize("A, dinv", [(tridiag(4), np.ones(3)), (tridiag(4), np.ones((4, 1))),
+                                     (as_csr(np.ones((4, 5))), np.ones(4))])
+def test_power_iteration_names_the_operator_and_inverse_diagonal_shapes(A, dinv):
+    want = (rf"^estimate_lambda_max: operator of shape {re.escape(str(A.shape))} and inverse "
+            rf"diagonal of shape {re.escape(str(dinv.shape))} \(want a square operator and "
+            rf"\(4,\)\)$")
+    with pytest.raises(ValueError, match=want):
+        estimate_lambda_max(A, dinv)
 
 
 def test_chebyshev_apply_names_the_operator_and_vector_shapes():
