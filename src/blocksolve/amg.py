@@ -22,7 +22,7 @@ import scipy.sparse as sp
 
 from .smoothers import (CHEBYSHEV_DEGREES, ChebyshevSmoother, chebyshev_apply,
                         chebyshev_setup, estimate_lambda_max)
-from .sparse import (CsrArrays, DenseFactorization, csr_minus, csr_plus, csr_product,
+from .sparse import (CsrArrays, DenseFactorization, as_apply, csr_minus, csr_plus, csr_product,
                      csr_transpose, dense_factor, product_adder, require_canonical,
                      require_fields, require_finite, require_value, triple_product)
 
@@ -59,17 +59,17 @@ class AggregateMap:
 
 @dataclass
 class Level:
-    """A level; ``adders`` binds ``product_adder`` of A, R and P once."""
+    """A level; ``kernels`` binds A's and P's ``product_adder`` and R's ``as_apply`` once."""
     operator: sp.csr_matrix
     prolongator: sp.csr_matrix | None
     restrictor: sp.csr_matrix | None
     smoother: ChebyshevSmoother | None
-    adders: tuple = field(init=False, default=(), repr=False, compare=False)
+    kernels: tuple = field(init=False, default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if self.prolongator is not None:
-            self.adders = tuple(map(product_adder, (self.operator, self.restrictor,
-                                                    self.prolongator)))
+            self.kernels = (product_adder(self.operator), as_apply(self.restrictor),
+                            product_adder(self.prolongator))
 
 
 @dataclass
@@ -334,8 +334,8 @@ def vcycle(H, b, x=None, level=0):
 
     ``b`` and ``x`` are checked here; ``chebyshev_apply`` returns a new
     iterate, so the level adds by its bound kernels into buffers of the call:
-    s = A x - b into -b, R s into zeros and P e_c into the iterate. The
-    restricted s is negated on the coarse level.
+    s = A x - b into -b and P e_c into the iterate; R s is its ``as_apply``.
+    The restricted s is negated on the coarse level.
     """
     lvl = H.levels[level]
     A = lvl.operator
@@ -347,12 +347,11 @@ def vcycle(H, b, x=None, level=0):
                          f"{None if x is None else np.shape(x)} (want ({n},))")
     if lvl.prolongator is None:
         return H.coarse_solver.solve(b)
-    add_a, add_r, add_p = lvl.adders
+    add_a, restrict, add_p = lvl.kernels
     x = chebyshev_apply(lvl.smoother, A, b, x)
     s = np.negative(b)
     add_a(x, s)
-    rc = np.zeros(lvl.restrictor.shape[0])
-    add_r(s, rc)
+    rc = restrict(s)
     np.negative(rc, out=rc)
     ec = vcycle(H, rc, None, level + 1)
     add_p(ec, x)

@@ -16,10 +16,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .amg import AmgParams, as_preconditioner, build_hierarchy
-from .krylov import SolverConfig, as_apply, fgmres
+from .krylov import SolverConfig, fgmres
 from .schwarz import extend_overlap, partition_nodes, ras_apply, ras_setup
 from .smoothers import CHEBYSHEV_DEGREES, jacobi_apply, jacobi_setup
-from .sparse import require_fields
+from .sparse import as_apply, require_fields
 
 FIELDS = ("phi_s", "phi_l", "s", "x", "p")
 VOLTAGE_FIELDS = ("phi_s", "phi_l")

@@ -15,7 +15,6 @@ against each other (the r = 3 coupled solve ran 100 times slower on 2 cores).
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -24,7 +23,7 @@ from scipy.linalg.blas import daxpy as _daxpy
 from scipy.linalg.blas import ddot as _ddot
 from scipy.linalg.blas import dgemv as _dgemv
 
-from .sparse import matvec, product_adder, require_fields
+from .sparse import as_apply, require_fields
 
 
 @dataclass
@@ -63,30 +62,6 @@ class GmresBreakdownError(RuntimeError):
             f"lucky breakdown at iteration {iteration} but relative residual "
             f"{relative_residual:.3e} does not meet the tolerance"
         )
-
-
-def as_apply(obj, what="operator"):
-    """Coerce matrices, LinearOperators, or callables into an apply function.
-    A float64 CSR matrix applies unchecked, as zeros plus its bound kernel,
-    what ``matvec`` runs; any other matrix by ``matvec``, since zeros plus
-    ``A @ x`` would turn -0.0 into +0.0. Pass it only checked vectors."""
-    if obj is None:
-        return lambda v: v
-    if isinstance(obj, (sp.csr_matrix, sp.csr_array)) and obj.dtype == np.float64:
-        rows, add = obj.shape[0], product_adder(obj)
-
-        def apply(v):
-            y = np.zeros(rows)
-            add(v, y)
-            return y
-        return apply
-    if sp.issparse(obj) or isinstance(obj, np.ndarray):
-        return partial(matvec, obj)
-    if hasattr(obj, "matvec"):
-        return obj.matvec
-    if callable(obj):
-        return obj
-    raise TypeError(f"cannot interpret {what} of type {type(obj)!r}")
 
 
 # Basis buffers of finished solves, for later solves to reuse: a solve takes

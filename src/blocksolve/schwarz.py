@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_row_index as _csr_row_index
 
 from .smoothers import Ilu0Factors, ilu0_factor, ilu0_apply
-from .sparse import SingularMatrixError, require_finite
+from .sparse import SingularMatrixError, csr_rows, require_finite
 
 
 @dataclass
@@ -30,7 +29,6 @@ class Partition:
 @dataclass
 class Subdomain:
     indices: np.ndarray
-    owned_mask: np.ndarray
 
 
 @dataclass
@@ -108,7 +106,7 @@ def stack_blocks(A, sets):
     renamed to its stacked position, as ``A[idx][:, idx]`` gives for index
     sets in any order. Raises ValueError when a set lists a node twice.
 
-    One gather: scipy's row-gather kernel copies every stacked row's entries,
+    One gather: ``csr_rows`` copies every stacked row's entries,
     which are then looked up by (block, column) in the sorted keys of all
     (block, node) pairs."""
     n = A.shape[0]
@@ -124,17 +122,13 @@ def stack_blocks(A, sets):
     if twice.size:
         block, node = divmod(int(keys[twice[0]]), n)
         raise ValueError(f"subdomain {block} lists node {node} more than once")
-    counts = A.indptr[nodes + 1] - A.indptr[nodes]
-    row_ends = np.concatenate(([0], np.cumsum(counts)))
-    columns = np.empty(row_ends[-1], dtype=A.indices.dtype)
-    values = np.empty(row_ends[-1])
-    _csr_row_index(nodes.size, nodes, A.indptr, A.indices, A.data, columns, values)
-    want = np.repeat(block_keys, counts)
-    want += columns
+    rows = csr_rows(A, nodes)
+    want = np.repeat(block_keys, np.diff(rows.indptr))
+    want += rows.indices
     found = np.minimum(np.searchsorted(keys, want), max(keys.size - 1, 0))
     hit = keys[found] == want
-    stacked = sp.csr_matrix((values[hit], order[found[hit]],
-                             np.concatenate(([0], np.cumsum(hit)))[row_ends]),
+    stacked = sp.csr_matrix((rows.data[hit], order[found[hit]],
+                             np.concatenate(([0], np.cumsum(hit)))[rows.indptr]),
                             shape=(nodes.size, nodes.size))
     stacked.sort_indices()
     return stacked
@@ -153,8 +147,7 @@ def ras_setup(A, sets, partition):
         missing = int(np.flatnonzero(~covered)[0])
         raise ValueError(f"subdomain index sets do not cover node {missing}")
 
-    subdomains = [Subdomain(indices=idx, owned_mask=partition.owner[idx] == i)
-                  for i, idx in enumerate(sets)]
+    subdomains = [Subdomain(indices=idx) for idx in sets]
     stacked = stack_blocks(A, sets)
     offsets = np.concatenate(([0], np.cumsum([len(idx) for idx in sets])))
     try:
@@ -165,7 +158,9 @@ def ras_setup(A, sets, partition):
             err.row - offsets[i], f"ILU(0) pivot failure in subdomain {i}"
         ) from err
     gather = np.concatenate(sets)
-    owned = np.flatnonzero(np.concatenate([sub.owned_mask for sub in subdomains]))
+    # a stacked row is owned when its node's owner is the row's subdomain
+    block = np.repeat(np.arange(len(sets)), np.diff(offsets))
+    owned = np.flatnonzero(partition.owner[gather] == block)
     return RasPreconditioner(n=n, subdomains=subdomains, factors=factors,
                              gather=gather, owned=owned, targets=gather[owned])
 

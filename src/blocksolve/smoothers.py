@@ -11,10 +11,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
-from .sparse import (SingularMatrixError, product_adder, require_canonical, require_fields,
-                     require_finite)
+from .sparse import (CsrArrays, SingularMatrixError, product_adder, require_canonical,
+                     require_fields, require_finite)
 
 PIVOT_FLOOR = 1e-14
 # the Chebyshev interval of D^{-1} A is [lambda_max / RATIO, BOOST * lambda_max]
@@ -31,9 +30,9 @@ class Ilu0Factors:
     """Combined L\\U storage on the exact pattern of the factored matrix.
 
     L (unit) lies strictly below the diagonal, U on and above it. ``lower``
-    and ``upper`` are the CSR arrays of the two forward sweeps: -l_ij in row
-    order, and -u_ij / u_ii with rows and columns reversed (n - 1 - i, n - 1
-    - j, columns ascending). The factors are read-only.
+    and ``upper`` are the two forward sweeps, bound once in ``sweeps``:
+    -l_ij in row order, and -u_ij / u_ii with rows and columns reversed
+    (n - 1 - i, n - 1 - j, columns ascending). The factors are read-only.
     """
 
     n: int
@@ -42,25 +41,12 @@ class Ilu0Factors:
     data: np.ndarray
     diag_pos: np.ndarray
     pivots: np.ndarray
-    lower: tuple
-    upper: tuple
+    lower: CsrArrays
+    upper: CsrArrays
+    sweeps: tuple = field(init=False, default=(), repr=False, compare=False)
 
-
-def require_in_place_substitution(kernel):
-    """Raise RuntimeError unless ``kernel(n, n, indptr, indices, data, x, y)``
-    adds row i's products to y[i] in row order, reading x after the rows
-    before i are written when x is y: ``ilu0_apply`` relies on that to run
-    a forward substitution in one call. Checked on a 3-row chain."""
-    x = np.ones(3)
-    kernel(3, 3, np.array([0, 0, 1, 2]), np.array([0, 1]), np.ones(2), x, x)
-    if x.tolist() != [1.0, 2.0, 3.0]:
-        raise RuntimeError(
-            "blocksolve.smoothers: scipy's csr_matvec kernel no longer substitutes "
-            f"in place (a 3-row chain gave {x.tolist()}, want [1.0, 2.0, 3.0]); "
-            "ilu0_apply would return wrong results")
-
-
-require_in_place_substitution(_csr_matvec)
+    def __post_init__(self):
+        self.sweeps = (product_adder(self.lower), product_adder(self.upper))
 
 
 def _ranges(starts, counts):
@@ -186,36 +172,42 @@ def ilu0_factor(A, block_offsets=None):
     scaled = -(data[upper] / np.repeat(pivots, u_count))
     return Ilu0Factors(
         n=n, indptr=indptr, indices=indices, data=data, diag_pos=diag_pos, pivots=pivots,
-        lower=(np.concatenate(([0], np.cumsum(diag_pos - indptr[:-1]))),
-               indices[lower], -data[lower]),
-        upper=(np.concatenate(([0], np.cumsum(u_count[::-1]))),
-               n - 1 - indices[upper][::-1], scaled[::-1].copy()))
+        lower=CsrArrays((n, n), np.concatenate(([0], np.cumsum(diag_pos - indptr[:-1]))),
+                        indices[lower], -data[lower]),
+        upper=CsrArrays((n, n), np.concatenate(([0], np.cumsum(u_count[::-1]))),
+                        n - 1 - indices[upper][::-1], scaled[::-1].copy()))
 
 
 def ilu0_apply(F, r):
     """z = U^{-1} L^{-1} r by two compiled substitution sweeps.
 
-    scipy's ``csr_matvec`` adds row i's products to y[i] in row order; with
-    x and y one array a row reads the rows already written, so one call is
-    one forward substitution (checked at import). The lower sweep runs on a
-    copy of ``r``, which is divided by the pivots, reversed, swept with the
-    reversed upper part and reversed back; every entry rounds as the Python
-    loop ``s = y[i]; s += a_ij * y[j] ...; y[i] = s`` does.
+    scipy's ``csr_matvec`` adds row i's products to y[i] in row order; with x
+    and y one array a row reads the rows already written, so one call is one
+    forward substitution (checked when ``sparse`` is imported). The sweeps are
+    bound once, in ``F.sweeps``; the lower one runs on a copy of ``r``, which
+    is divided by the pivots, reversed, swept with the reversed upper part and
+    reversed back; every entry rounds as the Python loop
+    ``s = y[i]; s += a_ij * y[j] ...; y[i] = s`` does.
     """
     u = np.array(r, dtype=np.float64)
     if u.shape != (F.n,):
         raise ValueError(f"ilu0_apply: vector of shape {u.shape} for dimension {F.n}")
-    _csr_matvec(F.n, F.n, *F.lower, u, u)
+    F.sweeps[0](u, u)
     u /= F.pivots
     u = u[::-1].copy()
-    _csr_matvec(F.n, F.n, *F.upper, u, u)
+    F.sweeps[1](u, u)
     return u[::-1].copy()
 
 
 def _checked_diagonal(A, owner):
-    """Diagonal of ``A``; raises SingularMatrixError naming the first zero
-    diagonal entry and the setup ``owner``."""
+    """Diagonal of ``A``; raises ValueError naming the setup ``owner`` and
+    the first NaN or infinite diagonal entry's row, and SingularMatrixError
+    naming the first zero diagonal entry and the ``owner``."""
     diag = A.diagonal()
+    bad = np.flatnonzero(~np.isfinite(diag))
+    if bad.size:
+        raise ValueError(f"{owner} setup: non-finite diagonal entry {diag[bad[0]]} "
+                         f"at row {bad[0]}")
     zero = np.flatnonzero(diag == 0.0)
     if zero.size:
         raise SingularMatrixError(int(zero[0]), f"zero diagonal entry in {owner} setup")
@@ -224,7 +216,8 @@ def _checked_diagonal(A, owner):
 
 def jacobi_setup(A):
     """Checked diagonal of ``A``, the state of ``jacobi_apply``; raises
-    SingularMatrixError naming the first zero diagonal entry."""
+    ValueError naming the first NaN or infinite diagonal entry and
+    SingularMatrixError naming the first zero one."""
     return _checked_diagonal(A, "Jacobi")
 
 
@@ -255,7 +248,7 @@ def estimate_lambda_max(A, inverse_diagonal, iterations=10, seed=0):
     empty matrix, and ValueError on a negative ``iterations``, a non-square
     operator or an inverse diagonal of another length. ``sqrt(w.dot(w))`` is
     what numpy's ``norm`` evaluates; each product runs the bound kernel into
-    a zeroed buffer, as ``matvec`` does, and is then scaled in place.
+    a zeroed buffer, as ``sparse.as_apply`` does, and is then scaled in place.
     """
     inverse_diagonal = np.asarray(inverse_diagonal, dtype=np.float64)
     n = A.shape[0]

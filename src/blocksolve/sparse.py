@@ -1,15 +1,15 @@
 """CSR matrix utilities: canonical form, the matrix-vector product, the
-setup kernels, the Galerkin product, and dense factorization.
+setup kernels, the Galerkin product, and dense factorization; the one
+module that imports scipy's private ``_sparsetools`` kernels.
 
 Every operator is a scipy CSR matrix in canonical form (sorted, distinct
 columns). An input keeps its stored zeros; every setup product drops exact
-zeros as scipy's operators do. The solve path applies operators by the
-kernel ``A @ x`` ends in: ``matvec`` checked, ``product_adder`` bound once
-at setup and called on vectors checked at entry. The setup path runs the
-kernels of scipy's ``@``, ``.T.tocsr()``, ``+`` and ``-`` on ``CsrArrays``
-(``csr_product``, ``csr_transpose``, ``csr_plus``, ``csr_minus``), and
-``triple_product`` is two ``csr_product`` calls. ``require_fields`` is the
-one check of every config class's fields.
+zeros as scipy's operators do. The solve path applies a float64 CSR matrix
+or a ``CsrArrays`` by the ``csr_matvec`` kernel ``A @ x`` ends in, bound once
+by ``product_adder`` or ``as_apply``, and anything else by ``A @ x``. The
+setup path runs the kernels of ``@``, ``.T.tocsr()``, ``+``, ``-`` and
+``A[rows]`` on ``CsrArrays``. ``require_fields`` is the one check of every
+config class's fields.
 """
 
 import math
@@ -29,10 +29,9 @@ from scipy.sparse._sparsetools import csr_matmat_maxnnz as _csr_matmat_maxnnz
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 from scipy.sparse._sparsetools import csr_minus_csr as _csr_minus_csr
 from scipy.sparse._sparsetools import csr_plus_csr as _csr_plus_csr
+from scipy.sparse._sparsetools import csr_row_index as _csr_row_index
 from scipy.sparse._sparsetools import csr_tocsc as _csr_tocsc
 
-_CSR = (sp.csr_matrix, sp.csr_array)
-_FLOAT64 = np.dtype(np.float64)
 _INT32_MAX = np.iinfo(np.int32).max
 # what require_fields calls each field kind, and the types it takes
 _KINDS = {int: ("an integer", (int, np.integer)),
@@ -72,38 +71,67 @@ def as_csr(A):
     return M
 
 
-def matvec(A, x):
-    """y = A @ x, bit for bit, by the scipy kernel that ``A @ x`` ends in.
+def require_in_place_substitution(kernel):
+    """Raise RuntimeError unless ``kernel(n, n, indptr, indices, data, x, y)``
+    adds row i's products to y[i] in row order, reading x after the rows
+    before i are written when x is y: ``smoothers.ilu0_apply`` relies on that
+    to run a forward substitution in one call. Checked on a 3-row chain."""
+    x = np.ones(3)
+    kernel(3, 3, np.array([0, 0, 1, 2]), np.array([0, 1]), np.ones(2), x, x)
+    if x.tolist() != [1.0, 2.0, 3.0]:
+        raise RuntimeError(
+            "blocksolve.sparse: scipy's csr_matvec kernel no longer substitutes "
+            f"in place (a 3-row chain gave {x.tolist()}, want [1.0, 2.0, 3.0]); "
+            "ilu0_apply would return wrong results")
 
-    A float64 CSR matrix and float64 array skip the operator dispatch;
-    anything else goes through ``A @ x``. Raises ValueError naming both
-    lengths unless ``x`` has ``A.shape[1]`` entries: the kernel trusts them.
-    """
-    if (not isinstance(A, _CSR) or not isinstance(x, np.ndarray)
-            or A.data.dtype != _FLOAT64 or x.dtype != _FLOAT64):
-        return A @ x
-    m, n = A.shape
-    if x.shape != (n,):
-        raise ValueError(f"matvec: vector of shape {x.shape} for a matrix "
-                         f"with {n} columns (want length {n})")
-    y = np.zeros(m)
-    _csr_matvec(m, n, A.indptr, A.indices, A.data, x, y)
-    return y
+
+require_in_place_substitution(_csr_matvec)
+
+
+def _bound_kernel(A):
+    """scipy's ``csr_matvec`` bound to the shape and arrays of a float64 CSR
+    matrix or a ``CsrArrays``; None for anything else."""
+    if isinstance(A, (CsrArrays, sp.csr_matrix, sp.csr_array)) and A.data.dtype == np.float64:
+        return partial(_csr_matvec, *A.shape, A.indptr, A.indices, A.data)
+    return None
 
 
 def product_adder(A):
     """``add(x, y)``: y += A @ x in place, unchecked. For a float64 CSR
-    matrix it is scipy's ``csr_matvec`` kernel on A's arrays, which adds row
-    i's products to the stored y[i] in row order; for anything else, such as
-    a duck-typed operator, ``y += A @ x``. The kernel trusts the lengths and
-    reads entries it has written when x and y share memory, so callers check
-    their vectors first."""
-    if isinstance(A, _CSR) and A.data.dtype == _FLOAT64:
-        return partial(_csr_matvec, *A.shape, A.indptr, A.indices, A.data)
+    matrix or a ``CsrArrays`` it is scipy's ``csr_matvec`` kernel on A's
+    arrays, which adds row i's products to the stored y[i] in row order;
+    for anything else, such as a duck-typed operator, ``y += A @ x``. The
+    kernel trusts the lengths and reads entries it has written when x and y
+    share memory, so callers check their vectors first."""
+    return _bound_kernel(A) or partial(_add_product, A)
 
-    def add(x, y):
-        y += A @ x
-    return add
+
+def _add_product(A, x, y):
+    y += A @ x
+
+
+def as_apply(obj, what="operator"):
+    """Coerce matrices, LinearOperators, or callables into an apply function.
+    A matrix applies as ``A @ x``, bit for bit: zeros plus its bound kernel,
+    unchecked, where it has one (pass only checked vectors), else ``A @ x``."""
+    if obj is None:
+        return lambda v: v
+    add = _bound_kernel(obj)
+    if add is not None:
+        rows = obj.shape[0]
+
+        def apply(v):
+            y = np.zeros(rows)
+            add(v, y)
+            return y
+        return apply
+    if sp.issparse(obj) or isinstance(obj, np.ndarray):
+        return partial(operator.matmul, obj)
+    if hasattr(obj, "matvec"):
+        return obj.matvec
+    if callable(obj):
+        return obj
+    raise TypeError(f"cannot interpret {what} of type {type(obj)!r}")
 
 
 def _index_dtype(*sizes):
@@ -166,6 +194,22 @@ def csr_transpose(A):
     indptr, indices, data = np.empty(n + 1, dtype), np.empty(nnz, dtype), np.empty(nnz)
     _csr_tocsc(m, n, Ap, Aj, A.data, indptr, indices, data)
     return CsrArrays((n, m), indptr, indices, data)
+
+
+def csr_rows(A, rows):
+    """The arrays of ``A[rows]`` as ``CsrArrays``, by the ``csr_row_index``
+    kernel it ends in. The kernel trusts the rows: a row past the last fails
+    numpy's lookup of the offsets, and a negative one raises IndexError."""
+    dtype = np.promote_types(A.indptr.dtype, A.indices.dtype)
+    rows = np.asarray(rows, dtype=dtype)
+    if rows.size and rows.min() < 0:
+        raise IndexError(f"csr_rows: negative row index {rows.min()}")
+    Ap, Aj = _index_arrays(dtype, A)
+    indptr = np.zeros(rows.size + 1, dtype)
+    np.cumsum(Ap[rows + 1] - Ap[rows], out=indptr[1:])
+    indices, data = np.empty(indptr[-1], dtype), np.empty(indptr[-1])
+    _csr_row_index(rows.size, rows, Ap, Aj, A.data, indices, data)
+    return CsrArrays((rows.size, A.shape[1]), indptr, indices, data)
 
 
 def _elementwise(kernel, A, B):
@@ -278,8 +322,7 @@ def triple_product(R, A, P):
         raise ValueError(
             f"triple_product: incompatible shapes {R.shape} x {A.shape} x {P.shape}"
         )
-    R, A, P = (M if isinstance(M, _CSR) and M.data.dtype == _FLOAT64 else as_csr(M)
-               for M in (R, A, P))
+    R, A, P = (as_csr(M) if _bound_kernel(M) is None else M for M in (R, A, P))
     C = csr_product(csr_product(R, A), P).matrix(type(R))
     C.sort_indices()
     return C
@@ -310,10 +353,16 @@ class DenseFactorization:
 def dense_factor(A):
     """LU-factor a square operator with partial pivoting: the bytes of
     ``scipy.linalg.lu_factor`` by its LAPACK ``getrf``, without its dispatch.
-    Raises SingularMatrixError naming the pivot row on exact singularity."""
+    Raises ValueError naming the (row, column) of the first NaN or infinite
+    entry, and SingularMatrixError naming the pivot row on exact
+    singularity."""
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"dense_factor: matrix is not square {A.shape}")
     dense = np.asarray(A.toarray() if sp.issparse(A) else A, dtype=np.float64)
+    finite = np.isfinite(dense)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"dense_factor: non-finite entry {dense[row, col]} at ({row}, {col})")
     if dense.size == 0:
         lu, piv = np.empty_like(dense), np.arange(0, dtype=np.int32)
     else:

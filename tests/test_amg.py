@@ -1,4 +1,5 @@
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -1024,9 +1025,14 @@ def test_levels_bind_their_kernels_once():
     H = build_hierarchy(poisson_2d(12), AmgParams(max_coarse_size=16))
     assert H.depth >= 3
     for lvl in H.levels[:-1]:
+        add_a, restrict, add_p = lvl.kernels
+        # the restriction's as_apply holds R's bound kernel in its closure
+        [add_r] = [c.cell_contents for c in restrict.__closure__
+                   if isinstance(c.cell_contents, partial)]
         assert [add.args[2] is M.indptr and add.args[4] is M.data for add, M in
-                zip(lvl.adders, (lvl.operator, lvl.restrictor, lvl.prolongator))] == [True] * 3
-    assert H.levels[-1].adders == ()
+                zip((add_a, add_r, add_p),
+                    (lvl.operator, lvl.restrictor, lvl.prolongator))] == [True] * 3
+    assert H.levels[-1].kernels == ()
 
 
 @pytest.mark.parametrize("fine", [200, 40])

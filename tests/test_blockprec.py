@@ -376,6 +376,21 @@ def test_coupled_voltage_bgs_bounded_across_refinements():
     assert all(abs(c - mean) <= 0.25 * mean + 1 for c in counts)
 
 
+@pytest.mark.parametrize("refinement", [2, 3])
+def test_voltage_group_converges_on_a_rough_rhs(refinement):
+    # the manufactured rhs is a smooth sinusoid, which can hide a weak sweep;
+    # a seeded random one took 33 and 35 iterations at r = 2 and 3 (one BLAS
+    # thread), and 28-33 and 35 over seeds 0-2
+    system = build_case(CaseConfig(refinement=refinement)).system
+    A_vv = system.submatrix(VOLTAGE_FIELDS)
+    b = np.random.default_rng(0).standard_normal(A_vv.shape[0])
+    options = ElectrochemOptions()
+    _, stats = fgmres(A_vv, b, preconditioner=VoltageBgs.build(system, options),
+                      config=options.inner_config)
+    assert stats.converged
+    assert stats.iterations <= 40
+
+
 def test_nonvoltage_bgs_bounded_across_refinements():
     for r in (0, 1, 2):
         case = build_case(CaseConfig(nr=6, refinement=r, n_cells=2))

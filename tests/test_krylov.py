@@ -19,7 +19,7 @@ from blocksolve.krylov import (
     fgmres,
     gmres,
 )
-from blocksolve.sparse import as_csr, dense_factor
+from blocksolve.sparse import as_apply, as_csr, dense_factor
 
 
 def poisson_1d(n):
@@ -534,14 +534,14 @@ def test_a_matrix_preconditioner_must_match_the_system():
             fgmres(A, np.ones(30), preconditioner=M)
 
 
-def test_a_matrix_applies_as_matvec_bit_for_bit():
+def test_a_matrix_applies_as_matmul_bit_for_bit():
     rng = np.random.default_rng(41)
     A = as_csr(sp.random(40, 40, density=0.2, random_state=5))
     x = rng.standard_normal(40)
     x[:5] = -0.0
-    apply = krylov.as_apply(A)
+    apply = as_apply(A)
     assert apply(x).tobytes() == (A @ x).tobytes()
-    # anything but a float64 CSR matrix keeps matvec: zeros plus A @ x
+    # anything but a float64 CSR matrix keeps A @ x: zeros plus A @ x
     # would turn a -0.0 product into +0.0
     for M in (A.tocsc(), A.toarray(), A.astype(np.float32), sp.csr_matrix((40, 40))):
-        assert krylov.as_apply(M)(-np.abs(x)).tobytes() == (M @ -np.abs(x)).tobytes()
+        assert as_apply(M)(-np.abs(x)).tobytes() == (M @ -np.abs(x)).tobytes()

@@ -99,6 +99,39 @@ def test_no_unused_names_in_library_modules():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+PRIVATE_KERNELS = "scipy.sparse._sparsetools"
+
+
+def private_kernel_imports(source):
+    """Lines of a module that import from scipy's private ``_sparsetools``:
+    a change of that module in a scipy release then breaks only the module
+    that holds them."""
+    tree = ast.parse(source)
+    return [node.lineno for node in ast.walk(tree) if
+            (isinstance(node, ast.ImportFrom) and (node.module == PRIVATE_KERNELS or (
+                node.module == "scipy.sparse"
+                and any(alias.name == "_sparsetools" for alias in node.names))))
+            or (isinstance(node, ast.Import)
+                and any(alias.name == PRIVATE_KERNELS for alias in node.names))]
+
+
+def test_private_kernel_check_flags_an_import():
+    source = ("import numpy as np\n"
+              "from scipy.sparse._sparsetools import csr_matvec as _csr_matvec\n"
+              "import scipy.sparse._sparsetools as kernels\n"
+              "from scipy.sparse import _sparsetools, csr_matrix\n"
+              "from scipy.sparse import csr_matrix\n")
+    assert private_kernel_imports(source) == [2, 3, 4]
+
+
+def test_only_sparse_imports_private_kernels():
+    package = Path(blocksolve.__file__).parent
+    found = {path.name: private_kernel_imports(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert found.pop("sparse.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 # every config class with its defaults; Material has none, so the anode's
 CONFIGS = [blocksolve.SolverConfig(), blocksolve.AmgParams(), blocksolve.ElectrochemOptions(),
            blocksolve.CaseConfig(), blocksolve.SuiteConfig(), default_materials()["anode"]]

@@ -25,7 +25,7 @@ from blocksolve.smoothers import (
     jacobi_setup,
     _start_vector,
 )
-from blocksolve.sparse import SingularMatrixError, as_csr, matvec
+from blocksolve.sparse import SingularMatrixError, as_csr
 
 
 def tridiag(n):
@@ -247,17 +247,17 @@ def test_in_place_substitution_guard():
     reads a copy of its input, both called directly and at module import."""
     import importlib.util
     import scipy.sparse._sparsetools as sparsetools
-    from blocksolve import smoothers
+    from blocksolve import sparse
 
     kernel = sparsetools.csr_matvec
 
     def copying(n_row, n_col, indptr, indices, data, x, y):
         kernel(n_row, n_col, indptr, indices, data, x.copy(), y)
 
-    smoothers.require_in_place_substitution(kernel)
+    sparse.require_in_place_substitution(kernel)
     with pytest.raises(RuntimeError, match="no longer substitutes in place"):
-        smoothers.require_in_place_substitution(copying)
-    spec = importlib.util.spec_from_file_location("blocksolve._guard_check", smoothers.__file__)
+        sparse.require_in_place_substitution(copying)
+    spec = importlib.util.spec_from_file_location("blocksolve._guard_check", sparse.__file__)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sparsetools, "csr_matvec", copying)
         with pytest.raises(RuntimeError, match=r"gave \[1\.0, 2\.0, 2\.0\]"):
@@ -382,6 +382,18 @@ def test_jacobi_zero_diagonal_structured():
     with pytest.raises(SingularMatrixError) as err:
         jacobi_setup(A)
     assert err.value.row == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_setups_reject_a_non_finite_diagonal_naming_the_row(bad):
+    # unchecked, every Jacobi apply returns NaN, and Chebyshev fails only
+    # later, on its NaN lambda_max estimate
+    A = tridiag(4)
+    A.data[A.indptr[2] + 1] = bad   # the (2, 2) entry
+    for setup, owner in ((jacobi_setup, "Jacobi"), (chebyshev_setup, "Chebyshev")):
+        with pytest.raises(ValueError) as err:
+            setup(A)
+        assert str(err.value) == f"{owner} setup: non-finite diagonal entry {bad} at row 2"
 
 
 # ---------------------------------------------------------------- lambda_max
@@ -763,7 +775,7 @@ def unbuffered_estimate_lambda_max(A, inverse_diagonal, iterations=10, seed=0):
         if norm == 0.0:
             raise RuntimeError("power iteration collapsed to the zero vector")
         v = w / norm
-        w = inverse_diagonal * matvec(A, v)
+        w = inverse_diagonal * (A @ v)
     return abs(v @ w)
 
 

@@ -11,13 +11,14 @@ from blocksolve.battery import CaseConfig, build_case
 from blocksolve.blockprec import NONVOLTAGE_FIELDS, VOLTAGE_FIELDS
 from blocksolve.sparse import (
     SingularMatrixError,
+    as_apply,
     as_csr,
     csr_minus,
     csr_plus,
     csr_product,
+    csr_rows,
     csr_transpose,
     dense_factor,
-    matvec,
     product_adder,
     require_canonical,
     triple_product,
@@ -82,7 +83,7 @@ def test_spmv_deterministic():
     assert np.array_equal(y1, y2)
 
 
-# ---------------------------------------------------------------- matvec
+# ---------------------------------------------------------------- as_apply
 # the solve path's product: the kernel ``A @ x`` ends in, without dispatch
 
 def solve_path_matrices():
@@ -101,16 +102,16 @@ def solve_path_matrices():
     return out
 
 
-def test_matvec_bit_identical_to_matmul_on_solve_path_matrices():
+def test_as_apply_bit_identical_to_matmul_on_solve_path_matrices():
     matrices = solve_path_matrices()
     assert len(matrices) >= 30
     rng = np.random.default_rng(11)
     for A in matrices:
         x = rng.standard_normal(A.shape[1])
-        assert matvec(A, x).tobytes() == (A @ x).tobytes()
+        assert as_apply(A)(x).tobytes() == (A @ x).tobytes()
 
 
-def test_matvec_bit_identical_with_empty_rows_and_int64_indices():
+def test_as_apply_bit_identical_with_empty_rows_and_int64_indices():
     A = random_csr(30, 20, 0.2, seed=5)
     A.data[A.indptr[3]:A.indptr[7]] = 0.0
     A.eliminate_zeros()   # rows 3..6 now hold no entries
@@ -120,22 +121,9 @@ def test_matvec_bit_identical_with_empty_rows_and_int64_indices():
     assert wide.indices.dtype == wide.indptr.dtype == np.int64
     x = np.random.default_rng(6).standard_normal(20)
     for M in (A, wide):
-        y = matvec(M, x)
+        y = as_apply(M)(x)
         assert y.tobytes() == (M @ x).tobytes()
         assert not y[3:7].any()
-
-
-@pytest.mark.parametrize("length", [19, 21])
-def test_matvec_rejects_wrong_length_before_the_kernel(monkeypatch, length):
-    calls = []
-    monkeypatch.setattr(blocksolve.sparse, "_csr_matvec",
-                        lambda *args: calls.append(args))
-    A = random_csr(30, 20, 0.2, seed=5)
-    with pytest.raises(ValueError, match=rf"shape \({length},\).* 20 columns"):
-        matvec(A, np.ones(length))
-    with pytest.raises(ValueError, match="20 columns"):
-        matvec(A, np.ones((20, 1)))
-    assert calls == []
 
 
 class MatmulOnly:
@@ -149,16 +137,14 @@ class MatmulOnly:
         return self.A @ v
 
 
-def test_matvec_sends_other_operators_through_matmul(monkeypatch):
+def test_as_apply_sends_other_matrices_through_matmul(monkeypatch):
     calls = []
     monkeypatch.setattr(blocksolve.sparse, "_csr_matvec",
                         lambda *args: calls.append(args))
     A = random_csr(12, 12, 0.3, seed=9)
     x = np.random.default_rng(10).standard_normal(12)
-    op = MatmulOnly(A)
-    assert matvec(op, x).tobytes() == (A @ x).tobytes() and op.products == 1
     for M in (A.tocsc(), A.astype(np.float32), A.toarray()):
-        np.testing.assert_array_equal(matvec(M, x), M @ x)
+        np.testing.assert_array_equal(as_apply(M)(x), M @ x)
     assert calls == []
 
 
@@ -182,7 +168,7 @@ def test_product_adder_accumulates_in_row_order_in_place():
     # adding into zeros is the plain product
     z = np.zeros(30)
     product_adder(A)(x, z)
-    assert z.tobytes() == matvec(A, x).tobytes()
+    assert z.tobytes() == (A @ x).tobytes()
 
 
 def test_product_adder_bit_identical_on_solve_path_matrices():
@@ -251,6 +237,27 @@ def test_setup_kernels_give_the_bytes_of_scipys_operators():
         assert csr_bytes(csr_plus(M, N).matrix()) == csr_bytes(M + N)
         assert csr_bytes(csr_minus(M, M).matrix()) == csr_bytes(M - M)
         assert csr_bytes(csr_minus(M, N).matrix()) == csr_bytes(M - N)
+
+
+def test_csr_rows_gives_the_bytes_of_row_indexing():
+    # rows in any order, repeated, holding no entries, none at all; int32
+    # and int64 index arrays (a csr_array keeps int64 in what A[rows] builds)
+    A = random_csr(30, 20, 0.2, seed=5)
+    A.data[A.indptr[3]:A.indptr[7]] = 0.0
+    A.eliminate_zeros()   # rows 3..6 now hold no entries
+    wide = sp.csr_array((A.data, A.indices.astype(np.int64), A.indptr.astype(np.int64)),
+                        shape=A.shape)
+    assert wide.indices.dtype == wide.indptr.dtype == np.int64
+    order = np.random.default_rng(7).permutation(30)
+    for M in (A, wide):
+        for rows in (order, [4, 0, 4, 29, 5, 5, 3], [6], np.arange(30)[::-1]):
+            got, want = csr_rows(M, rows), M[rows]
+            assert got.shape == want.shape
+            assert [(a.dtype, a.tobytes()) for a in got[1:]] == \
+                [(a.dtype, a.tobytes()) for a in (want.indptr, want.indices, want.data)]
+    assert csr_bytes(csr_rows(A, []).matrix()) == csr_bytes(A[[]])
+    with pytest.raises(IndexError, match="csr_rows: negative row index -1"):
+        csr_rows(A, [0, -1])
 
 
 def test_setup_kernels_reject_mismatched_shapes():
@@ -455,6 +462,16 @@ def test_dense_factor_singular_names_row():
     with pytest.raises(SingularMatrixError) as err:
         dense_factor(as_csr(A))
     assert err.value.row == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dense_factor_rejects_non_finite_entries_naming_the_first(bad):
+    # unchecked, getrf returns NaN factors and the solve NaN, with no error
+    A = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, bad], [bad, 1.0, 2.0]])
+    for M in (A, as_csr(A)):
+        with pytest.raises(ValueError) as err:
+            dense_factor(M)
+        assert str(err.value) == f"dense_factor: non-finite entry {bad} at (1, 2)"
 
 
 def test_dense_factor_rejects_rectangular():
