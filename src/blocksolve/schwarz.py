@@ -6,16 +6,25 @@ and each subdomain block is factored with ILU(0). The blocks are stacked
 into one block-diagonal matrix and factored once, so one ILU(0) apply solves
 every subdomain at the same time. On write-back only
 owned entries contribute, so the result does not depend on how the
-subdomains are ordered.
+subdomains are ordered. The partition and the layout of the stack depend
+on the mesh alone, and so does the elimination schedule of the stack's
+ILU(0): each is built once per mesh and shared, read-only, by every setup
+on it, so a setup with new values pays only the gather and the numeric
+factorization.
 """
 
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .smoothers import Ilu0Factors, ilu0_factor, ilu0_apply
-from .sparse import SingularMatrixError, csr_rows, require_finite
+from .sparse import SetupCache, SingularMatrixError, ranges, require_finite
+
+_PARTITIONS = SetupCache()
+_LAYOUTS = SetupCache()
 
 
 @dataclass
@@ -52,6 +61,8 @@ def partition_nodes(coordinates, count):
     Each bisection splits along the longer bounding-box extent at the size
     median; ties on the median coordinate break toward the lower node index.
     Raises ValueError naming the first node with a NaN or infinite coordinate.
+    The owners of a set of coordinates are computed once; each call gets
+    its own copy.
     """
     coordinates = np.asarray(coordinates, dtype=np.float64)
     n = coordinates.shape[0]
@@ -63,7 +74,12 @@ def partition_nodes(coordinates, count):
     if bad.size:
         raise ValueError(f"partition_nodes: non-finite coordinates "
                          f"{coordinates[bad[0]].tolist()} at node {bad[0]}")
-    owner = np.empty(n, dtype=np.int64)
+    owner = _PARTITIONS.get((coordinates, count), partial(_bisect, coordinates, count))
+    return Partition(owner=owner.copy(), count=count)
+
+
+def _bisect(coordinates, count):
+    owner = np.empty(coordinates.shape[0], dtype=np.int64)
 
     def recurse(node_ids, parts, next_id):
         if parts == 1:
@@ -80,8 +96,8 @@ def partition_nodes(coordinates, count):
         next_id = recurse(left, left_parts, next_id)
         return recurse(right, parts - left_parts, next_id)
 
-    recurse(np.arange(n), count, 0)
-    return Partition(owner=owner, count=count)
+    recurse(np.arange(coordinates.shape[0]), count, 0)
+    return owner
 
 
 def extend_overlap(A, partition, overlap):
@@ -99,22 +115,47 @@ def extend_overlap(A, partition, overlap):
     return sets
 
 
+class _StackLayout(NamedTuple):
+    """The stack's pattern and, per stacked entry, its position in A.data."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    source: np.ndarray
+
+
 def stack_blocks(A, sets):
     """The block-diagonal stack of the subdomain blocks A_i = R_i A R_i^T of
     the CSR matrix ``A``, in canonical CSR: stacked row k of block i is A's
     row ``sets[i][k]`` restricted to the columns in ``sets[i]``, each column
     renamed to its stacked position, as ``A[idx][:, idx]`` gives for index
-    sets in any order. Raises ValueError when a set lists a node twice.
+    sets in any order; a negative index counts from the end. Raises
+    IndexError naming the set and the node when a node is out of range, and
+    ValueError when a set lists a node twice.
 
-    One gather: ``csr_rows`` copies every stacked row's entries,
-    which are then looked up by (block, column) in the sorted keys of all
-    (block, node) pairs."""
+    The layout (the stack's pattern and where each entry sits in A.data) is
+    built once per pattern of A and index sets and kept read-only; each call
+    copies it and gathers A's values into it."""
+    nodes = np.concatenate(sets)
+    lengths = np.array([len(idx) for idx in sets])
+    layout = _LAYOUTS.get((A.shape, A.indptr, A.indices, nodes, lengths),
+                          partial(_stack_layout, A, nodes, lengths))
+    data = A.data[layout.source].astype(np.float64, copy=False)
+    return sp.csr_matrix((data, layout.indices.copy(), layout.indptr.copy()),
+                         shape=(nodes.size, nodes.size))
+
+
+def _stack_layout(A, nodes, lengths):
+    """Looks each stacked row's entries up by (block, column) in the sorted
+    keys of all (block, node) pairs, and sorts each row by column."""
     n = A.shape[0]
-    # a negative index counts from the end, as it does in A[idx]
-    nodes = (np.concatenate(sets) % n).astype(A.indices.dtype, copy=False)
-    key_dtype = np.int32 if len(sets) * n <= np.iinfo(np.int32).max else np.int64
-    block_keys = np.repeat(np.arange(0, len(sets) * n, n, dtype=key_dtype),
-                           [len(idx) for idx in sets])
+    outside = np.flatnonzero((nodes >= n) | (nodes < -n))
+    if outside.size:
+        block = int(np.searchsorted(np.cumsum(lengths), outside[0], side="right"))
+        raise IndexError(f"stack_blocks: subdomain {block} lists node {nodes[outside[0]]}, "
+                         f"out of range for {n} nodes")
+    nodes = (nodes % n).astype(A.indices.dtype, copy=False)
+    key_dtype = np.int32 if lengths.size * n <= np.iinfo(np.int32).max else np.int64
+    block_keys = np.repeat(np.arange(0, lengths.size * n, n, dtype=key_dtype), lengths)
     keys = block_keys + nodes
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -122,16 +163,19 @@ def stack_blocks(A, sets):
     if twice.size:
         block, node = divmod(int(keys[twice[0]]), n)
         raise ValueError(f"subdomain {block} lists node {node} more than once")
-    rows = csr_rows(A, nodes)
-    want = np.repeat(block_keys, np.diff(rows.indptr))
-    want += rows.indices
+    starts = A.indptr[nodes]
+    counts = A.indptr[nodes + 1] - starts
+    source = ranges(starts, counts)
+    want = np.repeat(block_keys, counts)
+    want += A.indices[source]
     found = np.minimum(np.searchsorted(keys, want), max(keys.size - 1, 0))
     hit = keys[found] == want
-    stacked = sp.csr_matrix((rows.data[hit], order[found[hit]],
-                             np.concatenate(([0], np.cumsum(hit)))[rows.indptr]),
+    row_ends = np.concatenate(([0], np.cumsum(counts)))
+    stacked = sp.csr_matrix((source[hit], order[found[hit]],
+                             np.concatenate(([0], np.cumsum(hit)))[row_ends]),
                             shape=(nodes.size, nodes.size))
     stacked.sort_indices()
-    return stacked
+    return _StackLayout(stacked.indptr, stacked.indices, stacked.data)
 
 
 def ras_setup(A, sets, partition):

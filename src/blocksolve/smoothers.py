@@ -8,12 +8,13 @@ interval derived from a power-iteration estimate of the largest eigenvalue.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
-from .sparse import (CsrArrays, SingularMatrixError, product_adder, require_canonical,
-                     require_fields, require_finite)
+from .sparse import (CsrArrays, SetupCache, SingularMatrixError, product_adder, ranges,
+                     require_canonical, require_fields, require_finite)
 
 PIVOT_FLOOR = 1e-14
 # the Chebyshev interval of D^{-1} A is [lambda_max / RATIO, BOOST * lambda_max]
@@ -49,12 +50,6 @@ class Ilu0Factors:
         self.sweeps = (product_adder(self.lower), product_adder(self.upper))
 
 
-def _ranges(starts, counts):
-    """Concatenation of ``arange(s, s + c)`` over the pairs (s, c)."""
-    ends = np.cumsum(counts)
-    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
-
-
 def _levels(n, readers, read):
     """Wavefront level of each of ``n`` nodes: 0 for a node that reads no
     other, else one more than the highest level it reads. Node
@@ -76,7 +71,7 @@ def _levels(n, readers, read):
     while frontier.size:
         level[frontier] = depth
         depth += 1
-        reached = dependents[_ranges(ptr[frontier], counts[frontier])]
+        reached = dependents[ranges(ptr[frontier], counts[frontier])]
         np.subtract.at(pending, reached, 1)
         ready = reached[pending[reached] == 0]
         # a node that reads several frontier nodes is listed once per read:
@@ -88,27 +83,35 @@ def _levels(n, readers, read):
     return level
 
 
-def ilu0_factor(A, block_offsets=None):
-    """Zero-fill incomplete LU factorization.
+class _Ilu0Schedule(NamedTuple):
+    """What ILU(0) derives from the pattern alone: the int64 pattern and
+    diagonal positions, one (L positions, their pivots' positions, targets,
+    L factors, U factors) tuple of entry positions per elimination stage,
+    and the sweeps' layouts: the positions of the strict-lower entries and,
+    reversed, of the strict-upper ones with their rows, and each sweep's
+    offsets and columns."""
 
-    Requires canonical CSR with finite entries and a structural diagonal in
-    every row (else ValueError naming the first bad row or entry); raises
-    SingularMatrixError naming the first row whose pivot vanishes (|u_ii| <
-    1e-14 * max |a_ii|, per block of ``block_offsets`` if given).
+    indptr: np.ndarray
+    indices: np.ndarray
+    diag_pos: np.ndarray
+    stages: tuple
+    lower: np.ndarray
+    upper: np.ndarray
+    upper_rows: np.ndarray
+    lower_pattern: tuple
+    upper_pattern: tuple
 
-    Rows are eliminated in wavefronts, one stage per (row level, rank of the
-    L entry in its row): a vectorized divide and one scatter-subtract, the
-    operations of row-by-row elimination in its order, bit for bit.
-    """
+
+_SCHEDULES = SetupCache()
+
+
+def _ilu0_schedule(A):
+    """The elimination schedule of the canonical CSR matrix ``A``; raises
+    ValueError naming the first row without a structural diagonal."""
     n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"ilu0_factor: matrix is not square {A.shape}")
     indptr = A.indptr.astype(np.int64)
     indices = A.indices.astype(np.int64)
-    data = A.data.astype(np.float64).copy()
     nnz = indices.size
-
-    require_canonical(A, "ilu0_factor")
     row_of = np.repeat(np.arange(n), np.diff(indptr))
     keys = row_of * n + indices
     on_diag = np.flatnonzero(indices == row_of)
@@ -118,13 +121,6 @@ def ilu0_factor(A, block_offsets=None):
     if missing.size:
         raise ValueError(
             f"ilu0_factor: row {missing[0]} lacks a structural diagonal entry")
-    require_finite(A, "ilu0_factor")
-
-    offsets = np.array([0, n] if block_offsets is None else block_offsets, dtype=np.int64)
-    sizes = np.diff(offsets)
-    block_max = np.zeros(sizes.size)
-    block_max[sizes > 0] = np.maximum.reduceat(np.abs(data[diag_pos]), offsets[:-1][sizes > 0])
-    pivot_floor = PIVOT_FLOOR * np.repeat(block_max, sizes)
 
     # strict-lower entries (i, k) and the rows' wavefront levels
     lower = np.flatnonzero(indices < row_of)
@@ -136,7 +132,7 @@ def ilu0_factor(A, block_offsets=None):
     u_count = indptr[1:] - u_start
     reps = u_count[l_col]
     t_l = np.repeat(lower, reps)
-    t_u = _ranges(u_start[l_col], reps)
+    t_u = ranges(u_start[l_col], reps)
     want = np.repeat(l_row, reps) * n + indices[t_u]
     t_t = np.minimum(np.searchsorted(keys, want), max(nnz - 1, 0))
     hit = keys[t_t] == want
@@ -153,29 +149,64 @@ def ilu0_factor(A, block_offsets=None):
     stages = np.unique(stage)
     l_bounds = np.searchsorted(stage[by_stage], stages).tolist() + [lower.size]
     t_bounds = np.searchsorted(t_stage[t_order], stages).tolist() + [t_t.size]
+    steps = tuple((l_pos[a:b], l_piv[a:b], t_t[c:d], t_l[c:d], t_u[c:d])
+                  for a, b, c, d in zip(l_bounds, l_bounds[1:], t_bounds, t_bounds[1:]))
+
+    # the sweeps of ilu0_apply, in the layout Ilu0Factors describes
+    upper = ranges(u_start, u_count)
+    return _Ilu0Schedule(
+        indptr=indptr, indices=indices, diag_pos=diag_pos, stages=steps, lower=lower,
+        upper=upper[::-1].copy(), upper_rows=np.repeat(np.arange(n), u_count)[::-1].copy(),
+        lower_pattern=(np.concatenate(([0], np.cumsum(diag_pos - indptr[:-1]))), l_col),
+        upper_pattern=(np.concatenate(([0], np.cumsum(u_count[::-1]))),
+                       n - 1 - indices[upper][::-1]))
+
+
+def ilu0_factor(A, block_offsets=None):
+    """Zero-fill incomplete LU factorization.
+
+    Requires canonical CSR with finite entries and a structural diagonal in
+    every row (else ValueError naming the first bad row or entry); raises
+    SingularMatrixError naming the first row whose pivot vanishes (|u_ii| <
+    1e-14 * max |a_ii|, per block of ``block_offsets`` if given).
+
+    Rows are eliminated in wavefronts, one stage per (row level, rank of the
+    L entry in its row): a vectorized divide and one scatter-subtract, the
+    operations of row-by-row elimination in its order, bit for bit. The
+    stages depend on the pattern alone: they are built once per pattern and
+    shared, read-only, by every factorization on it.
+    """
+    n = A.shape[0]
+    if A.shape[0] != A.shape[1]:
+        raise ValueError(f"ilu0_factor: matrix is not square {A.shape}")
+    require_canonical(A, "ilu0_factor")
+    S = _SCHEDULES.get((A.shape, A.indptr, A.indices), partial(_ilu0_schedule, A))
+    require_finite(A, "ilu0_factor")
+    data = np.array(A.data, dtype=np.float64)
+
+    offsets = np.array([0, n] if block_offsets is None else block_offsets, dtype=np.int64)
+    sizes = np.diff(offsets)
+    block_max = np.zeros(sizes.size)
+    block_max[sizes > 0] = np.maximum.reduceat(np.abs(data[S.diag_pos]),
+                                               offsets[:-1][sizes > 0])
+    pivot_floor = PIVOT_FLOOR * np.repeat(block_max, sizes)
+
     # a vanished pivot turns later rows to inf or NaN; only the first
     # failing row is reported, and its row is exact
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for s in range(stages.size):
-            p = l_pos[l_bounds[s]:l_bounds[s + 1]]
-            data[p] = data[p] / data[l_piv[l_bounds[s]:l_bounds[s + 1]]]
-            t = slice(t_bounds[s], t_bounds[s + 1])
-            data[t_t[t]] -= data[t_l[t]] * data[t_u[t]]
+        for p, piv, t, l, u in S.stages:
+            data[p] = data[p] / data[piv]
+            data[t] -= data[l] * data[u]
 
-    pivots = data[diag_pos]
+    pivots = data[S.diag_pos]
     failed = np.flatnonzero((np.abs(pivots) < pivot_floor) | (pivots == 0.0))
     if failed.size:
         raise SingularMatrixError(failed[0], "vanishing ILU(0) pivot")
-
-    # the sweeps of ilu0_apply, in the layout Ilu0Factors describes
-    upper = _ranges(u_start, u_count)
-    scaled = -(data[upper] / np.repeat(pivots, u_count))
     return Ilu0Factors(
-        n=n, indptr=indptr, indices=indices, data=data, diag_pos=diag_pos, pivots=pivots,
-        lower=CsrArrays((n, n), np.concatenate(([0], np.cumsum(diag_pos - indptr[:-1]))),
-                        indices[lower], -data[lower]),
-        upper=CsrArrays((n, n), np.concatenate(([0], np.cumsum(u_count[::-1]))),
-                        n - 1 - indices[upper][::-1], scaled[::-1].copy()))
+        n=n, indptr=S.indptr, indices=S.indices, data=data, diag_pos=S.diag_pos,
+        pivots=pivots, lower=CsrArrays((n, n), *S.lower_pattern, -data[S.lower]),
+        upper=CsrArrays((n, n), *S.upper_pattern,
+                        -(data[S.upper] / pivots[S.upper_rows])))
 
 
 def ilu0_apply(F, r):

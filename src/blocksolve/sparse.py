@@ -1,19 +1,21 @@
 """CSR matrix utilities: canonical form, the matrix-vector product, the
-setup kernels, the Galerkin product, and dense factorization; the one
-module that imports scipy's private ``_sparsetools`` kernels.
+setup kernels, the Galerkin product, dense factorization, and the cache of
+mesh-only setup results; the one module that imports scipy's private
+``_sparsetools`` kernels.
 
 Every operator is a scipy CSR matrix in canonical form (sorted, distinct
 columns). An input keeps its stored zeros; every setup product drops exact
 zeros as scipy's operators do. The solve path applies a float64 CSR matrix
 or a ``CsrArrays`` by the ``csr_matvec`` kernel ``A @ x`` ends in, bound once
 by ``product_adder`` or ``as_apply``, and anything else by ``A @ x``. The
-setup path runs the kernels of ``@``, ``.T.tocsr()``, ``+``, ``-`` and
-``A[rows]`` on ``CsrArrays``. ``require_fields`` is the one check of every
+setup path runs the kernels of ``@``, ``.T.tocsr()``, ``+`` and ``-``
+on ``CsrArrays``. ``require_fields`` is the one check of every
 config class's fields.
 """
 
 import math
 import operator
+import threading
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import partial
@@ -29,10 +31,11 @@ from scipy.sparse._sparsetools import csr_matmat_maxnnz as _csr_matmat_maxnnz
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 from scipy.sparse._sparsetools import csr_minus_csr as _csr_minus_csr
 from scipy.sparse._sparsetools import csr_plus_csr as _csr_plus_csr
-from scipy.sparse._sparsetools import csr_row_index as _csr_row_index
 from scipy.sparse._sparsetools import csr_tocsc as _csr_tocsc
 
 _INT32_MAX = np.iinfo(np.int32).max
+# entries of each SetupCache: the meshes one process sets up on in turn
+SETUP_CACHE_ENTRIES = 4
 # what require_fields calls each field kind, and the types it takes
 _KINDS = {int: ("an integer", (int, np.integer)),
           float: ("a finite real", (int, float, np.integer, np.floating)),
@@ -134,6 +137,12 @@ def as_apply(obj, what="operator"):
     raise TypeError(f"cannot interpret {what} of type {type(obj)!r}")
 
 
+def ranges(starts, counts):
+    """Concatenation of ``arange(s, s + c)`` over the pairs (s, c)."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
+
+
 def _index_dtype(*sizes):
     return np.int32 if max(sizes) <= _INT32_MAX else np.int64
 
@@ -194,22 +203,6 @@ def csr_transpose(A):
     indptr, indices, data = np.empty(n + 1, dtype), np.empty(nnz, dtype), np.empty(nnz)
     _csr_tocsc(m, n, Ap, Aj, A.data, indptr, indices, data)
     return CsrArrays((n, m), indptr, indices, data)
-
-
-def csr_rows(A, rows):
-    """The arrays of ``A[rows]`` as ``CsrArrays``, by the ``csr_row_index``
-    kernel it ends in. The kernel trusts the rows: a row past the last fails
-    numpy's lookup of the offsets, and a negative one raises IndexError."""
-    dtype = np.promote_types(A.indptr.dtype, A.indices.dtype)
-    rows = np.asarray(rows, dtype=dtype)
-    if rows.size and rows.min() < 0:
-        raise IndexError(f"csr_rows: negative row index {rows.min()}")
-    Ap, Aj = _index_arrays(dtype, A)
-    indptr = np.zeros(rows.size + 1, dtype)
-    np.cumsum(Ap[rows + 1] - Ap[rows], out=indptr[1:])
-    indices, data = np.empty(indptr[-1], dtype), np.empty(indptr[-1])
-    _csr_row_index(rows.size, rows, Ap, Aj, A.data, indices, data)
-    return CsrArrays((rows.size, A.shape[1]), indptr, indices, data)
 
 
 def _elementwise(kernel, A, B):
@@ -315,15 +308,17 @@ def triple_product(R, A, P):
     """Galerkin product R A P in canonical CSR form: scipy's ``(R @ A) @ P``
     with sorted rows, bit for bit. Like every setup product it drops entries
     that cancel to exactly zero. Operands other than float64 CSR matrices
-    are converted with ``as_csr`` first. R A keeps each row in the product
-    kernel's order: that order sets the rounding of every entry of R A P.
+    are converted with ``as_csr`` first; the result is a ``csr_array`` for
+    a ``csr_array`` R, else a ``csr_matrix``. R A keeps each row in the
+    product kernel's order: that order sets the rounding of every entry of
+    R A P.
     """
     if R.shape[1] != A.shape[0] or A.shape[1] != P.shape[0]:
         raise ValueError(
             f"triple_product: incompatible shapes {R.shape} x {A.shape} x {P.shape}"
         )
     R, A, P = (as_csr(M) if _bound_kernel(M) is None else M for M in (R, A, P))
-    C = csr_product(csr_product(R, A), P).matrix(type(R))
+    C = csr_product(csr_product(R, A), P).matrix(type(R) if sp.issparse(R) else sp.csr_matrix)
     C.sort_indices()
     return C
 
@@ -351,13 +346,14 @@ class DenseFactorization:
 
 
 def dense_factor(A):
-    """LU-factor a square operator with partial pivoting: the bytes of
-    ``scipy.linalg.lu_factor`` by its LAPACK ``getrf``, without its dispatch.
-    Raises ValueError naming the (row, column) of the first NaN or infinite
-    entry, and SingularMatrixError naming the pivot row on exact
-    singularity."""
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"dense_factor: matrix is not square {A.shape}")
+    """LU-factor a square operator, a scipy sparse matrix or an array-like,
+    with partial pivoting: the bytes of ``scipy.linalg.lu_factor`` by its
+    LAPACK ``getrf``, without its dispatch. Raises ValueError naming the
+    (row, column) of the first NaN or infinite entry, and
+    SingularMatrixError naming the pivot row on exact singularity."""
+    shape = np.shape(A)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"dense_factor: matrix is not square {shape}")
     dense = np.asarray(A.toarray() if sp.issparse(A) else A, dtype=np.float64)
     finite = np.isfinite(dense)
     if not finite.all():
@@ -370,4 +366,76 @@ def dense_factor(A):
     diag = np.abs(np.diag(lu))
     if np.any(diag == 0.0):
         raise SingularMatrixError(int(np.argmin(diag)), "zero pivot after partial pivoting")
-    return DenseFactorization(dimension=A.shape[0], factors=lu, pivots=piv)
+    return DenseFactorization(dimension=shape[0], factors=lu, pivots=piv)
+
+
+def _freeze(value):
+    """Make each array of ``value``, an array or nested tuples of them,
+    read-only; returns ``value``."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for v in value:
+            _freeze(v)
+    return value
+
+
+def _same(stored, given):
+    """Whether a key part matches a stored one: the same array, or one of
+    its dtype, shape and content; else an equal non-array."""
+    if isinstance(stored, np.ndarray):
+        return given is stored or (isinstance(given, np.ndarray) and given.dtype == stored.dtype
+                                   and given.shape == stored.shape
+                                   and np.array_equal(given, stored))
+    return not isinstance(given, np.ndarray) and given == stored
+
+
+class SetupCache:
+    """Bounded, lock-guarded memo of setup results keyed by the content of
+    arrays: what a setup derives from a mesh alone is built once and then
+    shared, read-only, by every setup on that mesh.
+
+    ``get(key, build)`` returns the value stored under ``key``, a tuple of
+    arrays and plain values, or stores and returns ``build()``, an array or
+    nested tuples of them, frozen read-only. The cache keeps a read-only copy
+    of each key array; a key array matches it when it is that copy or has
+    its dtype, shape and content, so a changed pattern is a miss and an
+    array changed in place after its setup is never a stale hit. The cache
+    holds the ``SETUP_CACHE_ENTRIES`` most recently used entries. ``build``
+    runs outside the lock: threads that miss on one key at once each build,
+    and all of them get the value stored first.
+    """
+
+    def __init__(self):
+        self._entries = []  # (key, value), the most recently used last
+        self._lock = threading.Lock()
+
+    def __len__(self):
+        return len(self._entries)
+
+    def clear(self):
+        with self._lock:
+            self._entries.clear()
+
+    def _find(self, key):
+        for i, (stored, value) in enumerate(self._entries):
+            if len(stored) == len(key) and all(map(_same, stored, key)):
+                self._entries.append(self._entries.pop(i))
+                return value
+        return None
+
+    def get(self, key, build):
+        with self._lock:
+            value = self._find(key)
+        if value is not None:
+            return value
+        value = _freeze(build())
+        stored = tuple(_freeze(np.array(k)) if isinstance(k, np.ndarray) else k
+                       for k in key)
+        with self._lock:
+            first = self._find(key)
+            if first is not None:
+                return first
+            self._entries.append((stored, value))
+            del self._entries[:-SETUP_CACHE_ENTRIES]
+        return value

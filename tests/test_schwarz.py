@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 import blocksolve.schwarz
+import blocksolve.smoothers
 from blocksolve.battery import CaseConfig, build_case
 from blocksolve.blockprec import ras_preconditioner
 from blocksolve.krylov import SolverConfig, gmres
@@ -357,3 +358,196 @@ def test_ras_setup_rejects_uncovered_nodes():
     part = partition_nodes(np.array([[i, 0.0] for i in range(4)], dtype=float), 2)
     with pytest.raises(ValueError, match="cover"):
         ras_setup(A, [np.array([0, 1])], part)
+
+
+# ---------------------------------------------------------------- mesh caches
+
+CACHES = (blocksolve.schwarz._PARTITIONS, blocksolve.schwarz._LAYOUTS,
+          blocksolve.smoothers._SCHEDULES)
+
+
+def clear_caches():
+    for cache in CACHES:
+        cache.clear()
+
+
+def ras_bytes(M):
+    """Everything a RAS record holds, as bytes."""
+    return (M.n, [s.indices.tobytes() for s in M.subdomains], array_fields(M.factors),
+            M.gather.tobytes(), M.owned.tobytes(), M.targets.tobytes())
+
+
+def species_case(refinement):
+    case = build_case(CaseConfig(nr=6, n_cells=2, refinement=refinement))
+    return case.system.blocks[("x", "x")], case.grid.centers
+
+
+def with_values(A, data):
+    """A new matrix on fresh copies of A's pattern, holding ``data``."""
+    return sp.csr_matrix((data, A.indices.copy(), A.indptr.copy()), shape=A.shape)
+
+
+def ras_build(A, coordinates, count, overlap=0):
+    part = partition_nodes(coordinates, count)
+    sets = extend_overlap(A, part, overlap)
+    return (part.owner.tobytes(), csr_bytes(stack_blocks(A, sets)),
+            ras_bytes(ras_setup(A, sets, part)))
+
+
+def count_builds(monkeypatch):
+    """Count the calls of each cache's builder."""
+    calls = {"partition": 0, "layout": 0, "schedule": 0}
+    for module, name, key in ((blocksolve.schwarz, "_bisect", "partition"),
+                              (blocksolve.schwarz, "_stack_layout", "layout"),
+                              (blocksolve.smoothers, "_ilu0_schedule", "schedule")):
+        real = getattr(module, name)
+
+        def counted(*args, real=real, key=key):
+            calls[key] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("refinement", [2, 3])
+def test_a_rebuild_with_new_values_gives_the_bytes_of_a_fresh_build(monkeypatch, refinement):
+    A, coordinates = species_case(refinement)
+    rng = np.random.default_rng(31 + refinement)
+    calls = count_builds(monkeypatch)
+    clear_caches()
+    ras_build(A, coordinates, 4)
+    for overlap in (0, 1):
+        for _ in range(2):
+            B = with_values(A, A.data * rng.uniform(0.5, 1.5, A.data.size))
+            before = dict(calls)
+            hit = ras_build(B, coordinates.copy(), 4, overlap)
+            if overlap == 0:
+                assert calls == before  # every mesh-only half was a hit
+            clear_caches()
+            assert hit == ras_build(B, coordinates, 4, overlap)
+    # a hit factors through the same blocks as the sliced reference
+    sets = extend_overlap(B, partition_nodes(coordinates, 4), 1)
+    assert csr_bytes(stack_blocks(B, sets)) == csr_bytes(reference_stack_blocks(B, sets))
+
+
+def test_a_vanishing_pivot_names_the_same_row_on_a_hit_and_on_a_miss():
+    A, coordinates = species_case(2)
+    part = partition_nodes(coordinates, 4)
+    sets = extend_overlap(A, part, 0)
+    node = int(sets[2][5])
+    data = A.data.copy()
+    data[A.indptr[node]:A.indptr[node + 1]] = 0.0   # the row's pivot is 0
+    B = with_values(A, data)
+    errors = []
+    for fresh in (False, True):
+        clear_caches()
+        ras_setup(A, sets, part)
+        if fresh:
+            clear_caches()
+        with pytest.raises(SingularMatrixError) as err:
+            ras_setup(B, sets, part)
+        errors.append((str(err.value), err.value.row))
+    assert errors[0] == errors[1] == ("singular pivot encountered at row 5: "
+                                      "ILU(0) pivot failure in subdomain 2", 5)
+
+
+def test_a_changed_pattern_or_moved_coordinates_miss(monkeypatch):
+    A, coordinates = species_case(2)
+    calls = count_builds(monkeypatch)
+    clear_caches()
+    ras_build(A, coordinates, 4)
+    # drop one off-diagonal entry of row 100
+    drop = A.indptr[100] + int(A.indices[A.indptr[100]] == 100)
+    keep = np.arange(A.nnz) != drop
+    B = sp.csr_matrix((A.data[keep], A.indices[keep],
+                       A.indptr - (np.arange(A.shape[0] + 1) > 100)), shape=A.shape)
+    assert B.nnz == A.nnz - 1
+    moved = coordinates.copy()
+    moved[0] = coordinates[-1] + 1.0
+    for M, xy, missed in ((B, coordinates, {"layout": 1, "schedule": 1}),
+                          (A, moved, {"partition": 1, "layout": 1, "schedule": 1})):
+        before = dict(calls)
+        got = ras_build(M, xy, 4)
+        assert {k: calls[k] - before[k] for k in calls if calls[k] != before[k]} == missed
+        clear_caches()
+        assert got == ras_build(M, xy, 4)
+
+
+def test_the_caches_stay_within_their_bound_and_hold_read_only_arrays():
+    from blocksolve.sparse import SETUP_CACHE_ENTRIES
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            return [value]
+        return [a for v in value for a in arrays(v)] if isinstance(value, tuple) else []
+    clear_caches()
+    for n in range(4, 5 + 2 * SETUP_CACHE_ENTRIES):
+        A = chain(n)
+        ras_preconditioner(A, np.column_stack([np.arange(n), np.zeros(n)]), 2)
+        for cache in CACHES:
+            assert 1 <= len(cache) <= SETUP_CACHE_ENTRIES
+    for cache in CACHES:
+        assert len(cache) == SETUP_CACHE_ENTRIES
+        held = [a for entry in cache._entries for a in arrays(entry)]
+        assert held and not any(a.flags.writeable for a in held)
+        with pytest.raises(ValueError, match="read-only"):
+            held[0][...] = 0
+    # the factors share the cached schedule, read-only; the stack and the
+    # partition are the caller's own to change
+    F = ras_setup(A, [np.arange(n)], Partition(np.zeros(n, dtype=np.int64), 1)).factors
+    assert not F.indptr.flags.writeable and F.data.flags.writeable
+    sets = [np.arange(n // 2), np.arange(n // 2, n)]
+    want = csr_bytes(stack_blocks(A, sets))
+    S = stack_blocks(A, sets)
+    S.indices[:] = 0
+    S.indptr[:] = 0
+    partition_nodes(np.column_stack([np.arange(n), np.zeros(n)]), 2).owner[:] = 5
+    assert csr_bytes(stack_blocks(A, sets)) == want
+    assert partition_nodes(np.column_stack([np.arange(n), np.zeros(n)]), 2).owner.tolist() == \
+        [0] * (n // 2) + [1] * (n - n // 2)
+
+
+def test_concurrent_ras_setups_of_different_sizes_give_the_bytes_of_lone_setups():
+    # the three caches are shared by every setup; each thread reads only
+    # the entries of its own mesh. More threads than the cache has entries
+    # per round, so entries are also evicted while other threads read
+    import sys
+    import threading
+    from blocksolve.sparse import SETUP_CACHE_ENTRIES
+    jobs = [species_case(r) for r in (0, 1, 2)]
+    jobs += [(chain(12 + k), np.column_stack([np.arange(12.0 + k), np.zeros(12 + k)]))
+             for k in range(SETUP_CACHE_ENTRIES - 1)]
+    clear_caches()
+    alone = [ras_build(A, xy, 4) for A, xy in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            clear_caches()
+            start = threading.Barrier(len(jobs), timeout=60)
+            got = [None] * len(jobs)
+
+            def build(i):
+                start.wait()
+                got[i] = [ras_build(*jobs[i], 4) for _ in range(3)]
+            threads = [threading.Thread(target=build, args=(i,)) for i in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [[want] * 3 for want in alone]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("node", [4, 7, -5])
+def test_stack_blocks_names_a_node_out_of_range(node):
+    # the node was wrapped modulo n: [[0, 5]] gave the block of nodes 0 and 1
+    A = as_csr(np.diag([1.0, 2.0, 3.0, 4.0]))
+    with pytest.raises(IndexError,
+                       match=rf"stack_blocks: subdomain 1 lists node {node}, out of range "
+                             r"for 4 nodes"):
+        stack_blocks(A, [[0, 1], [2, node]])
+    assert csr_bytes(stack_blocks(A, [[0, -1]])) == \
+        csr_bytes(reference_stack_blocks(A, [[0, -1]]))

@@ -1,3 +1,4 @@
+import itertools
 import re
 import threading
 
@@ -10,13 +11,13 @@ from blocksolve.amg import AmgParams, build_hierarchy
 from blocksolve.battery import CaseConfig, build_case
 from blocksolve.blockprec import NONVOLTAGE_FIELDS, VOLTAGE_FIELDS
 from blocksolve.sparse import (
+    CsrArrays,
     SingularMatrixError,
     as_apply,
     as_csr,
     csr_minus,
     csr_plus,
     csr_product,
-    csr_rows,
     csr_transpose,
     dense_factor,
     product_adder,
@@ -239,27 +240,6 @@ def test_setup_kernels_give_the_bytes_of_scipys_operators():
         assert csr_bytes(csr_minus(M, N).matrix()) == csr_bytes(M - N)
 
 
-def test_csr_rows_gives_the_bytes_of_row_indexing():
-    # rows in any order, repeated, holding no entries, none at all; int32
-    # and int64 index arrays (a csr_array keeps int64 in what A[rows] builds)
-    A = random_csr(30, 20, 0.2, seed=5)
-    A.data[A.indptr[3]:A.indptr[7]] = 0.0
-    A.eliminate_zeros()   # rows 3..6 now hold no entries
-    wide = sp.csr_array((A.data, A.indices.astype(np.int64), A.indptr.astype(np.int64)),
-                        shape=A.shape)
-    assert wide.indices.dtype == wide.indptr.dtype == np.int64
-    order = np.random.default_rng(7).permutation(30)
-    for M in (A, wide):
-        for rows in (order, [4, 0, 4, 29, 5, 5, 3], [6], np.arange(30)[::-1]):
-            got, want = csr_rows(M, rows), M[rows]
-            assert got.shape == want.shape
-            assert [(a.dtype, a.tobytes()) for a in got[1:]] == \
-                [(a.dtype, a.tobytes()) for a in (want.indptr, want.indices, want.data)]
-    assert csr_bytes(csr_rows(A, []).matrix()) == csr_bytes(A[[]])
-    with pytest.raises(IndexError, match="csr_rows: negative row index -1"):
-        csr_rows(A, [0, -1])
-
-
 def test_setup_kernels_reject_mismatched_shapes():
     A, B = random_csr(4, 5, 0.5, seed=1), random_csr(4, 5, 0.5, seed=2)
     with pytest.raises(ValueError, match=r"csr_product: incompatible shapes \(4, 5\) x \(4, 5\)"):
@@ -360,6 +340,19 @@ def test_triple_product_gives_the_csr_result_on_every_operand_form():
         A32 = A.astype(np.float32)
         assert (csr_bytes(triple_product(R, A32, P))
                 == csr_bytes(reference_triple_product(R, A32.astype(np.float64), P)))
+
+
+def test_triple_product_takes_csr_arrays_operands():
+    # a CsrArrays R failed at .matrix(type(R)); the result is a csr_matrix
+    # with the bytes of the product of csr_matrix operands
+    R = random_csr(10, 30, 0.2, seed=5)
+    A = random_csr(30, 30, 0.1, seed=6)
+    P = random_csr(30, 10, 0.2, seed=7)
+    expected = csr_bytes(reference_triple_product(R, A, P))
+    arrays = [CsrArrays(M.shape, M.indptr, M.indices, M.data) for M in (R, A, P)]
+    for use in itertools.product((False, True), repeat=3):
+        ops = [a if u else M for u, a, M in zip(use, arrays, (R, A, P))]
+        assert csr_bytes(triple_product(*ops)) == expected, use
 
 
 def test_case_hierarchies_have_22_galerkin_levels():
@@ -472,6 +465,21 @@ def test_dense_factor_rejects_non_finite_entries_naming_the_first(bad):
         with pytest.raises(ValueError) as err:
             dense_factor(M)
         assert str(err.value) == f"dense_factor: non-finite entry {bad} at (1, 2)"
+
+
+def test_dense_factor_takes_array_likes_as_as_csr_does():
+    # a nested list was an AttributeError on its .shape before any check
+    with pytest.raises(ValueError) as err:
+        dense_factor([[np.nan, 1.0], [1.0, 2.0]])
+    assert str(err.value) == "dense_factor: non-finite entry nan at (0, 0)"
+    rows = [[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 2.0, 5.0]]
+    got, want = dense_factor(rows), dense_factor(np.array(rows))
+    assert got.dimension == want.dimension == 3
+    assert (got.factors.tobytes(), got.pivots.tobytes()) == \
+        (want.factors.tobytes(), want.pivots.tobytes())
+    for bad in ([1.0, 2.0], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="dense_factor: matrix is not square"):
+            dense_factor(bad)
 
 
 def test_dense_factor_rejects_rectangular():
@@ -697,3 +705,29 @@ def test_dense_factor_names_the_singular_row_as_lu_factor_does(zero_row):
     assert got.value.row == want
     assert str(got.value) == (f"singular pivot encountered at row {want}: "
                               "zero pivot after partial pivoting")
+
+
+def test_setup_cache_copies_its_keys_and_keeps_the_most_recent():
+    from blocksolve.sparse import SETUP_CACHE_ENTRIES, SetupCache
+    cache = SetupCache()
+    built = []
+
+    def build(tag):
+        built.append(tag)
+        return (np.array([tag]), (np.arange(3),))
+    key = np.arange(5)
+    first = cache.get((key, 2), lambda: build(0))
+    assert cache.get((np.arange(5), 2), lambda: build(1)) is first
+    assert cache.get((np.arange(5), 3), lambda: build(2)) is not first
+    assert cache.get((np.arange(5, dtype=np.int32), 2), lambda: build(3)) is not first
+    key[0] = 7   # changed in place after its setup: a miss, never a stale hit
+    assert cache.get((key, 2), lambda: build(4)) is not first
+    assert built == [0, 2, 3, 4]
+    assert not first[0].flags.writeable and not first[1][0].flags.writeable
+    for tag in range(5, 5 + SETUP_CACHE_ENTRIES):
+        cache.get((np.array([tag]),), lambda: build(tag))
+    assert len(cache) == SETUP_CACHE_ENTRIES
+    # the least recently used entries went first
+    assert cache.get((np.arange(5), 2), lambda: build(-1))[0][0] == -1
+    cache.clear()
+    assert len(cache) == 0
