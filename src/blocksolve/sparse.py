@@ -34,8 +34,6 @@ from scipy.sparse._sparsetools import csr_plus_csr as _csr_plus_csr
 from scipy.sparse._sparsetools import csr_tocsc as _csr_tocsc
 
 _INT32_MAX = np.iinfo(np.int32).max
-# entries of each SetupCache: the meshes one process sets up on in turn
-SETUP_CACHE_ENTRIES = 4
 # what require_fields calls each field kind, and the types it takes
 _KINDS = {int: ("an integer", (int, np.integer)),
           float: ("a finite real", (int, float, np.integer, np.floating)),
@@ -381,61 +379,47 @@ def _freeze(value):
 
 
 def _same(stored, given):
-    """Whether a key part matches a stored one: the same array, or one of
-    its dtype, shape and content; else an equal non-array."""
+    """Whether a key part matches a stored one: an array of its dtype, shape
+    and content, else an equal non-array."""
     if isinstance(stored, np.ndarray):
-        return given is stored or (isinstance(given, np.ndarray) and given.dtype == stored.dtype
-                                   and given.shape == stored.shape
-                                   and np.array_equal(given, stored))
+        return (isinstance(given, np.ndarray) and given.dtype == stored.dtype
+                and given.shape == stored.shape and np.array_equal(given, stored))
     return not isinstance(given, np.ndarray) and given == stored
 
 
 class SetupCache:
-    """Bounded, lock-guarded memo of setup results keyed by the content of
-    arrays: what a setup derives from a mesh alone is built once and then
-    shared, read-only, by every setup on that mesh.
+    """Lock-guarded memo of the most recent setup result, keyed by the
+    content of arrays: what a setup derives from a mesh alone is built once
+    and then shared, read-only, by every setup on that mesh.
 
     ``get(key, build)`` returns the value stored under ``key``, a tuple of
     arrays and plain values, or stores and returns ``build()``, an array or
-    nested tuples of them, frozen read-only. The cache keeps a read-only copy
-    of each key array; a key array matches it when it is that copy or has
-    its dtype, shape and content, so a changed pattern is a miss and an
-    array changed in place after its setup is never a stale hit. The cache
-    holds the ``SETUP_CACHE_ENTRIES`` most recently used entries. ``build``
-    runs outside the lock: threads that miss on one key at once each build,
-    and all of them get the value stored first.
+    nested tuples of them, frozen read-only. The cache holds one entry, that
+    of the last miss, and a read-only copy of its key arrays; a key array
+    matches when it has the copy's dtype, shape and content, so a changed
+    pattern is a miss and an array changed in place after its setup is never
+    a stale hit. ``build`` runs outside the lock.
     """
 
     def __init__(self):
-        self._entries = []  # (key, value), the most recently used last
+        self._entry = None  # (key, value) of the last miss
         self._lock = threading.Lock()
 
     def __len__(self):
-        return len(self._entries)
+        return int(self._entry is not None)
 
     def clear(self):
         with self._lock:
-            self._entries.clear()
-
-    def _find(self, key):
-        for i, (stored, value) in enumerate(self._entries):
-            if len(stored) == len(key) and all(map(_same, stored, key)):
-                self._entries.append(self._entries.pop(i))
-                return value
-        return None
+            self._entry = None
 
     def get(self, key, build):
         with self._lock:
-            value = self._find(key)
-        if value is not None:
-            return value
+            entry = self._entry
+        if entry is not None and len(entry[0]) == len(key) and all(map(_same, entry[0], key)):
+            return entry[1]
         value = _freeze(build())
         stored = tuple(_freeze(np.array(k)) if isinstance(k, np.ndarray) else k
                        for k in key)
         with self._lock:
-            first = self._find(key)
-            if first is not None:
-                return first
-            self._entries.append((stored, value))
-            del self._entries[:-SETUP_CACHE_ENTRIES]
+            self._entry = (stored, value)
         return value

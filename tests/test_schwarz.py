@@ -18,7 +18,7 @@ from blocksolve.schwarz import (
 from blocksolve.smoothers import ilu0_apply, ilu0_factor
 from blocksolve.sparse import SingularMatrixError, as_csr
 from test_smoothers import array_fields
-from test_sparse import csr_bytes
+from test_sparse import csr_bytes, random_csr
 
 
 def poisson_2d(nx):
@@ -291,6 +291,29 @@ def test_stacked_blocks_match_the_sliced_reference_on_any_index_set():
         assert csr_bytes(stack_blocks(A, sets)) == csr_bytes(reference_stack_blocks(A, sets))
 
 
+def test_stacked_blocks_match_the_sliced_reference_on_int64_indices_and_empty_rows():
+    # a csr_array keeps int64 index arrays, in A[idx] too; rows 3..6 hold no
+    # entries, and nodes repeat across sets as overlapping subdomains list them
+    A = random_csr(30, 30, 0.2, seed=5)
+    A.data[A.indptr[3]:A.indptr[7]] = 0.0
+    A.eliminate_zeros()
+    wide = sp.csr_array((A.data, A.indices.astype(np.int64), A.indptr.astype(np.int64)),
+                        shape=A.shape)
+    assert wide.indices.dtype == wide.indptr.dtype == np.int64
+    order = np.random.default_rng(7).permutation(30)
+    lists = [[order[:18], order[12:]],
+             [[4, 0, 29, 5], [5, 3, 6], [6], np.arange(30)[::-1]],
+             [[3, 4], [4, 5, 6]], [[], [2]]]
+    for sets in lists:
+        want = reference_stack_blocks(A, sets)
+        sliced = reference_stack_blocks(wide, sets)
+        # the same entries, each index array as int32, as for an int32 A
+        assert all(np.array_equal(a, b) for a, b in zip(
+            (sliced.indptr, sliced.indices, sliced.data), (want.indptr, want.indices, want.data)))
+        for M in (A, wide):
+            assert csr_bytes(stack_blocks(M, sets)) == csr_bytes(want)
+
+
 @pytest.mark.parametrize("sets", [[np.array([0, 1, 2, 3]), np.array([2, 3, 2])],
                                   [np.array([0, 1, 2, 3]), np.array([2, -2])]])
 def test_ras_setup_rejects_a_node_listed_twice(sets):
@@ -473,25 +496,24 @@ def test_a_changed_pattern_or_moved_coordinates_miss(monkeypatch):
         assert got == ras_build(M, xy, 4)
 
 
-def test_the_caches_stay_within_their_bound_and_hold_read_only_arrays():
-    from blocksolve.sparse import SETUP_CACHE_ENTRIES
-
+def test_the_caches_hold_one_mesh_and_read_only_arrays():
     def arrays(value):
         if isinstance(value, np.ndarray):
             return [value]
         return [a for v in value for a in arrays(v)] if isinstance(value, tuple) else []
     clear_caches()
-    for n in range(4, 5 + 2 * SETUP_CACHE_ENTRIES):
+    for n in range(4, 9):
         A = chain(n)
         ras_preconditioner(A, np.column_stack([np.arange(n), np.zeros(n)]), 2)
         for cache in CACHES:
-            assert 1 <= len(cache) <= SETUP_CACHE_ENTRIES
-    for cache in CACHES:
-        assert len(cache) == SETUP_CACHE_ENTRIES
-        held = [a for entry in cache._entries for a in arrays(entry)]
-        assert held and not any(a.flags.writeable for a in held)
-        with pytest.raises(ValueError, match="read-only"):
-            held[0][...] = 0
+            assert len(cache) == 1
+            held = arrays(cache._entry)
+            assert held and not any(a.flags.writeable for a in held)
+            # the entry is the last mesh's: its key holds A's pattern or
+            # the coordinates of its n nodes
+            assert any(a.shape[0] in (n, n + 1) for a in arrays(cache._entry[0]))
+    with pytest.raises(ValueError, match="read-only"):
+        held[0][...] = 0
     # the factors share the cached schedule, read-only; the stack and the
     # partition are the caller's own to change
     F = ras_setup(A, [np.arange(n)], Partition(np.zeros(n, dtype=np.int64), 1)).factors
@@ -508,15 +530,13 @@ def test_the_caches_stay_within_their_bound_and_hold_read_only_arrays():
 
 
 def test_concurrent_ras_setups_of_different_sizes_give_the_bytes_of_lone_setups():
-    # the three caches are shared by every setup; each thread reads only
-    # the entries of its own mesh. More threads than the cache has entries
-    # per round, so entries are also evicted while other threads read
+    # the three caches are shared by every setup, and each holds one mesh,
+    # so the threads replace each other's entries while they read them
     import sys
     import threading
-    from blocksolve.sparse import SETUP_CACHE_ENTRIES
     jobs = [species_case(r) for r in (0, 1, 2)]
     jobs += [(chain(12 + k), np.column_stack([np.arange(12.0 + k), np.zeros(12 + k)]))
-             for k in range(SETUP_CACHE_ENTRIES - 1)]
+             for k in range(3)]
     clear_caches()
     alone = [ras_build(A, xy, 4) for A, xy in jobs]
     interval = sys.getswitchinterval()

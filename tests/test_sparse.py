@@ -708,7 +708,7 @@ def test_dense_factor_names_the_singular_row_as_lu_factor_does(zero_row):
 
 
 def test_setup_cache_copies_its_keys_and_keeps_the_most_recent():
-    from blocksolve.sparse import SETUP_CACHE_ENTRIES, SetupCache
+    from blocksolve.sparse import SetupCache
     cache = SetupCache()
     built = []
 
@@ -720,14 +720,13 @@ def test_setup_cache_copies_its_keys_and_keeps_the_most_recent():
     assert cache.get((np.arange(5), 2), lambda: build(1)) is first
     assert cache.get((np.arange(5), 3), lambda: build(2)) is not first
     assert cache.get((np.arange(5, dtype=np.int32), 2), lambda: build(3)) is not first
+    # the last miss replaced the entry of key
+    assert cache.get((np.arange(5), 2), lambda: build(4)) is not first
+    changed = cache.get((key, 2), lambda: build(5))
     key[0] = 7   # changed in place after its setup: a miss, never a stale hit
-    assert cache.get((key, 2), lambda: build(4)) is not first
-    assert built == [0, 2, 3, 4]
+    assert cache.get((key, 2), lambda: build(6)) is not changed
+    assert built == [0, 2, 3, 4, 6]
     assert not first[0].flags.writeable and not first[1][0].flags.writeable
-    for tag in range(5, 5 + SETUP_CACHE_ENTRIES):
-        cache.get((np.array([tag]),), lambda: build(tag))
-    assert len(cache) == SETUP_CACHE_ENTRIES
-    # the least recently used entries went first
-    assert cache.get((np.arange(5), 2), lambda: build(-1))[0][0] == -1
+    assert len(cache) == 1
     cache.clear()
     assert len(cache) == 0
