@@ -18,7 +18,7 @@ from blocksolve.schwarz import (
 from blocksolve.smoothers import ilu0_apply, ilu0_factor
 from blocksolve.sparse import SingularMatrixError, as_csr
 from test_smoothers import array_fields
-from test_sparse import csr_bytes, random_csr
+from test_sparse import csr_bytes
 
 
 def poisson_2d(nx):
@@ -278,36 +278,30 @@ def test_stacked_blocks_and_factors_match_the_sliced_reference(monkeypatch, refi
 
 def test_stacked_blocks_match_the_sliced_reference_on_any_index_set():
     # stored zeros, negative indices, an empty set, sets of one node and of
-    # every node in reverse: A[idx][:, idx] takes them all
+    # every node in reverse, nodes listed by several sets: A[idx][:, idx]
+    # takes them all
     A = poisson_2d(6)
     A.data[::5] = 0.0
     n = A.shape[0]
     rng = np.random.default_rng(7)
+    order = rng.permutation(n)
     lists = [[np.array([3, 0, 7]), np.arange(n)[::-1]],
              [np.array([-1, 5, -n]), np.array([], dtype=np.int64), np.array([9])],
              [rng.choice(n, 20, replace=False) for _ in range(5)],
-             [np.array([n - 1], dtype=np.int32), [0, 2, 1]]]
+             [np.array([n - 1], dtype=np.int32), [0, 2, 1]],
+             [order[:24], order[12:]], [[4, 0, 35, 5], [5, 3, 6], [6], [3, 4]]]
     for sets in lists:
         assert csr_bytes(stack_blocks(A, sets)) == csr_bytes(reference_stack_blocks(A, sets))
-
-
-def test_stacked_blocks_match_the_sliced_reference_on_int64_indices_and_empty_rows():
-    # a csr_array keeps int64 index arrays, in A[idx] too; rows 3..6 hold no
-    # entries, and nodes repeat across sets as overlapping subdomains list them
-    A = random_csr(30, 30, 0.2, seed=5)
+    # rows 3..6 holding no entries, and a csr_array, which keeps int64 index
+    # arrays in A[idx] too: its stack has the bytes of an int32 matrix's
     A.data[A.indptr[3]:A.indptr[7]] = 0.0
     A.eliminate_zeros()
     wide = sp.csr_array((A.data, A.indices.astype(np.int64), A.indptr.astype(np.int64)),
                         shape=A.shape)
     assert wide.indices.dtype == wide.indptr.dtype == np.int64
-    order = np.random.default_rng(7).permutation(30)
-    lists = [[order[:18], order[12:]],
-             [[4, 0, 29, 5], [5, 3, 6], [6], np.arange(30)[::-1]],
-             [[3, 4], [4, 5, 6]], [[], [2]]]
     for sets in lists:
         want = reference_stack_blocks(A, sets)
         sliced = reference_stack_blocks(wide, sets)
-        # the same entries, each index array as int32, as for an int32 A
         assert all(np.array_equal(a, b) for a, b in zip(
             (sliced.indptr, sliced.indices, sliced.data), (want.indptr, want.indices, want.data)))
         for M in (A, wide):
