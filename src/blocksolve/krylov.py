@@ -152,7 +152,7 @@ def _gmres(operator, b, preconditioner, config, flexible):
         stats.converged = True
         return np.zeros(n), stats
 
-    m = config.restart
+    m = min(config.restart, config.maxiter)  # no cycle takes more steps
     x = np.zeros(n)
     # V and Z share one buffer that holds whatever an earlier solve left, so
     # every row is written before it is read: V[0] at the start of a cycle,

@@ -115,9 +115,12 @@ def _parse_entry_lines(lines, start, nrows, ncols, nnz, symmetric):
     ``lines`` is the whole file and ``start`` the 1-based number of the line
     after the size line. Raises MatrixMarketError at the first bad line.
     """
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.float64)
+    # one entry per line at most: a declared count beyond the file allocates
+    # nothing, and the count check below names the last line
+    size = min(nnz, len(lines) - start + 1)
+    rows = np.empty(size, dtype=np.int64)
+    cols = np.empty(size, dtype=np.int64)
+    vals = np.empty(size, dtype=np.float64)
     seen = set()
     count = 0
     lineno = start - 1

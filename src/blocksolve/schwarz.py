@@ -14,14 +14,13 @@ factorization.
 """
 
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .smoothers import Ilu0Factors, ilu0_factor, ilu0_apply
-from .sparse import SetupCache, SingularMatrixError, ranges, require_finite
+from .sparse import SetupCache, SingularMatrixError, ranges, require_finite, require_value
 
 _PARTITIONS = SetupCache()
 _LAYOUTS = SetupCache()
@@ -60,21 +59,21 @@ def partition_nodes(coordinates, count):
 
     Each bisection splits along the longer bounding-box extent at the size
     median; ties on the median coordinate break toward the lower node index.
-    Raises ValueError naming the first node with a NaN or infinite coordinate.
+    Raises ValueError on a count that is no integer from 1 to the node
+    count, and naming the first node with a NaN or infinite coordinate.
     The owners of a set of coordinates are computed once; each call gets
     its own copy.
     """
     coordinates = np.asarray(coordinates, dtype=np.float64)
     n = coordinates.shape[0]
-    if count < 1:
-        raise ValueError(f"subdomain count must be >= 1, got {count}")
+    require_value("partition_nodes: count", count, int, {"least": 1})
     if count > n:
         raise ValueError(f"subdomain count {count} exceeds node count {n}")
     bad = np.flatnonzero(~np.isfinite(coordinates).reshape(n, -1).all(axis=1))
     if bad.size:
         raise ValueError(f"partition_nodes: non-finite coordinates "
                          f"{coordinates[bad[0]].tolist()} at node {bad[0]}")
-    owner = _PARTITIONS.get((coordinates, count), partial(_bisect, coordinates, count))
+    owner = _PARTITIONS.get((coordinates, count), _bisect)
     return Partition(owner=owner.copy(), count=count)
 
 
@@ -103,8 +102,7 @@ def _bisect(coordinates, count):
 def extend_overlap(A, partition, overlap):
     """Per-subdomain index sets: owned nodes expanded ``overlap`` times by
     structural adjacency in A; returned sorted ascending."""
-    if overlap < 0:
-        raise ValueError(f"overlap must be >= 0, got {overlap}")
+    require_value("extend_overlap: overlap", overlap, int, {"least": 0})
     sets = []
     for i in range(partition.count):
         idx = np.flatnonzero(partition.owner == i)
@@ -137,23 +135,22 @@ def stack_blocks(A, sets):
     copies it and gathers A's values into it."""
     nodes = np.concatenate(sets)
     lengths = np.array([len(idx) for idx in sets])
-    layout = _LAYOUTS.get((A.shape, A.indptr, A.indices, nodes, lengths),
-                          partial(_stack_layout, A, nodes, lengths))
+    layout = _LAYOUTS.get((A.shape, A.indptr, A.indices, nodes, lengths), _stack_layout)
     data = A.data[layout.source].astype(np.float64, copy=False)
     return sp.csr_matrix((data, layout.indices.copy(), layout.indptr.copy()),
                          shape=(nodes.size, nodes.size))
 
 
-def _stack_layout(A, nodes, lengths):
+def _stack_layout(shape, indptr, indices, nodes, lengths):
     """Looks each stacked row's entries up by (block, column) in the sorted
     keys of all (block, node) pairs, and sorts each row by column."""
-    n = A.shape[0]
+    n = shape[0]
     outside = np.flatnonzero((nodes >= n) | (nodes < -n))
     if outside.size:
         block = int(np.searchsorted(np.cumsum(lengths), outside[0], side="right"))
         raise IndexError(f"stack_blocks: subdomain {block} lists node {nodes[outside[0]]}, "
                          f"out of range for {n} nodes")
-    nodes = (nodes % n).astype(A.indices.dtype, copy=False)
+    nodes = (nodes % n).astype(indices.dtype, copy=False)
     key_dtype = np.int32 if lengths.size * n <= np.iinfo(np.int32).max else np.int64
     block_keys = np.repeat(np.arange(0, lengths.size * n, n, dtype=key_dtype), lengths)
     keys = block_keys + nodes
@@ -163,11 +160,11 @@ def _stack_layout(A, nodes, lengths):
     if twice.size:
         block, node = divmod(int(keys[twice[0]]), n)
         raise ValueError(f"subdomain {block} lists node {node} more than once")
-    starts = A.indptr[nodes]
-    counts = A.indptr[nodes + 1] - starts
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
     source = ranges(starts, counts)
     want = np.repeat(block_keys, counts)
-    want += A.indices[source]
+    want += indices[source]
     found = np.minimum(np.searchsorted(keys, want), max(keys.size - 1, 0))
     hit = keys[found] == want
     row_ends = np.concatenate(([0], np.cumsum(counts)))

@@ -8,7 +8,7 @@ interval derived from a power-iteration estimate of the largest eigenvalue.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -28,26 +28,18 @@ CHEBYSHEV_DEGREES = {"least": 1, "most": 8}
 
 @dataclass
 class Ilu0Factors:
-    """Combined L\\U storage on the exact pattern of the factored matrix.
-
-    L (unit) lies strictly below the diagonal, U on and above it. ``lower``
-    and ``upper`` are the two forward sweeps, bound once in ``sweeps``:
-    -l_ij in row order, and -u_ij / u_ii with rows and columns reversed
-    (n - 1 - i, n - 1 - j, columns ascending). The factors are read-only.
+    """Combined L\\U storage on the exact pattern of the factored matrix, in
+    its entry order, and the pivots u_ii. L (unit) lies strictly below the
+    diagonal, U on and above it. ``sweeps`` are the two forward sweeps of
+    ``ilu0_apply``: bound CSR products on -l_ij in row order, and on
+    -u_ij / u_ii with rows and columns reversed (n - 1 - i, n - 1 - j,
+    columns ascending). The factors are read-only.
     """
 
     n: int
-    indptr: np.ndarray
-    indices: np.ndarray
     data: np.ndarray
-    diag_pos: np.ndarray
     pivots: np.ndarray
-    lower: CsrArrays
-    upper: CsrArrays
-    sweeps: tuple = field(init=False, default=(), repr=False, compare=False)
-
-    def __post_init__(self):
-        self.sweeps = (product_adder(self.lower), product_adder(self.upper))
+    sweeps: tuple = field(repr=False)
 
 
 def _levels(n, readers, read):
@@ -84,15 +76,12 @@ def _levels(n, readers, read):
 
 
 class _Ilu0Schedule(NamedTuple):
-    """What ILU(0) derives from the pattern alone: the int64 pattern and
-    diagonal positions, one (L positions, their pivots' positions, targets,
-    L factors, U factors) tuple of entry positions per elimination stage,
-    and the sweeps' layouts: the positions of the strict-lower entries and,
-    reversed, of the strict-upper ones with their rows, and each sweep's
-    offsets and columns."""
+    """What ILU(0) derives from the pattern alone: the diagonal positions,
+    one (L positions, their pivots' positions, targets, L factors, U
+    factors) tuple of entry positions per elimination stage, and the sweeps'
+    layouts: the positions of the strict-lower entries and, reversed, of the
+    strict-upper ones with their rows, and each sweep's offsets and columns."""
 
-    indptr: np.ndarray
-    indices: np.ndarray
     diag_pos: np.ndarray
     stages: tuple
     lower: np.ndarray
@@ -105,12 +94,12 @@ class _Ilu0Schedule(NamedTuple):
 _SCHEDULES = SetupCache()
 
 
-def _ilu0_schedule(A):
-    """The elimination schedule of the canonical CSR matrix ``A``; raises
+def _ilu0_schedule(shape, indptr, indices):
+    """The elimination schedule of a square canonical CSR pattern; raises
     ValueError naming the first row without a structural diagonal."""
-    n = A.shape[0]
-    indptr = A.indptr.astype(np.int64)
-    indices = A.indices.astype(np.int64)
+    n = shape[0]
+    indptr = indptr.astype(np.int64)
+    indices = indices.astype(np.int64)
     nnz = indices.size
     row_of = np.repeat(np.arange(n), np.diff(indptr))
     keys = row_of * n + indices
@@ -155,7 +144,7 @@ def _ilu0_schedule(A):
     # the sweeps of ilu0_apply, in the layout Ilu0Factors describes
     upper = ranges(u_start, u_count)
     return _Ilu0Schedule(
-        indptr=indptr, indices=indices, diag_pos=diag_pos, stages=steps, lower=lower,
+        diag_pos=diag_pos, stages=steps, lower=lower,
         upper=upper[::-1].copy(), upper_rows=np.repeat(np.arange(n), u_count)[::-1].copy(),
         lower_pattern=(np.concatenate(([0], np.cumsum(diag_pos - indptr[:-1]))), l_col),
         upper_pattern=(np.concatenate(([0], np.cumsum(u_count[::-1]))),
@@ -180,7 +169,7 @@ def ilu0_factor(A, block_offsets=None):
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"ilu0_factor: matrix is not square {A.shape}")
     require_canonical(A, "ilu0_factor")
-    S = _SCHEDULES.get((A.shape, A.indptr, A.indices), partial(_ilu0_schedule, A))
+    S = _SCHEDULES.get((A.shape, A.indptr, A.indices), _ilu0_schedule)
     require_finite(A, "ilu0_factor")
     data = np.array(A.data, dtype=np.float64)
 
@@ -202,11 +191,10 @@ def ilu0_factor(A, block_offsets=None):
     failed = np.flatnonzero((np.abs(pivots) < pivot_floor) | (pivots == 0.0))
     if failed.size:
         raise SingularMatrixError(failed[0], "vanishing ILU(0) pivot")
-    return Ilu0Factors(
-        n=n, indptr=S.indptr, indices=S.indices, data=data, diag_pos=S.diag_pos,
-        pivots=pivots, lower=CsrArrays((n, n), *S.lower_pattern, -data[S.lower]),
-        upper=CsrArrays((n, n), *S.upper_pattern,
-                        -(data[S.upper] / pivots[S.upper_rows])))
+    lower = CsrArrays((n, n), *S.lower_pattern, -data[S.lower])
+    upper = CsrArrays((n, n), *S.upper_pattern, -(data[S.upper] / pivots[S.upper_rows]))
+    return Ilu0Factors(n=n, data=data, pivots=pivots,
+                       sweeps=(product_adder(lower), product_adder(upper)))
 
 
 def ilu0_apply(F, r):

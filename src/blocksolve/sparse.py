@@ -393,12 +393,12 @@ class SetupCache:
     and then shared, read-only, by every setup on that mesh.
 
     ``get(key, build)`` returns the value stored under ``key``, a tuple of
-    arrays and plain values, or stores and returns ``build()``, an array or
-    nested tuples of them, frozen read-only. The cache holds one entry, that
-    of the last miss, and a read-only copy of its key arrays; a key array
-    matches when it has the copy's dtype, shape and content, so a changed
-    pattern is a miss and an array changed in place after its setup is never
-    a stale hit. ``build`` runs outside the lock.
+    arrays and plain values, or stores and returns ``build(*key)``, frozen
+    read-only: an array or nested tuples of them, built from the key alone.
+    The cache holds one entry, that of the last miss, and a read-only copy
+    of its key arrays; a key array matches by dtype, shape and content, so
+    a changed pattern is a miss and an array changed in place after its
+    setup is never a stale hit. ``build`` runs outside the lock.
     """
 
     def __init__(self):
@@ -417,7 +417,7 @@ class SetupCache:
             entry = self._entry
         if entry is not None and len(entry[0]) == len(key) and all(map(_same, entry[0], key)):
             return entry[1]
-        value = _freeze(build())
+        value = _freeze(build(*key))
         stored = tuple(_freeze(np.array(k)) if isinstance(k, np.ndarray) else k
                        for k in key)
         with self._lock:

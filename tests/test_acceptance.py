@@ -19,7 +19,8 @@ from blocksolve.blockprec import (
     build_electrochem_preconditioner,
 )
 from blocksolve.krylov import SolverConfig, fgmres, gmres
-from blocksolve.schwarz import extend_overlap, partition_nodes, ras_apply, ras_setup
+from blocksolve.schwarz import (extend_overlap, partition_nodes, ras_apply, ras_setup,
+                                stack_blocks)
 from blocksolve.smoothers import (
     CHEBYSHEV_BOOST, CHEBYSHEV_RATIO, chebyshev_apply, chebyshev_setup, ilu0_factor)
 from blocksolve.sparse import as_csr, dense_factor, triple_product
@@ -99,8 +100,8 @@ def test_criterion_2_kernel_oracles():
     L = np.eye(n)
     U = np.zeros((n, n))
     for i in range(n):
-        for k in range(F.indptr[i], F.indptr[i + 1]):
-            j = F.indices[k]
+        for k in range(T.indptr[i], T.indptr[i + 1]):
+            j = T.indices[k]
             (L if j < i else U)[i, j] = F.data[k]
     lu_err = np.abs(L @ U - T.toarray()).max()
     assert lu_err <= 1e-12
@@ -232,15 +233,17 @@ WAVEFRONT_LEVELS = {"weak": [6, 6, 6, 6], "fixed P = 4": [6, 15, 32, 66]}
 def species_sweep_levels(case, p):
     """Wavefront depth of the lower and upper sweeps of the species RAS
     factor: a row that reads no other row is on level 0, any other row one
-    level above the highest row it reads; found row by row."""
+    level above the highest row it reads; found row by row on the pattern
+    of the stack the RAS setup factors."""
     A = case.system.submatrix(("x",))
     part = partition_nodes(case.grid.centers, p)
-    F = ras_setup(A, extend_overlap(A, part, 0), part).factors
-    indptr, indices, diag_pos = F.indptr.tolist(), F.indices.tolist(), F.diag_pos.tolist()
+    S = stack_blocks(A, extend_overlap(A, part, 0))
+    n, indptr, indices = S.shape[0], S.indptr.tolist(), S.indices.tolist()
+    diag_pos = [indptr[i] + indices[indptr[i]:indptr[i + 1]].index(i) for i in range(n)]
     depths = []
-    for rows, reads in ((range(F.n), lambda i: indices[indptr[i]:diag_pos[i]]),
-                        (range(F.n - 1, -1, -1), lambda i: indices[diag_pos[i] + 1:indptr[i + 1]])):
-        level = [0] * F.n
+    for rows, reads in ((range(n), lambda i: indices[indptr[i]:diag_pos[i]]),
+                        (range(n - 1, -1, -1), lambda i: indices[diag_pos[i] + 1:indptr[i + 1]])):
+        level = [0] * n
         for i in rows:
             level[i] = max((level[j] + 1 for j in reads(i)), default=0)
         depths.append(max(level))

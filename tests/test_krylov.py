@@ -365,6 +365,21 @@ def test_reused_basis_gives_bit_identical_results(solve, restart):
     assert not np.shares_memory(reused[0], buf)
 
 
+@pytest.mark.parametrize("solve", [gmres, fgmres])
+def test_a_restart_beyond_maxiter_gives_the_bytes_of_a_restart_of_maxiter(solve):
+    # a cycle takes at most maxiter steps, so the basis and H are sized by
+    # that: a restart of 10**6 asked for a 10**6 x 10**6 H
+    A = poisson_2d(16)
+    b = A @ np.linspace(1.0, 2.0, A.shape[0])
+    runs = [solve(A, b, preconditioner=lambda r: 0.25 * r,
+                  config=SolverConfig(restart=restart, maxiter=10, flexible=True))
+            for restart in (10**6, 10)]
+    (x, stats), (want_x, want_stats) = runs
+    assert not stats.converged and stats.iterations == 10
+    assert x.tobytes() == want_x.tobytes()
+    assert asdict(stats) == asdict(want_stats)
+
+
 def test_free_list_keeps_one_buffer_for_serial_solves():
     # a solve takes the smallest buffer that fits, or drops the largest one
     # and allocates: serial solves settle on one buffer, the largest basis

@@ -266,6 +266,16 @@ def test_rejects_wrong_entry_count(tmp_path):
         load_matrix_market(path)
 
 
+def test_a_declared_count_beyond_the_file_names_the_last_line(tmp_path):
+    # the per-line reader sized its arrays by the declared count and ran out
+    # of memory before it read a line
+    path = tmp_path / "huge.mtx"
+    path.write_text(GENERAL + f"1 1 {10**15}\n1 1 1.0\n")
+    with pytest.raises(MatrixMarketError) as err:
+        load_matrix_market(path)
+    assert (err.value.line, str(err.value)) == (3, f"line 3: declared {10**15} entries, found 1")
+
+
 def same_csr(A, B):
     return (A.shape == B.shape
             and A.indptr.tobytes() == B.indptr.tobytes()

@@ -99,6 +99,68 @@ def test_no_unused_names_in_library_modules():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def setup_cache_calls(source):
+    """The number of ``get`` calls on the module-level ``SetupCache``
+    objects of a module, and the lines of those whose key is no tuple
+    literal or whose builder is no module-level function taking one
+    positional parameter per key entry: ``get`` calls ``build(*key)``, and a
+    builder that sees nothing but its key cannot keep what a hit would then
+    serve stale (a ``partial`` or a lambda could close over a matrix)."""
+    tree = ast.parse(source)
+    caches = {target.id for node in tree.body if isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.Call)
+              and getattr(node.value.func, "id", None) == "SetupCache"
+              for target in node.targets}
+    functions = {node.name: node.args for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "get"
+             and getattr(node.func.value, "id", None) in caches]
+    bad = []
+    for node in calls:
+        key, build = (node.args + [None, None])[:2]
+        params = functions.get(getattr(build, "id", None))
+        if (len(node.args) != 2 or node.keywords or not isinstance(key, ast.Tuple)
+                or any(isinstance(k, ast.Starred) for k in key.elts)
+                or not isinstance(build, ast.Name) or params is None
+                or params.vararg or params.kwarg or params.kwonlyargs or params.defaults
+                or len(params.posonlyargs + params.args) != len(key.elts)):
+            bad.append(node.lineno)
+    return len(calls), bad
+
+
+def test_setup_cache_check_flags_a_builder_that_sees_more_than_its_key():
+    source = ("from functools import partial\n"
+              "_A = SetupCache()\n"
+              "_B = SetupCache()\n"
+              "def _build(shape, indptr):\n"
+              "    return shape\n"
+              "def _wide(*args):\n"
+              "    return args\n"
+              "def setup(M, key):\n"
+              "    def local(shape, indptr):\n"
+              "        return M.data\n"
+              "    _A.get((M.shape, M.indptr), _build)\n"
+              "    _A.get((M.shape, M.indptr), partial(_build, M))\n"
+              "    _B.get((M.shape,), lambda shape: M.data)\n"
+              "    _B.get((M.shape, M.indptr, M.indices), _build)\n"
+              "    _B.get(key, _build)\n"
+              "    _B.get((M.shape, M.indptr), _wide)\n"
+              "    _B.get((M.shape, M.indptr), local)\n"
+              "    _B.get((M.shape, M.indptr), build=_build)\n"
+              "    return {}.get(key, _build)\n")
+    assert setup_cache_calls(source) == (8, [12, 13, 14, 15, 16, 17, 18])
+
+
+def test_every_setup_cache_builder_takes_its_key_and_nothing_else():
+    package = Path(blocksolve.__file__).parent
+    found = {path.name: setup_cache_calls(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert {name: calls for name, (calls, _) in found.items() if calls} == \
+        {"schwarz.py": 2, "smoothers.py": 1}
+    assert {name: bad for name, (_, bad) in found.items() if bad} == {}
+
+
 PRIVATE_KERNELS = "scipy.sparse._sparsetools"
 
 

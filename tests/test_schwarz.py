@@ -78,6 +78,21 @@ def test_partition_rejects_too_many_subdomains():
         partition_nodes(grid_coords(2), 5)
 
 
+@pytest.mark.parametrize("what, bad", [("count", v) for v in (2.5, True, 0, -1, "2", None)]
+                         + [("overlap", v) for v in (1.5, False, -1, "1", None)])
+def test_a_count_or_overlap_that_is_no_integer_in_range_is_named(what, bad):
+    # 2.5 failed inside the bisection, True gave Partition(count=True), and
+    # an overlap of 1.5 failed inside the extension loop
+    coords = grid_coords(4)
+    function, least = ("partition_nodes", 1) if what == "count" else ("extend_overlap", 0)
+    with pytest.raises(ValueError) as err:
+        if what == "count":
+            partition_nodes(coords, bad)
+        else:
+            extend_overlap(poisson_2d(4), partition_nodes(coords, 2), bad)
+    assert str(err.value) == f"{function}: {what}: want an integer >= {least}, got {bad!r}"
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_partition_names_the_first_node_with_a_non_finite_coordinate(bad):
     coords = [[0.0, 0.0], [bad, 1.0], [1.0, 1.0], [2.0, bad]]
@@ -490,6 +505,25 @@ def test_a_changed_pattern_or_moved_coordinates_miss(monkeypatch):
         assert got == ras_build(M, xy, 4)
 
 
+def test_the_setup_builders_see_only_their_keys(monkeypatch):
+    # a builder that could read A's values would keep them in what every
+    # later setup on the mesh shares, whatever values it brings
+    A, coordinates = species_case(2)
+    seen = []
+    for module, name in ((blocksolve.schwarz, "_bisect"), (blocksolve.schwarz, "_stack_layout"),
+                         (blocksolve.smoothers, "_ilu0_schedule")):
+        def recorded(*args, real=getattr(module, name)):
+            seen.append(args)
+            return real(*args)
+        monkeypatch.setattr(module, name, recorded)
+    clear_caches()
+    ras_preconditioner(A, coordinates, 4)
+    args = [arg for call in seen for arg in call]
+    assert len(seen) == 3 and args
+    assert not any(sp.issparse(arg) for arg in args)
+    assert not any(np.shares_memory(np.asarray(arg), A.data) for arg in args)
+
+
 def test_the_caches_hold_one_mesh_and_read_only_arrays():
     def arrays(value):
         if isinstance(value, np.ndarray):
@@ -508,10 +542,12 @@ def test_the_caches_hold_one_mesh_and_read_only_arrays():
             assert any(a.shape[0] in (n, n + 1) for a in arrays(cache._entry[0]))
     with pytest.raises(ValueError, match="read-only"):
         held[0][...] = 0
-    # the factors share the cached schedule, read-only; the stack and the
-    # partition are the caller's own to change
+    # the factors' sweeps are bound to the cached schedule's read-only index
+    # arrays; the stack and the partition are the caller's own to change
     F = ras_setup(A, [np.arange(n)], Partition(np.zeros(n, dtype=np.int64), 1)).factors
-    assert not F.indptr.flags.writeable and F.data.flags.writeable
+    bound = [a for sweep in F.sweeps for a in sweep.args[2:4]]
+    assert len(bound) == 4 and not any(a.flags.writeable for a in bound)
+    assert F.data.flags.writeable
     sets = [np.arange(n // 2), np.arange(n // 2, n)]
     want = csr_bytes(stack_blocks(A, sets))
     S = stack_blocks(A, sets)

@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -45,6 +46,13 @@ def dense_lu_no_pivot(A):
     return L, np.triu(A)
 
 
+def diagonal_positions(A):
+    """Position of each row's diagonal entry in the canonical CSR ``A``."""
+    indptr, indices = A.indptr, A.indices
+    return np.array([indptr[i] + np.searchsorted(indices[indptr[i]:indptr[i + 1]], i)
+                     for i in range(A.shape[0])])
+
+
 def reference_ilu0_factor(A):
     """Row-by-row ILU(0), the loop the wavefront factor must reproduce bit
     for bit: returns the combined L\\U data array."""
@@ -52,8 +60,7 @@ def reference_ilu0_factor(A):
     indptr = A.indptr.astype(np.int64)
     indices = A.indices.astype(np.int64)
     data = A.data.astype(np.float64).copy()
-    diag_pos = np.array([indptr[i] + np.searchsorted(indices[indptr[i]:indptr[i + 1]], i)
-                         for i in range(n)])
+    diag_pos = diagonal_positions(A)
     pivot_floor = PIVOT_FLOOR * np.max(np.abs(data[diag_pos]))
     for i in range(n):
         lo, hi = indptr[i], indptr[i + 1]
@@ -76,9 +83,10 @@ def reference_ilu0_factor(A):
     return data
 
 
-def reference_ilu0_apply(F, r):
-    """Row-by-row forward and backward substitution on the combined array."""
-    indptr, indices, data, diag_pos = F.indptr, F.indices, F.data, F.diag_pos
+def reference_ilu0_apply(A, F, r):
+    """Row-by-row forward and backward substitution on the combined array,
+    which holds the factors in the entry order of the factored ``A``."""
+    indptr, indices, data, diag_pos = A.indptr, A.indices, F.data, diagonal_positions(A)
     y = np.empty(F.n)
     for i in range(F.n):
         lo, dpos = indptr[i], diag_pos[i]
@@ -108,12 +116,13 @@ def stacked_species_block(refinement, overlap, count=4):
     return stacked, np.concatenate(([0], np.cumsum([len(idx) for idx in sets])))
 
 
-def combined_to_LU(F):
+def combined_to_LU(A, F):
+    """Dense L and U of the factors of ``A``, on A's pattern."""
     L = np.eye(F.n)
     U = np.zeros((F.n, F.n))
     for i in range(F.n):
-        for p in range(F.indptr[i], F.indptr[i + 1]):
-            j = F.indices[p]
+        for p in range(A.indptr[i], A.indptr[i + 1]):
+            j = A.indices[p]
             if j < i:
                 L[i, j] = F.data[p]
             else:
@@ -126,7 +135,7 @@ def combined_to_LU(F):
 def test_ilu0_diagonal_is_exact():
     A = as_csr(np.diag([2.0, 4.0]))
     F = ilu0_factor(A)
-    L, U = combined_to_LU(F)
+    L, U = combined_to_LU(A, F)
     np.testing.assert_allclose(L, np.eye(2), atol=0)
     np.testing.assert_allclose(U, np.diag([2.0, 4.0]), atol=0)
 
@@ -134,7 +143,7 @@ def test_ilu0_diagonal_is_exact():
 def test_ilu0_lower_triangular_is_exact():
     A = np.array([[2.0, 0.0, 0.0], [1.0, 3.0, 0.0], [0.5, -1.0, 4.0]])
     F = ilu0_factor(as_csr(A))
-    L, U = combined_to_LU(F)
+    L, U = combined_to_LU(as_csr(A), F)
     Lo, Uo = dense_lu_no_pivot(A)
     np.testing.assert_allclose(L, Lo, atol=1e-12)
     np.testing.assert_allclose(U, np.diag(np.diag(A)), atol=1e-12)
@@ -144,7 +153,7 @@ def test_ilu0_lower_triangular_is_exact():
 def test_ilu0_tridiagonal_frozen_values():
     A = tridiag(3)
     F = ilu0_factor(A)
-    L, U = combined_to_LU(F)
+    L, U = combined_to_LU(A, F)
     np.testing.assert_allclose(np.diag(U), [2.0, 1.5, 4.0 / 3.0], rtol=1e-12)
     np.testing.assert_allclose([L[1, 0], L[2, 1]], [-0.5, -2.0 / 3.0], rtol=1e-12)
     Lo, Uo = dense_lu_no_pivot(A.toarray())
@@ -156,16 +165,33 @@ def test_ilu0_tridiagonal_frozen_values():
 def test_ilu0_zero_fill_exactness(n):
     A = tridiag(n)
     F = ilu0_factor(A)
-    L, U = combined_to_LU(F)
+    L, U = combined_to_LU(A, F)
     np.testing.assert_allclose(L @ U, A.toarray(), atol=1e-12)
+
+
+def sweep_arrays(F):
+    """The (indptr, indices, data) each of the factors' two sweeps is bound
+    to."""
+    return [sweep.args[2:] for sweep in F.sweeps]
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_ilu0_pattern_invariant(seed):
+    # the factors hold one value per entry of A, and the sweeps run on A's
+    # strict lower part in row order and its strict upper part reversed
     A = random_dominant(seed)
     F = ilu0_factor(A)
-    assert np.array_equal(F.indptr, A.indptr)
-    assert np.array_equal(F.indices, A.indices)
+    assert F.data.shape == A.data.shape
+    n = A.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    lower, upper = A.indices < rows, A.indices > rows
+    def offsets(counts):
+        return np.concatenate(([0], np.cumsum(counts)))
+    (lp, lj, _), (up, uj, _) = sweep_arrays(F)
+    assert np.array_equal(lp, offsets(np.bincount(rows[lower], minlength=n)))
+    assert np.array_equal(lj, A.indices[lower])
+    assert np.array_equal(up, offsets(np.bincount(rows[upper], minlength=n)[::-1]))
+    assert np.array_equal(uj, n - 1 - A.indices[upper][::-1])
 
 
 ORACLE_CASES = [pytest.param(lambda s=s: (random_dominant(s), None), id=f"random{s}")
@@ -182,19 +208,19 @@ def test_ilu0_matches_row_loop_reference(case):
     F = ilu0_factor(A, block_offsets=offsets)
     assert F.data.tobytes() == reference_ilu0_factor(A).tobytes()
     r = np.random.default_rng(7).standard_normal(A.shape[0])
-    expected = reference_ilu0_apply(F, r)
+    expected = reference_ilu0_apply(A, F, r)
     z = ilu0_apply(F, r)
     assert np.linalg.norm(z - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-def reference_substitution_apply(F, r):
+def reference_substitution_apply(A, F, r):
     """The substitution loop ``ilu0_apply`` must match bit for bit, on
-    Python floats from the combined array: s = r_i, then s += (-l_ij) * y_j
-    over the row's columns in ascending order; y / pivots; then from the
-    last row up, s = w_i, then s += (-(u_ij / u_ii)) * z_j over the row's
-    columns in descending order."""
-    indptr, indices, data = F.indptr.tolist(), F.indices.tolist(), F.data.tolist()
-    diag_pos = F.diag_pos.tolist()
+    Python floats from the combined array on the pattern of ``A``: s = r_i,
+    then s += (-l_ij) * y_j over the row's columns in ascending order;
+    y / pivots; then from the last row up, s = w_i, then
+    s += (-(u_ij / u_ii)) * z_j over the row's columns in descending order."""
+    indptr, indices, data = A.indptr.tolist(), A.indices.tolist(), F.data.tolist()
+    diag_pos = diagonal_positions(A).tolist()
     y = np.asarray(r, dtype=np.float64).tolist()
     for i in range(F.n):
         s = y[i]
@@ -225,8 +251,8 @@ def test_ilu0_apply_bit_identical_to_per_level_sweep(case):
     rng = np.random.default_rng(A.shape[0])
     for r in (rng.standard_normal(A.shape[0]), np.ones(A.shape[0])):
         z = ilu0_apply(F, r)
-        assert z.tobytes() == reference_substitution_apply(F, r).tobytes()
-        expected = reference_ilu0_apply(F, r)
+        assert z.tobytes() == reference_substitution_apply(A, F, r).tobytes()
+        expected = reference_ilu0_apply(A, F, r)
         assert np.linalg.norm(z - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -266,10 +292,13 @@ def test_in_place_substitution_guard():
 
 def array_fields(obj):
     """Field name -> bytes of every array a dataclass instance holds,
-    directly or in (nested) tuples; None for any other field."""
+    directly, in (nested) tuples or bound into a kernel; None for any other
+    field."""
     def flat(value):
         if isinstance(value, np.ndarray):
             return [value.tobytes()]
+        if isinstance(value, partial):
+            return flat(value.args)
         if isinstance(value, tuple):
             return [b for v in value for b in flat(v)]
         return []
@@ -286,7 +315,7 @@ def test_factors_and_smoothers_unchanged_by_applies():
     before = [array_fields(obj) for obj in parts]
     assert all(any(fields.values()) for fields in before)
     # the two sweeps' (indptr, indices, data) are checked with the factors
-    assert len(before[0]["lower"]) == len(before[0]["upper"]) == 3
+    assert len(before[0]["sweeps"]) == 6
     rng = np.random.default_rng(3)
     for _ in range(3):
         ilu0_apply(F, rng.standard_normal(A.shape[0]))

@@ -712,20 +712,24 @@ def test_setup_cache_copies_its_keys_and_keeps_the_most_recent():
     cache = SetupCache()
     built = []
 
-    def build(tag):
-        built.append(tag)
-        return (np.array([tag]), (np.arange(3),))
+    def builder(tag):
+        def build(array, count):   # a builder gets its key and nothing else
+            built.append((tag, array.tolist(), count))
+            return (np.array([tag]), (np.arange(3),))
+        return build
     key = np.arange(5)
-    first = cache.get((key, 2), lambda: build(0))
-    assert cache.get((np.arange(5), 2), lambda: build(1)) is first
-    assert cache.get((np.arange(5), 3), lambda: build(2)) is not first
-    assert cache.get((np.arange(5, dtype=np.int32), 2), lambda: build(3)) is not first
+    first = cache.get((key, 2), builder(0))
+    assert cache.get((np.arange(5), 2), builder(1)) is first
+    assert cache.get((np.arange(5), 3), builder(2)) is not first
+    assert cache.get((np.arange(5, dtype=np.int32), 2), builder(3)) is not first
     # the last miss replaced the entry of key
-    assert cache.get((np.arange(5), 2), lambda: build(4)) is not first
-    changed = cache.get((key, 2), lambda: build(5))
+    assert cache.get((np.arange(5), 2), builder(4)) is not first
+    changed = cache.get((key, 2), builder(5))
     key[0] = 7   # changed in place after its setup: a miss, never a stale hit
-    assert cache.get((key, 2), lambda: build(6)) is not changed
-    assert built == [0, 2, 3, 4, 6]
+    assert cache.get((key, 2), builder(6)) is not changed
+    five = [0, 1, 2, 3, 4]
+    assert built == [(0, five, 2), (2, five, 3), (3, five, 2), (4, five, 2),
+                     (6, [7, 1, 2, 3, 4], 2)]
     assert not first[0].flags.writeable and not first[1][0].flags.writeable
     assert len(cache) == 1
     cache.clear()
